@@ -42,7 +42,6 @@ DOC_FILES = [
     "docs/observability.md",
     "docs/integrity.md",
     "docs/robustness.md",
-    "docs/service.md",
     "docs/performance.md",
     "docs/buffer_sharing.md",
     "docs/extending.md",
@@ -54,9 +53,8 @@ DOC_FILES = [
 # and are only compiled.
 EXEC_PYTHON_PAGES = {"README.md", "docs/observability.md"}
 
-# Subcommands too slow or environment-bound for the --run pass
-# (serve blocks forever; submit/jobs need a live server).
-SKIP_RUN_SUBCOMMANDS = {"bench", "serve", "submit", "jobs"}
+# Subcommands too slow for the --run pass.
+SKIP_RUN_SUBCOMMANDS = {"bench"}
 
 # Run-length clamp appended to simulation commands that don't pin one.
 RUN_INSTRUCTIONS = "2000"

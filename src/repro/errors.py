@@ -110,49 +110,6 @@ class WorkerPoisonedError(SimulationError):
     retryable = False
 
 
-class ServiceError(ReproError):
-    """The campaign service could not process a request.
-
-    Raised by the job store, lease manager, HTTP front end, and the
-    ``serve``/``submit``/``jobs`` CLI commands.  Determinate from the
-    caller's point of view: re-sending the identical request hits the
-    same condition (idempotent submission makes the retry harmless,
-    but not useful).
-    """
-
-    retryable = False
-
-
-class BackPressureError(ServiceError):
-    """The service's admission queue is full; retry after a delay.
-
-    ``retry_after`` is the suggested wait in seconds, surfaced to HTTP
-    clients as a ``Retry-After`` header on the 429 response.  Bounded
-    queues with explicit rejection are what keep a flooded service
-    predictable instead of slow-then-dead.
-    """
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.retry_after))
-
-
-class LeaseLostError(ServiceError):
-    """A worker's lease on a job expired or was claimed by another owner.
-
-    The fencing signal of the service's exactly-once story: a worker
-    whose heartbeat falls behind (wedged, paused, partitioned) finds
-    out at its next renewal and must abandon the job without recording
-    a completion — the lease's new owner (or the reaper) now speaks
-    for the job.  Never retryable: the lease is gone.
-    """
-
-    retryable = False
-
-
 class IntegrityError(ReproError):
     """The simulation reached a provably inconsistent state.
 

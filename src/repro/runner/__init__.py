@@ -18,13 +18,7 @@ Quickstart::
     # ...completed points are loaded from checkpoint, not re-run.
 """
 
-from repro.runner.audit import (
-    AuditIssue,
-    AuditReport,
-    audit_campaign,
-    audit_service,
-    is_service_dir,
-)
+from repro.runner.audit import AuditIssue, AuditReport, audit_campaign
 from repro.runner.campaign import (
     CampaignResult,
     CampaignRunner,
@@ -55,8 +49,6 @@ __all__ = [
     "AuditIssue",
     "AuditReport",
     "audit_campaign",
-    "audit_service",
-    "is_service_dir",
     "CampaignResult",
     "CampaignRunner",
     "ChaosEngine",

@@ -4,50 +4,53 @@ A *campaign* is an ordered list of :class:`RunSpec` points (one
 simulation each).  The :class:`CampaignRunner` executes them with the
 failure-handling machinery that a long unattended sweep needs:
 
-- **Process isolation** — each attempt runs in a persistent
-  single-process *worker slot* (a long-lived
+- **One scheduler** — every campaign, at every worker count, runs
+  through the same scheduler.  Under process isolation (the default) it
+  keeps ``min(workers, pending)`` persistent single-process *worker
+  slots* (each a long-lived
   ``concurrent.futures.ProcessPoolExecutor(max_workers=1)``), so a
-  crashed or wedged simulation cannot take down the campaign, and a
-  timed-out worker can be killed without disturbing its siblings.
-- **Parallel execution** — ``workers=N`` keeps up to N points in flight
-  at once across N slots, completing them out of order.  ``workers=1``
-  runs the exact serial schedule (bit-identical results, checkpoint,
-  and manifest to previous releases); ``workers=N`` produces the same
-  per-point results and an equivalent checkpoint/manifest, differing
-  only in completion order (the in-memory campaign and the manifest are
-  re-ordered back to spec order before being returned/written).
+  crashed or wedged simulation cannot take down the campaign, a
+  timed-out worker can be killed without disturbing its siblings, and
+  interpreter start-up is paid once per slot, not once per attempt.
+  Points complete out of order; the in-memory campaign and the manifest
+  are re-ordered back to spec order, so ``workers=N`` output is
+  directly comparable to ``workers=1``.  ``isolation="inline"`` runs
+  each point's whole retry loop in the runner's own process instead.
 - **Timeouts** — a wall-clock budget per attempt
-  (:class:`~repro.errors.RunTimeoutError` when exceeded).  Under
-  parallel execution the budget is tracked as a *deadline* per in-flight
-  attempt — the scheduler never blocks in ``future.result(timeout=...)``
-  — and an expired attempt's worker is killed in a targeted way.
+  (:class:`~repro.errors.RunTimeoutError` when exceeded), tracked as a
+  *deadline* per in-flight attempt — the scheduler never blocks in
+  ``future.result(timeout=...)`` — and an expired attempt's worker is
+  killed in a targeted way.
 - **Bounded retry with exponential backoff** — only errors whose class
   is marked ``retryable`` in the taxonomy are retried; a
   :class:`~repro.errors.ConfigError` or
   :class:`~repro.errors.TraceFormatError` is determinate and fails the
-  point immediately.  Under parallel execution a backoff never blocks
-  the pool: the retry is *rescheduled* with an eligibility deadline and
-  other points run in the meantime.
+  point immediately.  A backoff never blocks the worker slots: the
+  retry is *rescheduled* with an eligibility deadline and other points
+  run in the meantime.
 - **Checkpointing** — every terminal outcome is appended to
   ``checkpoint.jsonl`` in the campaign directory; ``resume=True`` skips
   points already recorded there (matching both ``run_id`` and spec
   fingerprint) and reloads their results, so an interrupted campaign
-  finishes with results identical to an uninterrupted one.  Parallel
-  campaigns append in completion order; resume is keyed by ``run_id``,
-  so out-of-order checkpoints replay exactly the same way.
+  finishes with results identical to an uninterrupted one.  Entries
+  are appended in completion order; resume is keyed by ``run_id``, so
+  out-of-order checkpoints replay exactly the same way.
 - **Degradation policy** — ``on_error="skip"`` records the failure and
   moves on (the unattended default); ``on_error="fail"`` re-raises after
-  recording (fail-fast, the legacy in-process sweep behaviour).  A
-  parallel fail-fast kills the outstanding workers, drains the
-  scheduler, and writes the failed manifest before re-raising.
+  recording (fail-fast, the legacy in-process sweep behaviour).
+  Fail-fast kills the outstanding workers, drains the scheduler, and
+  writes the failed manifest before re-raising.
 - **Worker watchdog** — a worker that dies *without raising* (kill -9,
   OOM, segfault) is respawned and its point relaunched with bounded
   backoff, on a kill budget separate from the retry budget; after
   ``max_worker_kills`` deaths the point is finalised as **poisoned**
   (a distinct terminal state in the checkpoint, manifest, and
-  progress) and the campaign continues.  If deaths keep coming with no
-  completion in between, the driver falls back to inline execution —
-  slower, but the campaign finishes.
+  progress) and the campaign continues.  If the workers of
+  ``inline_fallback_after`` different points die with no completion in
+  between, the scheduler falls back to inline execution — slower, but
+  the campaign finishes.  A point whose worker died on its own (not
+  killed by the chaos engine) never runs inline: it keeps a slot until
+  it is poisoned, so it cannot take the driver down.
 - **Chaos** — an optional :class:`~repro.runner.chaos.ChaosSpec`
   injects deterministic environment faults (failing checkpoint
   appends, worker kills, cache/snapshot corruption, torn manifest
@@ -75,7 +78,6 @@ import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -88,6 +90,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -116,7 +119,7 @@ from repro.trace.record import TraceRecord
 if TYPE_CHECKING:  # runtime import is lazy: repro.sim.sweep imports us back
     from repro.sim.results import SimulationResult
 
-#: Upper bound on how long the parallel driver blocks in ``wait`` before
+#: Upper bound on how long the scheduler blocks in ``wait`` before
 #: re-checking for a requested stop (signal or cross-thread).
 _STOP_POLL_INTERVAL = 0.5
 
@@ -483,7 +486,7 @@ class CampaignRunner:
         if workers > 1 and isolation != "process":
             raise ConfigError(
                 "CampaignRunner.workers: parallel execution requires "
-                "process isolation (inline points share the driver)",
+                "process isolation (inline points share one process)",
                 field="CampaignRunner.workers",
             )
         if resume and campaign_dir is None:
@@ -516,12 +519,11 @@ class CampaignRunner:
         if (
             chaos is not None
             and (chaos.kill_points or chaos.poison_points)
-            and workers < 2
+            and isolation != "process"
         ):
             raise ConfigError(
                 "CampaignRunner.chaos: kill_points/poison_points need "
-                "workers >= 2 (only the parallel driver owns worker "
-                "slots to kill)",
+                "process isolation (inline points have no worker to kill)",
                 field="CampaignRunner.chaos",
             )
         self.campaign_dir = campaign_dir
@@ -536,8 +538,9 @@ class CampaignRunner:
         self.resume = resume
         self.chaos = chaos
         self.max_worker_kills = max_worker_kills
-        #: Consecutive worker deaths (across points) before the driver
-        #: stops trusting the pool and runs the rest inline.
+        #: How many different points' workers must die with no
+        #: completion in between before the scheduler stops trusting the
+        #: pool and runs the rest inline.
         self.inline_fallback_after = (
             inline_fallback_after
             if inline_fallback_after is not None
@@ -559,11 +562,11 @@ class CampaignRunner:
         """Ask a running campaign to stop at the next safe boundary.
 
         Safe to call from a signal handler or another thread.  The
-        serial driver stops before launching the next point (the
-        in-flight attempt finishes and is checkpointed); the parallel
-        driver stops launching and kills its outstanding workers
-        (their un-checkpointed points re-run on resume).  Either way
-        the runner flushes pending checkpoint appends and writes a
+        scheduler stops launching points and kills its outstanding
+        workers; their un-checkpointed points re-run on resume.  Under
+        ``isolation="inline"`` the point in progress finishes (and is
+        checkpointed) first, since there is no worker to kill.  Either
+        way the runner flushes pending checkpoint appends and writes a
         resumable manifest with status ``"interrupted"`` before
         :meth:`run` returns — nothing recorded is lost, nothing torn.
         """
@@ -573,59 +576,6 @@ class CampaignRunner:
     def stop_requested(self) -> bool:
         """True once :meth:`request_stop` (or a handled signal) fired."""
         return self._stop_requested
-
-    # -- single-attempt execution -------------------------------------
-
-    def _attempt_in_subprocess(
-        self, spec: RunSpec, attempt: int, snapshot_path: Optional[str]
-    ) -> SimulationResult:
-        executor = ProcessPoolExecutor(max_workers=1)
-        try:
-            future = executor.submit(
-                execute_spec, spec, attempt, self.snapshot_every, snapshot_path
-            )
-            try:
-                return future.result(timeout=self.timeout)
-            except FuturesTimeoutError:
-                self._kill_workers(executor)
-                raise RunTimeoutError(
-                    f"run {spec.run_id!r} exceeded {self.timeout:g}s "
-                    f"(attempt {attempt + 1})"
-                ) from None
-            except BrokenProcessPool as error:
-                raise SimulationError(
-                    f"run {spec.run_id!r}: worker process died "
-                    f"(attempt {attempt + 1}): {error}"
-                ) from error
-            except KeyboardInterrupt:
-                self._kill_workers(executor)
-                raise
-        finally:
-            # Workers are idle (attempt finished) or just killed, so a
-            # synchronous shutdown is immediate — and it lets the pool's
-            # management thread exit cleanly instead of tripping over
-            # closed pipes in the interpreter's atexit hooks.
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    @staticmethod
-    def _kill_workers(executor: ProcessPoolExecutor) -> None:
-        for process in list((executor._processes or {}).values()):
-            process.kill()
-
-    def _attempt(
-        self,
-        spec: RunSpec,
-        attempt: int,
-        snapshot_path: Optional[str] = None,
-        force_inline: bool = False,
-    ) -> SimulationResult:
-        if (
-            not force_inline
-            and self.isolation == "process"
-            and _is_picklable(spec)
-        ):
-            return self._attempt_in_subprocess(spec, attempt, snapshot_path)
-        return execute_spec(spec, attempt, self.snapshot_every, snapshot_path)
 
     def _snapshot_path(self, spec: RunSpec) -> Optional[str]:
         """Where this spec's within-run snapshot lives, if enabled."""
@@ -637,7 +587,8 @@ class CampaignRunner:
 
     # -- retry loop ----------------------------------------------------
 
-    def _run_spec(self, spec: RunSpec, force_inline: bool = False) -> RunOutcome:
+    def _run_spec(self, spec: RunSpec) -> RunOutcome:
+        """A point's whole retry loop, run inline in this process."""
         start = time.monotonic()
         last_error: Optional[ReproError] = None
         attempts = 0
@@ -645,8 +596,8 @@ class CampaignRunner:
         for attempt in range(self.retries + 1):
             attempts = attempt + 1
             try:
-                result = self._attempt(
-                    spec, attempt, snapshot_path, force_inline=force_inline
+                result = execute_spec(
+                    spec, attempt, self.snapshot_every, snapshot_path
                 )
                 self._discard_snapshot(snapshot_path)
                 return RunOutcome(
@@ -661,9 +612,8 @@ class CampaignRunner:
             except ReproError as error:
                 last_error = error
             except Exception as error:
-                # A worker can surface arbitrary pickled exceptions
-                # (e.g. the trace source itself raising before simulate
-                # classifies anything): treat as a simulation failure.
+                # The trace source itself can raise before simulate
+                # classifies anything: treat as a simulation failure.
                 last_error = SimulationError(
                     f"run {spec.run_id!r} raised "
                     f"{type(error).__name__}: {error}"
@@ -739,15 +689,28 @@ class CampaignRunner:
             elapsed_seconds=float(entry.get("elapsed_seconds", 0.0)),
         )
 
-    # -- campaign driver -----------------------------------------------
+    # -- campaign entry points -----------------------------------------
 
     def run_one(self, spec: RunSpec) -> SimulationResult:
         """Execute a single point outside any campaign bookkeeping.
 
-        Applies isolation/timeout/retry but no checkpointing, and always
-        raises on failure (so callers keep plain function semantics).
+        Drives a one-point campaign with no checkpoint store and no
+        progress/outcome hooks: isolation, timeout, retry, and the
+        worker watchdog apply, and a failure always raises (so callers
+        keep plain function semantics).
         """
-        outcome = self._run_spec(spec)
+        self._stop_requested = False
+        self._chaos_engine = None  # chaos is a campaign-level plan
+        campaign = CampaignResult()
+        _Scheduler(
+            self, [(0, spec, spec.fingerprint())], None, campaign,
+            notify=False,
+        ).drive()
+        outcome = campaign.outcomes.get(spec.run_id)
+        if outcome is None:
+            raise SimulationError(
+                f"run {spec.run_id!r} was stopped before it finished"
+            )
         if outcome.ok:
             assert outcome.result is not None
             return outcome.result
@@ -810,14 +773,7 @@ class CampaignRunner:
                 except (OSError, ValueError):  # pragma: no cover
                     continue
         try:
-            if self.workers == 1:
-                status, pending_error = self._drive_serial(
-                    specs, prior, store, campaign
-                )
-            else:
-                status, pending_error = self._drive_parallel(
-                    specs, prior, store, campaign
-                )
+            status, pending_error = self._drive(specs, prior, store, campaign)
         except KeyboardInterrupt:
             self._order_campaign(campaign, specs)
             if store is not None:
@@ -844,52 +800,16 @@ class CampaignRunner:
             raise pending_error
         return campaign
 
-    # -- serial schedule (workers=1) -----------------------------------
+    # -- the schedule --------------------------------------------------
 
-    def _drive_serial(
+    def _drive(
         self,
         specs: Sequence[RunSpec],
         prior: Dict[str, Dict[str, Any]],
         store: Optional[CheckpointStore],
         campaign: CampaignResult,
     ) -> "Tuple[str, Optional[ReproError]]":
-        """The historical one-point-at-a-time schedule."""
-        for spec in specs:
-            if self._stop_requested:
-                return "interrupted", None
-            fingerprint = spec.fingerprint()
-            entry = prior.get(spec.run_id)
-            if entry is not None and entry.get("fingerprint") == fingerprint:
-                outcome = self._outcome_of(entry)
-                campaign.resumed.append(spec.run_id)
-            else:
-                if self._progress is not None:
-                    self._progress.point_started(spec.run_id)
-                outcome = self._run_spec(spec)
-                if store is not None:
-                    store.append(self._entry_of(outcome, fingerprint))
-            self._record(campaign, outcome)
-            if self._progress is not None:
-                self._progress.point_finished(outcome)
-            # The terminal callback fires for *every* terminal outcome —
-            # including the failing one under on_error="fail", which
-            # historically broke out of the loop before notifying.
-            if self._on_outcome is not None:
-                self._on_outcome(outcome)
-            if not outcome.ok and self.on_error == "fail":
-                return "failed", self._failure_error(outcome)
-        return "complete", None
-
-    # -- parallel schedule (workers>1) ---------------------------------
-
-    def _drive_parallel(
-        self,
-        specs: Sequence[RunSpec],
-        prior: Dict[str, Dict[str, Any]],
-        store: Optional[CheckpointStore],
-        campaign: CampaignResult,
-    ) -> "Tuple[str, Optional[ReproError]]":
-        """Fan the campaign out across persistent worker slots."""
+        """Replay checkpointed points, then schedule the rest."""
         queue: List[Tuple[int, RunSpec, str]] = []
         for index, spec in enumerate(specs):
             fingerprint = spec.fingerprint()
@@ -909,11 +829,10 @@ class CampaignRunner:
         warmed = self._prewarm_caches([spec for _, spec, _ in queue])
         if self._chaos_engine is not None:
             self._chaos_engine.corrupt_cache_entries(warmed)
-        driver = _ParallelDriver(self, queue, store, campaign)
-        return driver.drive()
+        return _Scheduler(self, queue, store, campaign).drive()
 
     def _prewarm_caches(self, specs: Sequence[RunSpec]) -> List[str]:
-        """Compile each unique workload-trace prefix once, pre-fork.
+        """Compile each unique workload-trace prefix once, up front.
 
         Without this every worker that first touches a given
         ``(workload, seed, length)`` would regenerate — and race to
@@ -958,7 +877,7 @@ class CampaignRunner:
     ) -> None:
         """Re-order the campaign's views into spec order.
 
-        Parallel completion is out of order; re-keying by the spec list
+        Completion is out of order; re-keying by the spec list
         makes the returned campaign (and the manifest derived from it)
         independent of scheduling, so ``workers=N`` output is directly
         comparable to ``workers=1``.
@@ -1092,7 +1011,7 @@ class CampaignRunner:
 
 
 class _WorkerSlot:
-    """One persistent single-process worker of the parallel pool.
+    """One persistent single-process worker of the scheduler's pool.
 
     Each slot owns its own ``ProcessPoolExecutor(max_workers=1)``.
     Killing a worker of a *shared* N-process pool marks the whole pool
@@ -1103,14 +1022,18 @@ class _WorkerSlot:
     the whole campaign instead of paying them per attempt.
     """
 
-    __slots__ = ("index", "executor")
+    __slots__ = ("executor",)
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self) -> None:
         self.executor = ProcessPoolExecutor(max_workers=1)
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
         return self.executor.submit(fn, *args)
+
+    def kill_process(self) -> None:
+        """SIGKILL the worker process; its future breaks, the slot stays."""
+        for process in list((self.executor._processes or {}).values()):
+            process.kill()
 
     def kill(self) -> None:
         """Kill the worker process and respawn a fresh one.
@@ -1118,8 +1041,7 @@ class _WorkerSlot:
         Used for deadline expiry (the worker is wedged or over budget)
         and for crash recovery (the pool is broken either way).
         """
-        CampaignRunner._kill_workers(self.executor)
-        self.executor.shutdown(wait=True, cancel_futures=True)
+        self.shutdown()
         self.executor = ProcessPoolExecutor(max_workers=1)
 
     # A broken pool is discarded exactly like a killed one.
@@ -1127,7 +1049,10 @@ class _WorkerSlot:
 
     def shutdown(self) -> None:
         """Tear the slot down for good (kills a still-busy worker)."""
-        CampaignRunner._kill_workers(self.executor)
+        self.kill_process()
+        # The worker is idle or just killed, so a synchronous shutdown
+        # is immediate — and it lets the executor's management thread
+        # exit cleanly instead of tripping over closed pipes at exit.
         self.executor.shutdown(wait=True, cancel_futures=True)
 
 
@@ -1149,35 +1074,44 @@ class _PointState:
     #: crossing back (kill -9, segfault).  Budgeted separately from
     #: ``attempt``: worker deaths do not consume the retry policy.
     worker_kills: int = 0
+    #: Whether the chaos engine killed the in-flight attempt's worker.
+    chaos_killed: bool = False
+    #: Set once the point's worker died without the scheduler killing
+    #: it (exit, signal, OOM).  Such a point may take any process that
+    #: runs it down with it, so it never runs inline in the scheduler.
+    kills_its_worker: bool = False
 
 
-class _ParallelDriver:
-    """The ``workers>1`` campaign schedule.
+class _Scheduler:
+    """The campaign schedule, at every worker count.
 
-    Keeps up to N points in flight across N :class:`_WorkerSlot`\\ s and
-    reproduces the serial runner's per-point semantics exactly:
+    Under process isolation it keeps up to N points in flight across
+    ``min(N, pending)`` :class:`_WorkerSlot`\\ s:
 
-    - **Timeouts** are *deadlines* recorded at submission.  The driver
+    - **Timeouts** are *deadlines* recorded at submission.  The scheduler
       never blocks in ``future.result(timeout=...)``; it waits with
       ``concurrent.futures.wait`` bounded by the earliest deadline (or
       retry-eligibility time) and kills only the expired slot.
-    - **Backoff** never blocks the pool: a retryable failure pushes the
+    - **Backoff** never blocks the slots: a retryable failure pushes the
       point onto a min-heap keyed by its eligibility time, and the slot
-      immediately takes other work.  The backoff schedule — ``min(max,
-      base * 2**attempt)`` — is the serial one.  Only when *nothing* is
-      running does the driver actually sleep (through the runner's
-      injectable ``sleep``, so tests with a no-op sleep make progress
-      instead of spinning).
+      immediately takes other work.  The backoff schedule is ``min(max,
+      base * 2**attempt)``.  Only when *nothing* is running does the
+      scheduler actually sleep (through the runner's injectable ``sleep``,
+      so tests with a no-op sleep make progress instead of spinning).
     - **Fail-fast** (``on_error="fail"``) finalises the failing point
       (checkpoint, record, callbacks), then stops scheduling; the
       ``finally`` teardown kills the outstanding workers and drains
       their executors before the failed manifest is written.
-    - **Unpicklable specs** (legacy lambda traces) cannot cross the
-      process boundary; they run synchronously in the driver through
-      the serial retry loop, exactly as ``workers=1`` would.
+    - **Inline points** — every point under ``isolation="inline"``,
+      unpicklable specs (legacy lambda traces), and, after the
+      watchdog's inline fallback, every point whose worker never died
+      on its own — run synchronously in the scheduler through the
+      blocking :meth:`CampaignRunner._run_spec` retry loop.
 
     Checkpoint entries are appended in completion order; resume is
     keyed by ``run_id``, so the out-of-order file replays identically.
+    ``notify=False`` silences the progress and ``on_outcome`` hooks
+    (:meth:`CampaignRunner.run_one` is not a campaign).
     """
 
     def __init__(
@@ -1186,10 +1120,13 @@ class _ParallelDriver:
         queue: List[Tuple[int, RunSpec, str]],
         store: Optional[CheckpointStore],
         campaign: CampaignResult,
+        notify: bool = True,
     ) -> None:
         self.runner = runner
         self.store = store
         self.campaign = campaign
+        self.progress = runner._progress if notify else None
+        self.on_outcome = runner._on_outcome if notify else None
         self.ready: List[_PointState] = [
             _PointState(
                 spec, fingerprint, runner._snapshot_path(spec), index=index
@@ -1201,18 +1138,25 @@ class _ParallelDriver:
         self._seq = itertools.count()
         self.status = "complete"
         self.pending_error: Optional[ReproError] = None
-        #: Worker deaths with no successful completion in between; at
-        #: ``runner.inline_fallback_after`` the pool is declared
-        #: unsalvageable and the rest of the campaign runs inline.
-        self.consecutive_deaths = 0
-        self.inline_mode = False
+        #: Indices of the points whose workers died since a worker last
+        #: delivered a value or an exception.  One hostile point dying
+        #: again and again says nothing about the pool; at
+        #: ``runner.inline_fallback_after`` *different* points the pool
+        #: is declared unsalvageable (``pool_dead``).
+        self.dying_points: Set[int] = set()
+        self.pool_dead = False
+        self.inline = runner.isolation == "inline"
 
     def drive(self) -> Tuple[str, Optional[ReproError]]:
         runner = self.runner
-        slots = [
-            _WorkerSlot(i)
-            for i in range(min(runner.workers, len(self.ready)))
-        ]
+        slots = (
+            []
+            if self.inline
+            else [
+                _WorkerSlot()
+                for _ in range(min(runner.workers, len(self.ready)))
+            ]
+        )
         idle = list(slots)
         #: future -> (point, slot, deadline | None)
         running: Dict[Any, Tuple[_PointState, _WorkerSlot, Optional[float]]] = {}
@@ -1228,8 +1172,11 @@ class _ParallelDriver:
                 now = time.monotonic()
                 while self.waiting and self.waiting[0][0] <= now:
                     self.ready.append(heapq.heappop(self.waiting)[2])
-                while idle and self.ready:
-                    if self._launch(self.ready.pop(0), idle, running):
+                while self.ready and not runner._stop_requested:
+                    inline = self._runs_inline(self.ready[0])
+                    if not (inline or idle):
+                        break
+                    if self._launch(self.ready.pop(0), inline, idle, running):
                         return self.status, self.pending_error
                 if not running:
                     if not (self.ready or self.waiting):
@@ -1274,9 +1221,24 @@ class _ParallelDriver:
 
     # -- scheduling steps ----------------------------------------------
 
+    def _runs_inline(self, point: _PointState) -> bool:
+        """Whether the point's next launch runs inside the scheduler.
+
+        Inline isolation was asked for, the spec cannot cross the
+        process boundary, or the pool has proven it cannot stay alive.
+        Inline fallback trades parallelism (and timeouts) for forward
+        progress — slower beats stuck — but never for a point whose
+        worker died on its own: it stays on a slot until its kill
+        budget is spent, so it cannot take the scheduler down.
+        """
+        if self.inline or not _is_picklable(point.spec):
+            return True
+        return self.pool_dead and not point.kills_its_worker
+
     def _launch(
         self,
         point: _PointState,
+        inline: bool,
         idle: List[_WorkerSlot],
         running: Dict[Any, Tuple[_PointState, _WorkerSlot, Optional[float]]],
     ) -> bool:
@@ -1285,15 +1247,11 @@ class _ParallelDriver:
         spec = point.spec
         if point.start is None:
             point.start = time.monotonic()
-            if runner._progress is not None:
-                runner._progress.point_started(spec.run_id)
-        if self.inline_mode or not _is_picklable(spec):
-            # Either the spec cannot cross the process boundary, or the
-            # pool has proven it cannot stay alive: run the point's
-            # whole serial retry loop inline, blocking the driver.
-            # Inline fallback trades parallelism (and timeouts) for
-            # forward progress — slower beats stuck.
-            outcome = runner._run_spec(spec, force_inline=self.inline_mode)
+            if self.progress is not None:
+                self.progress.point_started(spec.run_id)
+        if inline:
+            # Run the point's whole retry loop, blocking the scheduler.
+            outcome = runner._run_spec(spec)
             return self._finalize(outcome, point.fingerprint)
         slot = idle.pop()
         deadline = (
@@ -1305,10 +1263,14 @@ class _ParallelDriver:
             runner.snapshot_every, point.snapshot_path,
         )
         running[future] = (point, slot, deadline)
-        if runner._chaos_engine is not None and runner._chaos_engine.kill_attempt(
-            point.index, point.worker_kills
-        ):
-            CampaignRunner._kill_workers(slot.executor)
+        point.chaos_killed = (
+            runner._chaos_engine is not None
+            and runner._chaos_engine.kill_attempt(
+                point.index, point.worker_kills
+            )
+        )
+        if point.chaos_killed:
+            slot.kill_process()
         return False
 
     def _complete(
@@ -1346,7 +1308,7 @@ class _ParallelDriver:
             return self._worker_died(point, died, now)
         # The worker is demonstrably alive (it delivered a value or a
         # real exception), so the pool-health streak resets.
-        self.consecutive_deaths = 0
+        self.dying_points.clear()
         if error is not None:
             return self._attempt_failed(point, error, now)
         runner._discard_snapshot(point.snapshot_path)
@@ -1371,14 +1333,16 @@ class _ParallelDriver:
         backoff as a retry; past ``max_worker_kills`` it is finalised
         as **poisoned** — a distinct terminal state, so one hostile
         point degrades to a single failure record instead of hanging
-        or sinking the campaign.  Deaths also feed the pool-wide
-        streak that triggers inline fallback.
+        or sinking the campaign.  The point also joins the set of dying
+        points whose size triggers inline fallback.
         """
         runner = self.runner
         point.worker_kills += 1
-        self.consecutive_deaths += 1
-        if self.consecutive_deaths >= runner.inline_fallback_after:
-            self.inline_mode = True
+        if not point.chaos_killed:
+            point.kills_its_worker = True
+        self.dying_points.add(point.index)
+        if len(self.dying_points) >= runner.inline_fallback_after:
+            self.pool_dead = True
         if point.worker_kills < runner.max_worker_kills:
             delay = min(
                 runner.backoff_max,
@@ -1449,10 +1413,10 @@ class _ParallelDriver:
         if self.store is not None:
             self.store.append(runner._entry_of(outcome, fingerprint))
         runner._record(self.campaign, outcome)
-        if runner._progress is not None:
-            runner._progress.point_finished(outcome)
-        if runner._on_outcome is not None:
-            runner._on_outcome(outcome)
+        if self.progress is not None:
+            self.progress.point_finished(outcome)
+        if self.on_outcome is not None:
+            self.on_outcome(outcome)
         if not outcome.ok and runner.on_error == "fail":
             self.status = "failed"
             self.pending_error = runner._failure_error(outcome)

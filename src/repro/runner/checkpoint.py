@@ -8,11 +8,12 @@ A campaign directory holds two files:
     to disk, so a killed campaign loses at most the points that were in
     flight.  Every line carries its own CRC32 (the ``crc32`` field,
     computed over the rest of the object), so replay can tell a
-    bit-flipped line from a merely torn one.  A parallel campaign
-    (``workers>1``) appends in *completion* order, not spec order;
-    replay is keyed by ``run_id`` (last entry wins; torn or corrupt
-    lines are skipped), so an out-of-order file resumes exactly like an
-    in-order one.  On ``--resume`` the runner replays this file and
+    bit-flipped line from a merely torn one.  Entries land in
+    *completion* order, which differs from spec order whenever points
+    overlap (several workers, or a retry backing off while later points
+    run); replay is keyed by ``run_id`` (last entry wins; torn or
+    corrupt lines are skipped), so an out-of-order file resumes exactly
+    like an in-order one.  On ``--resume`` the runner replays this file and
     skips every point whose ``run_id`` and spec fingerprint match.
 
     Appends are built to survive a hostile filesystem: a failed append
@@ -113,23 +114,21 @@ def encode_entry(entry: Dict[str, Any]) -> str:
 
 
 def decode_entry(
-    line: str, key: str = "run_id"
+    line: str,
 ) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
     """Parse one checkpoint line; ``(entry, problem)``.
 
     ``problem`` is ``None`` for a valid line, else ``"json"`` (does not
     parse — a torn write), ``"crc"`` (parses but the embedded CRC32
     disagrees — bit rot), or ``"shape"`` (valid JSON that is not a
-    ``key``-keyed object).  Legacy lines without a ``crc32`` field are
-    accepted unverified.  ``key`` is the identity field the log is
-    keyed by: ``"run_id"`` for campaign checkpoints, ``"job_id"`` for
-    the service job store, which reuses this format.
+    ``run_id``-keyed object).  Legacy lines without a ``crc32`` field
+    are accepted unverified.
     """
     try:
         entry = json.loads(line)
     except json.JSONDecodeError:
         return None, "json"
-    if not isinstance(entry, dict) or key not in entry:
+    if not isinstance(entry, dict) or "run_id" not in entry:
         return None, "shape"
     stored = entry.pop("crc32", None)
     if stored is not None:
@@ -140,14 +139,13 @@ def decode_entry(
 
 
 def iter_checkpoint_lines(
-    path: str, key: str = "run_id"
+    path: str,
 ) -> Iterator[Tuple[int, str, Optional[Dict[str, Any]], Optional[str]]]:
     """Yield ``(line_number, line, entry, problem)`` for a checkpoint.
 
-    Shared by replay (:meth:`CheckpointStore.load`), the service job
-    store (``key="job_id"``), and the offline auditor, so all three
-    agree on exactly which lines count.  Blank lines are skipped;
-    ``line_number`` is 1-based.
+    Shared by replay (:meth:`CheckpointStore.load`) and the offline
+    auditor, so both agree on exactly which lines count.  Blank lines
+    are skipped; ``line_number`` is 1-based.
     """
     if not os.path.exists(path):
         return
@@ -156,7 +154,7 @@ def iter_checkpoint_lines(
             line = raw.strip()
             if not line:
                 continue
-            entry, problem = decode_entry(line, key=key)
+            entry, problem = decode_entry(line)
             yield number, line, entry, problem
 
 

@@ -11,6 +11,7 @@ a chaos-free campaign.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -54,6 +55,17 @@ def _spec(run_id, config=None, seed=1):
         max_instructions=INSTRUCTIONS,
         warmup_instructions=WARMUP,
     )
+
+
+def _dying_trace():
+    """A picklable trace source whose worker process dies on load.
+
+    Run inline in the test process instead, it raises: a campaign that
+    wrongly runs it there fails the test rather than killing it.
+    """
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("a self-killing point ran in the driver")
+    os._exit(9)
 
 
 def _entry(run_id, status="ok", fingerprint="f00d"):
@@ -127,10 +139,11 @@ class TestChaosSpec:
         with pytest.raises(ValueError):
             ChaosSpec.scheduled(1, 4, poison=5)
 
-    def test_kill_points_need_parallel_workers(self, tmp_path):
-        with pytest.raises(ConfigError, match="workers"):
+    def test_kill_points_need_process_isolation(self, tmp_path):
+        with pytest.raises(ConfigError, match="process isolation"):
             CampaignRunner(
-                str(tmp_path), workers=1, chaos=ChaosSpec(kill_points=(0,))
+                str(tmp_path), isolation="inline",
+                chaos=ChaosSpec(kill_points=(0,)),
             )
 
 
@@ -254,6 +267,20 @@ class TestCacheCorruption:
         path.write_bytes(b"data")
         with pytest.raises(ValueError):
             corrupt_binary_file(str(path), "shred")
+
+    def test_single_worker_campaign_corrupts_and_heals(self, tmp_path):
+        # The runner prewarms the trace cache at one worker as at many,
+        # so the chaos cache fault fires once per prewarmed trace and the
+        # checksum turns every damaged entry into a transparent recompile.
+        specs = [_spec("p0"), _spec("p1", seed=2)]
+        clean = CampaignRunner(str(tmp_path / "clean"), workers=1).run(specs)
+        chaotic = CampaignRunner(
+            str(tmp_path / "chaos"), workers=1,
+            chaos=ChaosSpec(corrupt_cache="bitflip"),
+        ).run(specs)
+        counters = chaotic.manifest["chaos"]["counters"]
+        assert counters["cache_corrupted"] == 2
+        assert chaotic.results == clean.results
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +469,63 @@ class TestWorkerWatchdog:
         # (a relaunch may slip in while the second death is in flight,
         # so the exact count depends on completion timing).
         assert manifest["chaos"]["counters"]["worker_kills"] >= 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dying_worker_poisons_at_any_worker_count(self, tmp_path, workers):
+        # A worker that exits without raising is the watchdog's case at
+        # every worker count: two deaths spend the kill budget (below
+        # the default inline-fallback streak) and poison the point.
+        spec = RunSpec(
+            run_id="dies", config=baseline_config(), trace=_dying_trace,
+            max_instructions=INSTRUCTIONS,
+        )
+        campaign = CampaignRunner(
+            str(tmp_path), workers=workers, backoff_base=0.0,
+            max_worker_kills=2,
+        ).run([spec])
+        outcome = campaign.failures["dies"]
+        assert outcome.status == "poisoned"
+        assert outcome.error_kind == "WorkerPoisonedError"
+        assert outcome.attempts == 2
+        assert "worker died 2 times" in outcome.error_message
+
+    def test_two_dying_points_poison_at_one_worker(self, tmp_path):
+        # Alternating deaths of two points are not a dead pool: both
+        # spend the default kill budget on the slot and end poisoned.
+        specs = [
+            RunSpec(
+                run_id=f"dies{i}", config=baseline_config(),
+                trace=_dying_trace, max_instructions=INSTRUCTIONS,
+            )
+            for i in range(2)
+        ]
+        campaign = CampaignRunner(str(tmp_path), backoff_base=0.0).run(specs)
+        for run_id in ("dies0", "dies1"):
+            outcome = campaign.failures[run_id]
+            assert outcome.status == "poisoned"
+            assert outcome.attempts == 3
+        assert campaign.manifest["poisoned"] == 2
+
+    def test_fallback_never_runs_a_self_killing_point_inline(self, tmp_path):
+        # Two dying points trip the fallback; the healthy point then
+        # runs inline, but the dying ones keep their slot until poisoned.
+        specs = [
+            RunSpec(
+                run_id=f"dies{i}", config=baseline_config(),
+                trace=_dying_trace, max_instructions=INSTRUCTIONS,
+            )
+            for i in range(2)
+        ] + [_spec("fine")]
+        campaign = CampaignRunner(
+            str(tmp_path), backoff_base=0.0, max_worker_kills=2,
+            inline_fallback_after=2,
+        ).run(specs)
+        assert campaign.outcomes["fine"].ok
+        for run_id in ("dies0", "dies1"):
+            outcome = campaign.failures[run_id]
+            assert outcome.status == "poisoned"
+            assert outcome.error_kind == "WorkerPoisonedError"
+            assert outcome.attempts == 2
 
     def test_poisoned_point_replays_on_resume(self, tmp_path):
         specs = [_spec("cursed"), _spec("fine", seed=2)]

@@ -122,6 +122,44 @@ class TestSweepCommand:
         assert manifest["ok"] == 3 and manifest["failed"] == 0
         assert manifest["policy"]["workers"] == 2
 
+    def test_chaos_sweep_at_default_workers(self, tmp_path, capsys):
+        # Seed 7 over four points poisons one point and kills another
+        # once; one worker absorbs both, and the directory audits clean.
+        d = str(tmp_path / "camp")
+        code = main(
+            ["sweep", "health", "--machines", "base,stride,psb,jouppi",
+             "--instructions", "1000", "--warmup", "200",
+             "--chaos-seed", "7", "--chaos-poison", "1",
+             "--max-worker-kills", "2", "--campaign-dir", d]
+        )
+        assert code == 0
+        manifest = json.load(open(os.path.join(d, "manifest.json")))
+        assert manifest["policy"]["workers"] == 1
+        assert (manifest["ok"], manifest["failed"], manifest["poisoned"]) == (
+            3, 0, 1
+        )
+        assert main(["audit", d]) == 0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_poison_tallies_match_at_any_worker_count(
+        self, tmp_path, capsys, workers
+    ):
+        # Seed 7 poisons both points; each spends the default kill
+        # budget of 3 and ends poisoned, whatever the worker count.
+        d = str(tmp_path / "camp")
+        code = main(
+            ["sweep", "health", "--machines", "base,stride",
+             "--instructions", "1000", "--warmup", "200",
+             "--chaos-seed", "7", "--chaos-poison", "2",
+             "--workers", workers, "--campaign-dir", d]
+        )
+        assert code == 0
+        manifest = json.load(open(os.path.join(d, "manifest.json")))
+        assert (manifest["ok"], manifest["failed"], manifest["poisoned"]) == (
+            0, 0, 2
+        )
+        assert manifest["chaos"]["counters"]["worker_kills"] == 6
+
     def test_workers_with_no_isolate_exits_one(self, capsys):
         code = main(
             ["sweep", "health", "--machines", "base", "--workers", "2"]
@@ -153,6 +191,11 @@ class TestExitCodes:
         assert code == 1
         assert "campaign_dir" in capsys.readouterr().err
 
+    def test_audit_command_is_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "audit" in capsys.readouterr().out
+
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
         def interrupted():
             raise KeyboardInterrupt
@@ -160,34 +203,3 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_command_workloads", interrupted)
         assert main(["workloads"]) == 130
         assert "interrupted" in capsys.readouterr().err
-
-
-class TestServiceCommands:
-    def test_service_commands_are_in_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        out = capsys.readouterr().out
-        for command in ("serve", "submit", "jobs", "audit"):
-            assert command in out
-
-    def test_audit_autodetects_a_service_dir(self, tmp_path, capsys):
-        from repro.service import JobStore, normalize_spec
-
-        store = JobStore(str(tmp_path / "svc"))
-        store.submit(normalize_spec({"workload": "health"}))
-        assert main(["audit", str(tmp_path / "svc")]) == 0
-        out = capsys.readouterr().out
-        assert "jobs_queued: 1" in out
-
-    def test_submit_against_unreachable_server_exits_one(self, capsys):
-        code = main([
-            "submit", "health",
-            "--server", "http://127.0.0.1:1",  # reserved port: refused
-        ])
-        assert code == 1
-        assert "error" in capsys.readouterr().err.lower()
-
-    def test_jobs_against_unreachable_server_exits_one(self, capsys):
-        code = main(["jobs", "--server", "http://127.0.0.1:1"])
-        assert code == 1
-        assert "error" in capsys.readouterr().err.lower()

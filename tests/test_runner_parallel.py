@@ -1,7 +1,7 @@
-"""Parallel campaign execution (``workers > 1``).
+"""Campaign execution across worker counts.
 
-The parallel schedule must be *result-identical* to the serial one:
-same per-point results and failure taxonomy, an equivalent
+``workers=N`` must be *result-identical* to ``workers=1``: same
+per-point results and failure taxonomy, an equivalent
 checkpoint/manifest differing only in completion order, and the same
 retry/timeout/fail-fast semantics.  Real worker processes are spawned
 throughout; the wall-clock-timeout test carries the ``slow`` marker.

@@ -128,17 +128,15 @@ class DemandMarkovPrefetcher(PrefetcherPort):
             return
         block = self._pending.pop(0)
         ready = self.hierarchy.issue_prefetch(block, cycle)
-        if ready is not None:
-            self.prefetches_issued += 1
-            evicting = len(self.buffer) >= self.buffer.entries
-            if evicting:
-                # An unused block is about to fall out: punish its source.
-                for victim, source in list(self._source.items()):
-                    if self.buffer.contains(victim):
-                        source.punish()
-                        self._source.pop(victim, None)
-                        break
-            self.buffer.insert(block, ready)
+        self.prefetches_issued += 1
+        if len(self.buffer) >= self.buffer.entries:
+            # An unused block is about to fall out: punish its source.
+            for victim, source in list(self._source.items()):
+                if self.buffer.contains(victim):
+                    source.punish()
+                    self._source.pop(victim, None)
+                    break
+        self.buffer.insert(block, ready)
 
     def next_event_cycle(self, cycle: int) -> int:
         """Idle until a queued prefetch can win the L1-L2 bus."""

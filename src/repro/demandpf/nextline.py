@@ -83,10 +83,9 @@ class NextLinePrefetcher(PrefetcherPort):
             return
         block = self._pending.pop(0)
         ready = self.hierarchy.issue_prefetch(block, cycle)
-        if ready is not None:
-            self.prefetches_issued += 1
-            self.buffer.insert(block, ready)
-            self._mark_fresh(block)
+        self.prefetches_issued += 1
+        self.buffer.insert(block, ready)
+        self._mark_fresh(block)
 
     def next_event_cycle(self, cycle: int) -> int:
         """Idle until a queued prefetch can win the L1-L2 bus."""

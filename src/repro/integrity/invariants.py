@@ -182,6 +182,11 @@ def check_stream_buffers(
     pool-conservation laws are checked as well: entries owned across all
     buffers equal the pool's allocated count and never exceed its size,
     and no entry object is owned by two buffers at once.
+
+    Last, ``streambuf.index``: each buffer's stored ``occupied_count``
+    and the controller's shared ``block_counts`` multiset must equal
+    what the entries themselves hold.  It runs after the structural
+    rules, so a corruption those name is reported under their name.
     """
     buffers = getattr(controller, "buffers", None)
     if buffers is None:  # demand-based prefetchers have no buffers
@@ -275,6 +280,40 @@ def check_stream_buffers(
                     },
                 )
             owner_of_block[entry.block] = buffer.index
+    _check_occupancy_index(controller, buffers, cycle)
+
+
+def _check_occupancy_index(controller, buffers, cycle: Optional[int]) -> None:
+    """The stored occupancy index agrees with a recount of the entries."""
+    recount: Dict[int, int] = {}
+    for buffer in buffers:
+        occupied = buffer.occupied_entries
+        if buffer.occupied_count != occupied:
+            _fail(
+                "streambuf.index",
+                f"buffer {buffer.index} stores {buffer.occupied_count} "
+                f"occupied entries but holds {occupied}",
+                cycle,
+                {
+                    "buffer": buffer.index,
+                    "stored": buffer.occupied_count,
+                    "recounted": occupied,
+                },
+            )
+        for entry in buffer.entries:
+            if entry.occupied:
+                recount[entry.block] = recount.get(entry.block, 0) + 1
+    stored = controller.block_counts
+    if stored != recount:
+        _fail(
+            "streambuf.index",
+            "the shared block map disagrees with the entries",
+            cycle,
+            {
+                "stored": {hex(b): n for b, n in sorted(stored.items())},
+                "recounted": {hex(b): n for b, n in sorted(recount.items())},
+            },
+        )
 
 
 # ----------------------------------------------------------------------

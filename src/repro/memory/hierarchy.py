@@ -408,7 +408,7 @@ class MemoryHierarchy:
 
     def issue_prefetch(
         self, address: int, cycle: int, skip_tlb: bool = False
-    ) -> Optional[int]:
+    ) -> int:
         """Prefetch the L1 block containing ``address`` into a stream buffer.
 
         Returns the cycle the data will be ready in the stream-buffer

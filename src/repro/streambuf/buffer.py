@@ -11,12 +11,20 @@ pool credit.  Entries move through a small lifecycle::
 
 Lookups are fully associative across all buffers and entries (Farkas et
 al.'s enhancement, which the paper models).
+
+Occupancy is stored, not rescanned: the only transitions into and out
+of FREE (:meth:`StreamBufferEntry.hold_prediction`,
+:meth:`StreamBufferEntry.clear`) update the owning buffer's
+``occupied_count`` and the ``block_counts`` map shared by all of a
+controller's buffers, which per-cycle arbitration and the overlap
+check read.  The invariant ``streambuf.index``
+(:func:`repro.integrity.invariants.check_stream_buffers`) recounts both.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.predictors.base import StreamState
 from repro.predictors.saturating import SaturatingCounter
@@ -31,36 +39,73 @@ class EntryState(Enum):
     READY = "ready"  # data resident in the entry
 
 
+# Module-level aliases: the hot paths compare states by identity, which
+# skips the enum class's attribute lookup on every test.
+FREE = EntryState.FREE
+PREDICTED = EntryState.PREDICTED
+IN_FLIGHT = EntryState.IN_FLIGHT
+READY = EntryState.READY
+
+
+def _uncount(block_counts: Dict[int, int], block: int) -> None:
+    """Remove one occurrence of ``block`` from the occupancy multiset."""
+    left = block_counts[block] - 1
+    if left:
+        block_counts[block] = left
+    else:
+        del block_counts[block]
+
+
 class StreamBufferEntry:
-    """One cache-block slot in a stream buffer."""
+    """One cache-block slot in a stream buffer.
 
-    __slots__ = ("state", "block", "ready_cycle", "predicted_cycle")
+    ``owner`` is the :class:`StreamBuffer` whose occupancy index this
+    entry keeps current; an entry built without one keeps no index.
+    Whoever moves an entry between buffers clears it first (so the old
+    owner's counts drop) and then re-points ``owner``.
+    """
 
-    def __init__(self) -> None:
-        self.state = EntryState.FREE
+    __slots__ = ("state", "block", "ready_cycle", "predicted_cycle", "owner")
+
+    def __init__(self, owner: Optional["StreamBuffer"] = None) -> None:
+        self.state = FREE
         self.block = 0
         self.ready_cycle = 0
         self.predicted_cycle = 0
+        self.owner = owner
 
     def hold_prediction(self, block: int, cycle: int) -> None:
         """Latch a predicted block address, waiting for the bus."""
-        self.state = EntryState.PREDICTED
+        owner = self.owner
+        if owner is not None:
+            block_counts = owner.block_counts
+            if self.state is FREE:
+                owner.occupied_count += 1
+            else:
+                _uncount(block_counts, self.block)
+            block_counts[block] = block_counts.get(block, 0) + 1
+        self.state = PREDICTED
         self.block = block
         self.predicted_cycle = cycle
 
     def mark_in_flight(self, ready_cycle: int) -> None:
         """The prefetch launched; data arrives at ``ready_cycle``."""
-        self.state = EntryState.IN_FLIGHT
+        self.state = IN_FLIGHT
         self.ready_cycle = ready_cycle
 
     def refresh(self, cycle: int) -> None:
         """Promote IN_FLIGHT to READY once the data has arrived."""
-        if self.state == EntryState.IN_FLIGHT and self.ready_cycle <= cycle:
-            self.state = EntryState.READY
+        if self.state is IN_FLIGHT and self.ready_cycle <= cycle:
+            self.state = READY
 
     def clear(self) -> None:
         """Reset to FREE, dropping any held block."""
-        self.state = EntryState.FREE
+        if self.state is not FREE:
+            owner = self.owner
+            if owner is not None:
+                owner.occupied_count -= 1
+                _uncount(owner.block_counts, self.block)
+        self.state = FREE
         self.block = 0
         self.ready_cycle = 0
         self.predicted_cycle = 0
@@ -68,7 +113,7 @@ class StreamBufferEntry:
     @property
     def occupied(self) -> bool:
         """True when this entry holds a block in any non-FREE state."""
-        return self.state != EntryState.FREE
+        return self.state is not FREE
 
     def __repr__(self) -> str:
         return f"Entry({self.state.value}, block={self.block:#x})"
@@ -77,10 +122,23 @@ class StreamBufferEntry:
 class StreamBuffer:
     """One stream: N entries plus the stream's speculative predictor state."""
 
-    def __init__(self, index: int, num_entries: int, priority_max: int) -> None:
+    def __init__(
+        self,
+        index: int,
+        num_entries: int,
+        priority_max: int,
+        block_counts: Optional[Dict[int, int]] = None,
+    ) -> None:
         self.index = index
+        #: Entries in a non-FREE state, kept by the entries' transitions.
+        self.occupied_count = 0
+        #: Block -> occupied entries holding it: the controller's map,
+        #: shared by all of its buffers; a standalone buffer gets its own.
+        self.block_counts: Dict[int, int] = (
+            {} if block_counts is None else block_counts
+        )
         self.entries: List[StreamBufferEntry] = [
-            StreamBufferEntry() for _ in range(num_entries)
+            StreamBufferEntry(self) for _ in range(num_entries)
         ]
         self.state: Optional[StreamState] = None
         self.priority = SaturatingCounter(maximum=priority_max)
@@ -124,7 +182,7 @@ class StreamBuffer:
     def free_entry(self) -> Optional[StreamBufferEntry]:
         """An entry available to hold a new prediction, if any."""
         for entry in self.entries:
-            if entry.state == EntryState.FREE:
+            if entry.state is FREE:
                 return entry
         return None
 
@@ -132,7 +190,7 @@ class StreamBuffer:
         """The oldest PREDICTED entry waiting for the bus, if any."""
         best = None
         for entry in self.entries:
-            if entry.state == EntryState.PREDICTED:
+            if entry.state is PREDICTED:
                 if best is None or entry.predicted_cycle < best.predicted_cycle:
                     best = entry
         return best
@@ -140,7 +198,7 @@ class StreamBuffer:
     def find_block(self, block: int) -> Optional[StreamBufferEntry]:
         """Tag-match ``block`` against non-free entries."""
         for entry in self.entries:
-            if entry.occupied and entry.block == block:
+            if entry.block == block and entry.state is not FREE:
                 return entry
         return None
 
@@ -152,7 +210,7 @@ class StreamBuffer:
         """
         head = None
         for entry in self.entries:
-            if not entry.occupied:
+            if entry.state is FREE:
                 continue
             if head is None or entry.predicted_cycle < head.predicted_cycle:
                 head = entry
@@ -160,11 +218,12 @@ class StreamBuffer:
 
     def wants_prediction(self, epoch: int) -> bool:
         """True when this buffer should compete for the predictor port."""
-        if not self.allocated or self.state is None:
-            return False
-        if self.exhausted_epoch is not None and self.exhausted_epoch == epoch:
-            return False
-        return self.free_entry() is not None
+        return (
+            self.occupied_count < len(self.entries)
+            and self.allocated
+            and self.state is not None
+            and self.exhausted_epoch != epoch
+        )
 
     def mark_exhausted(self, epoch: int) -> None:
         """The predictor had nothing to offer; retry after more training."""
@@ -172,8 +231,12 @@ class StreamBuffer:
 
     @property
     def occupied_entries(self) -> int:
-        """Number of entries currently holding a block (queue depth)."""
-        return sum(1 for entry in self.entries if entry.occupied)
+        """Entries currently holding a block (queue depth).
+
+        Counted from the entries themselves; :attr:`occupied_count` is
+        the stored copy the hot paths read.
+        """
+        return sum(1 for entry in self.entries if entry.state is not FREE)
 
     def note_hit(self, cycle: int, bonus: int) -> None:
         """A demand lookup hit this buffer: bump priority, refresh LRU."""

@@ -18,11 +18,14 @@ port, and at most one prefetch launches — and only when the L1-L2 bus is
 free at the start of the cycle.  Predictions are checked against every
 buffer so streams never overlap; a duplicate prediction is dropped but
 still advances the stream's speculative history, exactly as in the paper.
+The check is one lookup in ``block_counts``, the block -> occupied-entry
+count map all eight buffers share, which the entries' own transitions
+keep current (see :mod:`repro.streambuf.buffer`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.config import PrefetchConfig, PrefetcherKind, StreamBufferConfig
 from repro.memory.hierarchy import NEVER, MemoryHierarchy, PrefetcherPort
@@ -30,7 +33,7 @@ from repro.predictors.base import AddressPredictor, StreamState
 from repro.predictors.sfm import StrideFilteredMarkovPredictor
 from repro.predictors.stride import TwoDeltaStrideTable
 from repro.streambuf.allocation import AllocationFilter, make_allocation_filter
-from repro.streambuf.buffer import EntryState, StreamBuffer
+from repro.streambuf.buffer import IN_FLIGHT, PREDICTED, READY, StreamBuffer
 from repro.streambuf.scheduling import Scheduler, make_scheduler
 from repro.streambuf.sharing import SharingPolicy, make_sharing_policy
 
@@ -76,8 +79,14 @@ class StreamBufferController(PrefetcherPort):
         #: buffers start empty and grow on demand from ``self.pool``.
         self.sharing: SharingPolicy = make_sharing_policy(config)
         initial_entries = 0 if self.sharing.pooled else config.entries_per_buffer
+        #: Block -> number of occupied entries holding it, across every
+        #: buffer (a multiset: overlap checking may be off).  The buffers
+        #: share this map and their entries keep it current.
+        self.block_counts: Dict[int, int] = {}
         self.buffers: List[StreamBuffer] = [
-            StreamBuffer(i, initial_entries, config.priority_max)
+            StreamBuffer(
+                i, initial_entries, config.priority_max, self.block_counts
+            )
             for i in range(config.num_buffers)
         ]
         self.sharing.bind(self)
@@ -131,10 +140,13 @@ class StreamBufferController(PrefetcherPort):
         each buffer's FIFO head is matchable (Jouppi's original design),
         so any out-of-order touch misses and kills the stream's utility.
         """
+        if block_addr not in self.block_counts:
+            return None
+        associative = self.config.associative_lookup
         for buffer in self.buffers:
             if not buffer.allocated:
                 continue
-            if self.config.associative_lookup:
+            if associative:
                 entry = buffer.find_block(block_addr)
             else:
                 entry = buffer.head_entry()
@@ -143,7 +155,7 @@ class StreamBufferController(PrefetcherPort):
             if entry is None:
                 continue
             entry.refresh(cycle)
-            if entry.state == EntryState.PREDICTED:
+            if entry.state is PREDICTED:
                 # Tag present but the prefetch never launched; let the
                 # demand miss fetch it and drop the stale prediction.
                 entry.clear()
@@ -251,7 +263,7 @@ class StreamBufferController(PrefetcherPort):
                 break
         if own is not None:
             busy = any(
-                entry.state in (EntryState.PREDICTED, EntryState.IN_FLIGHT)
+                entry.state is PREDICTED or entry.state is IN_FLIGHT
                 for entry in own.entries
             )
             if busy or not self.allocation_filter.admits(pc, self.predictor):
@@ -296,7 +308,7 @@ class StreamBufferController(PrefetcherPort):
     def _discard_unused(self, buffer: StreamBuffer) -> None:
         """Count prefetched-but-never-used entries lost to reallocation."""
         for entry in buffer.entries:
-            if entry.state in (EntryState.IN_FLIGHT, EntryState.READY):
+            if entry.state is IN_FLIGHT or entry.state is READY:
                 self.prefetches_discarded += 1
 
     # ------------------------------------------------------------------
@@ -313,12 +325,13 @@ class StreamBufferController(PrefetcherPort):
             next_refresh = _NEVER
             for buffer in self.buffers:
                 for entry in buffer.entries:
-                    was_in_flight = entry.state == EntryState.IN_FLIGHT
+                    if entry.state is not IN_FLIGHT:
+                        continue
                     entry.refresh(cycle)
-                    if entry.state == EntryState.IN_FLIGHT:
+                    if entry.state is IN_FLIGHT:
                         if entry.ready_cycle < next_refresh:
                             next_refresh = entry.ready_cycle
-                    elif emit_fill and was_in_flight:
+                    elif emit_fill:
                         trace.emit(
                             cycle, "prefetch", "fill",
                             buffer=buffer.index, block=entry.block,
@@ -351,9 +364,8 @@ class StreamBufferController(PrefetcherPort):
 
     def _predict_one(self, cycle: int) -> None:
         epoch = self._training_epoch
-        sharing = self.sharing
         buffer = self.scheduler.pick_for_prediction(
-            self.buffers, lambda b: sharing.wants_prediction(b, epoch)
+            self.buffers, self.sharing.prediction_filter(epoch)
         )
         if buffer is None or buffer.state is None:
             # Nothing can take a prediction; skip until an entry frees,
@@ -366,13 +378,17 @@ class StreamBufferController(PrefetcherPort):
             return
         self.predictions_made += 1
         block = self._align(predicted)
-        if self.config.check_overlap:
-            for other in self.buffers:
-                if other.allocated and other.find_block(block) is not None:
-                    # Overlapping streams are forbidden: drop the
-                    # prediction (history already advanced — Section 4.1).
-                    self.duplicate_predictions += 1
-                    return
+        if self.config.check_overlap and block in self.block_counts:
+            # Overlapping streams are forbidden: drop the prediction
+            # (history already advanced — Section 4.1).
+            self.duplicate_predictions += 1
+            trace = self.obs_trace
+            if trace is not None and trace.wants("prefetch"):
+                trace.emit(
+                    cycle, "prefetch", "drop",
+                    buffer=buffer.index, block=block,
+                )
+            return
         entry = self.sharing.take_entry(buffer, cycle)
         if entry is not None:
             entry.hold_prediction(block, cycle)
@@ -399,19 +415,8 @@ class StreamBufferController(PrefetcherPort):
             skip_tlb = buffer.tlb_page == page
             buffer.tlb_page = page
         ready = self.hierarchy.issue_prefetch(entry.block, cycle, skip_tlb=skip_tlb)
-        trace = self.obs_trace
-        if ready is None:
-            # Already resident (or in flight) in the L1: drop silently.
-            if trace is not None and trace.wants("prefetch"):
-                trace.emit(
-                    cycle, "prefetch", "drop",
-                    buffer=buffer.index, block=entry.block,
-                )
-            entry.clear()
-            self.sharing.release_entry(buffer, entry)
-            self._predict_skip = False
-            return
         self.prefetches_issued += 1
+        trace = self.obs_trace
         if trace is not None and trace.wants("prefetch"):
             trace.emit(
                 cycle, "prefetch", "issue",

@@ -96,14 +96,22 @@ class PriorityScheduler(Scheduler):
         # stale ones (our reading of the paper's "LRU policy" for ties).
         # Strict > keeps the first of fully tied buffers, like max().
         best = None
-        best_key = (0, 0)
+        best_priority = best_recency = 0
         for buffer in buffers:
             if not eligible(buffer):
                 continue
-            key = (int(buffer.priority), buffer.last_use_cycle)
-            if best is None or key > best_key:
+            priority = buffer.priority.value
+            if (
+                best is None
+                or priority > best_priority
+                or (
+                    priority == best_priority
+                    and buffer.last_use_cycle > best_recency
+                )
+            ):
                 best = buffer
-                best_key = key
+                best_priority = priority
+                best_recency = buffer.last_use_cycle
         return best
 
     def pick_for_prediction(

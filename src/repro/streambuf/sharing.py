@@ -26,10 +26,13 @@ policy interface (:class:`SharingPolicy`):
 
 Pooled policies transfer :class:`~repro.streambuf.buffer.StreamBufferEntry`
 objects between buffers: a buffer's ``entries`` list holds exactly the
-entries it currently owns, so every existing scan (refresh, tag match,
-prefetchable/oldest queries) works unchanged on a variable-depth queue.
+entries it currently owns, so the entry queries (refresh, tag match,
+prefetchable/oldest) work unchanged on a variable-depth queue.  Each
+entry also points at its ``owner``, whose occupancy index it keeps
+current, so a transfer clears the entry first (the old owner's counts
+drop) and only then re-points it.
 Conservation — entries in use never exceed the pool size and no entry is
-owned by two streams — is enforced by
+owned by two streams — and the occupancy index are enforced by
 :func:`repro.integrity.invariants.check_stream_buffers`.
 """
 
@@ -39,7 +42,14 @@ from abc import ABC, abstractmethod
 from typing import Optional
 
 from repro.config import BufferSharing, StreamBufferConfig
-from repro.streambuf.buffer import EntryState, StreamBuffer, StreamBufferEntry
+from repro.streambuf.buffer import (
+    FREE,
+    IN_FLIGHT,
+    READY,
+    StreamBuffer,
+    StreamBufferEntry,
+)
+from repro.streambuf.scheduling import Eligible
 
 
 class EntryPool:
@@ -76,11 +86,12 @@ class EntryPool:
 class SharingPolicy(ABC):
     """How stream-buffer entries are partitioned across streams.
 
-    The controller consults the policy at exactly three points: whether a
-    buffer may compete for the predictor port (:meth:`wants_prediction`),
-    where the entry backing a fresh prediction comes from
-    (:meth:`take_entry`), and what happens to entries a stream no longer
-    needs (:meth:`release_entry` / :meth:`release_stream`).
+    The controller consults the policy at exactly three points: which
+    buffers may compete for the predictor port (the scheduler applies
+    :meth:`prediction_filter`), where the entry backing a fresh
+    prediction comes from (:meth:`take_entry`), and what happens to
+    entries a stream no longer needs (:meth:`release_entry` /
+    :meth:`release_stream`).
     """
 
     #: True when entries live in a shared pool rather than per buffer.
@@ -96,8 +107,17 @@ class SharingPolicy(ABC):
         self._controller = controller
 
     @abstractmethod
+    def prediction_filter(self, epoch: int) -> Eligible:
+        """The predictor-port predicate at training epoch ``epoch``.
+
+        The scheduler calls it for every buffer on every predicting
+        cycle, so each policy returns one flat test over the stored
+        occupancy rather than a chain of calls.
+        """
+
     def wants_prediction(self, buffer: StreamBuffer, epoch: int) -> bool:
         """True when ``buffer`` should compete for the predictor port."""
+        return self.prediction_filter(epoch)(buffer)
 
     @abstractmethod
     def take_entry(
@@ -117,16 +137,25 @@ class SharingPolicy(ABC):
 class FixedSharing(SharingPolicy):
     """The paper's static 8 x 4 partition: each buffer owns its entries.
 
-    Every method delegates straight to the buffer's own static-entry
-    behaviour, so a controller built with this policy executes exactly
-    the pre-sharing code path (the bit-identity tests assert it).
+    Every method applies the buffer's own static-entry behaviour, so a
+    controller built with this policy executes exactly the pre-sharing
+    code path (the bit-identity tests assert it).
     """
 
     pooled = False
 
-    def wants_prediction(self, buffer: StreamBuffer, epoch: int) -> bool:
-        """Delegate to the buffer's own static free-entry test."""
-        return buffer.wants_prediction(epoch)
+    def prediction_filter(self, epoch: int) -> Eligible:
+        """:meth:`StreamBuffer.wants_prediction`'s static test, inlined."""
+
+        def eligible(buffer: StreamBuffer) -> bool:
+            return (
+                buffer.occupied_count < len(buffer.entries)
+                and buffer.allocated
+                and buffer.state is not None
+                and buffer.exhausted_epoch != epoch
+            )
+
+        return eligible
 
     def take_entry(
         self, buffer: StreamBuffer, cycle: int
@@ -151,17 +180,25 @@ class PooledSharing(SharingPolicy):
         self.config = config
         self.pool = EntryPool(config.pool_size)
 
-    def wants_prediction(self, buffer: StreamBuffer, epoch: int) -> bool:
+    def prediction_filter(self, epoch: int) -> Eligible:
         """Port eligibility under pooling: entry available or winnable."""
-        if not buffer.allocated or buffer.state is None:
-            return False
-        if buffer.exhausted_epoch is not None and buffer.exhausted_epoch == epoch:
-            return False
-        if buffer.free_entry() is not None:
-            return True
-        if self.pool.free > 0:
-            return True
-        return self._choose_victim(buffer) is not None
+        pool = self.pool
+        choose_victim = self._choose_victim
+
+        def eligible(buffer: StreamBuffer) -> bool:
+            if (
+                not buffer.allocated
+                or buffer.state is None
+                or buffer.exhausted_epoch == epoch
+            ):
+                return False
+            return (
+                buffer.occupied_count < len(buffer.entries)
+                or pool.allocated < pool.size
+                or choose_victim(buffer) is not None
+            )
+
+        return eligible
 
     def take_entry(
         self, buffer: StreamBuffer, cycle: int
@@ -174,7 +211,7 @@ class PooledSharing(SharingPolicy):
         if pool.free > 0:
             pool.allocated += 1
             pool.acquires += 1
-            entry = StreamBufferEntry()
+            entry = StreamBufferEntry(buffer)
             buffer.entries.append(entry)
             return entry
         victim = self._choose_victim(buffer)
@@ -193,11 +230,13 @@ class PooledSharing(SharingPolicy):
 
     def release_stream(self, buffer: StreamBuffer) -> None:
         """Stream death returns the whole queue to the pool at once."""
-        count = len(buffer.entries)
-        if count:
-            self.pool.allocated -= count
-            self.pool.releases += count
-            del buffer.entries[:]
+        entries = buffer.entries
+        if entries:
+            for entry in entries:
+                entry.clear()  # drop the dead stream's blocks from the index
+            self.pool.allocated -= len(entries)
+            self.pool.releases += len(entries)
+            del entries[:]
 
     # -- eviction ------------------------------------------------------
 
@@ -219,14 +258,14 @@ class PooledSharing(SharingPolicy):
         """
         entry = None
         for candidate in victim.entries:
-            if not candidate.occupied:
+            if candidate.state is FREE:
                 entry = candidate  # a free entry is cheaper than any eviction
                 break
             if entry is None or candidate.predicted_cycle > entry.predicted_cycle:
                 entry = candidate
         assert entry is not None, "victim with no entries chosen for eviction"
         controller = self._controller
-        if entry.state in (EntryState.IN_FLIGHT, EntryState.READY):
+        if entry.state is IN_FLIGHT or entry.state is READY:
             self.pool.evicted_inflight += 1
             if controller is not None:
                 controller.prefetches_discarded += 1
@@ -238,7 +277,8 @@ class PooledSharing(SharingPolicy):
                 block=entry.block, state=entry.state.value,
             )
         victim.entries.remove(entry)
-        entry.clear()
+        entry.clear()  # while still the victim's, so its counts drop
+        entry.owner = requester
         requester.entries.append(entry)
         self.pool.steals += 1
         return entry

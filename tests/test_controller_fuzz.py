@@ -1,12 +1,16 @@
 """Property-based fuzzing of the stream-buffer controller.
 
-Drives the controller with random miss streams and cycle advances and
+Drives the controller with random miss streams and cycle advances,
+under every sharing policy and with overlap checking on or off, and
 checks structural invariants that must hold whatever the input:
 
-- no two occupied entries (across all buffers) hold the same block;
+- with overlap checking on, no two occupied entries (across all
+  buffers) hold the same block;
 - entry-state bookkeeping stays consistent;
 - prefetches used never exceed prefetches issued;
-- every buffer's priority stays inside its saturating range.
+- every buffer's priority stays inside its saturating range;
+- every rule of :func:`check_stream_buffers`, including the pool laws
+  and the stored occupancy index (``streambuf.index``).
 """
 
 from hypothesis import given, settings
@@ -14,28 +18,30 @@ from hypothesis import strategies as st
 
 from repro.config import (
     AllocationPolicy,
+    BufferSharing,
     SchedulingPolicy,
     SimConfig,
     StreamBufferConfig,
 )
+from repro.integrity.invariants import check_stream_buffers
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.predictors.sfm import StrideFilteredMarkovPredictor
 from repro.streambuf.buffer import EntryState
-from repro.streambuf.controller import StreamBufferController
+from repro.streambuf.controller import SequentialPredictor, StreamBufferController
 
 BLOCK = 32
 
 #: A fuzz step: miss (pc index, block index) or a number of idle cycles.
-_steps = st.lists(
-    st.one_of(
-        st.tuples(
-            st.integers(min_value=0, max_value=5),
-            st.integers(min_value=0, max_value=300),
-        ),
-        st.integers(min_value=1, max_value=30),
+_step = st.one_of(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=300),
     ),
-    max_size=120,
+    st.integers(min_value=1, max_value=30),
 )
+_steps = st.lists(_step, max_size=120)
+#: Long enough for streams to fill a pool, steal and be reallocated.
+_long_steps = st.lists(_step, min_size=40, max_size=120)
 
 _policies = st.sampled_from(
     [
@@ -46,8 +52,25 @@ _policies = st.sampled_from(
     ]
 )
 
+#: Stride-filtered Markov (the paper's) or sequential streaming, which
+#: predicts on every free cycle and so keeps pools full and stealing.
+_predictors = st.sampled_from(
+    [StrideFilteredMarkovPredictor, lambda: SequentialPredictor(BLOCK)]
+)
 
-def _check_invariants(controller):
+#: (sharing policy, pool entries): a small pool forces pooled steals.
+_sharing = st.one_of(
+    st.just((BufferSharing.FIXED, None)),
+    st.tuples(
+        st.sampled_from([BufferSharing.HARMONIC, BufferSharing.CREDENCE]),
+        st.integers(min_value=2, max_value=12),
+    ),
+)
+
+
+def _check_invariants(controller, cycle):
+    check_stream_buffers(controller, cycle)
+    check_overlap = controller.config.check_overlap
     seen_blocks = set()
     for buffer in controller.buffers:
         priority = int(buffer.priority)
@@ -57,7 +80,8 @@ def _check_invariants(controller):
                 continue
             assert buffer.allocated
             assert entry.block % BLOCK == 0
-            assert entry.block not in seen_blocks, "duplicate stream block"
+            if check_overlap:
+                assert entry.block not in seen_blocks, "duplicate stream block"
             seen_blocks.add(entry.block)
             if entry.state in (EntryState.IN_FLIGHT, EntryState.READY):
                 assert entry.ready_cycle >= 0
@@ -66,13 +90,26 @@ def _check_invariants(controller):
 
 class TestControllerFuzz:
     @settings(max_examples=40, deadline=None)
-    @given(steps=_steps, policies=_policies)
-    def test_invariants_hold_under_random_miss_streams(self, steps, policies):
+    @given(
+        steps=_long_steps,
+        policies=_policies,
+        sharing=_sharing,
+        check_overlap=st.booleans(),
+        predictor=_predictors,
+    )
+    def test_invariants_hold_under_random_miss_streams(
+        self, steps, policies, sharing, check_overlap, predictor
+    ):
         allocation, scheduling = policies
-        config = StreamBufferConfig(allocation=allocation, scheduling=scheduling)
-        controller = StreamBufferController(
-            config, StrideFilteredMarkovPredictor(), BLOCK
+        policy, pool_entries = sharing
+        config = StreamBufferConfig(
+            allocation=allocation,
+            scheduling=scheduling,
+            sharing=policy,
+            pool_entries=pool_entries,
+            check_overlap=check_overlap,
         )
+        controller = StreamBufferController(config, predictor(), BLOCK)
         controller.attach(MemoryHierarchy(SimConfig()))
         cycle = 0
         for step in steps:
@@ -88,7 +125,7 @@ class TestControllerFuzz:
                 for __ in range(step):
                     cycle += 1
                     controller.tick(cycle)
-            _check_invariants(controller)
+            _check_invariants(controller, cycle)
 
     @settings(max_examples=20, deadline=None)
     @given(steps=_steps)

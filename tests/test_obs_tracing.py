@@ -1,5 +1,6 @@
 """Event tracing: ring buffer, category filters, and JSONL IO."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -134,6 +135,22 @@ class TestSimulatorTracing:
         assert plain.cycles == traced.cycles
         assert plain.ipc == traced.ipc
         assert plain.extra == traced.extra
+
+    def test_drop_events_count_duplicate_predictions(self):
+        config = MACHINES["psb"]()
+        plain = Simulator(config).run(
+            get_workload("sis", seed=1), max_instructions=6_000
+        )
+        trace = EventTrace(categories=["prefetch"])
+        traced_sim = Simulator(config, event_trace=trace)
+        traced = traced_sim.run(
+            get_workload("sis", seed=1), max_instructions=6_000
+        )
+        assert trace.dropped == 0
+        drops = trace.counts().get("prefetch/drop", 0)
+        assert drops > 0
+        assert drops == traced_sim.controller.duplicate_predictions
+        assert dataclasses.asdict(traced) == dataclasses.asdict(plain)
 
     def test_integrity_sweeps_traced_with_invariants(self):
         from repro.config import InvariantLevel

@@ -286,6 +286,22 @@ class TestReallocationReturnsEntriesFirst:
         assert controller.sharing.take_entry(buffer, cycle=20) is not None
         assert controller.pool.acquires == 5
 
+    def test_dead_stream_blocks_are_not_duplicates(self):
+        controller = _controller(pool_entries=4, num_buffers=1)
+        buffer = _allocate(controller, 0x100, 0x8000)
+        for cycle in range(1, 5):
+            controller.tick(cycle)
+        held = [e.block for e in buffer.entries if e.occupied]
+        assert 0x8000 + BLOCK in held
+        # A new stream takes the only buffer and predicts a block the
+        # dead stream held: reallocation must have forgotten it.
+        _allocate(controller, 0x200, 0x8000, cycle=10)
+        controller.tick(11)
+        assert controller.duplicate_predictions == 0
+        assert [e.block for e in buffer.entries if e.occupied] == [
+            0x8000 + BLOCK
+        ]
+
 
 class TestPoolInvariants:
     def _live_controller(self):

@@ -7,20 +7,32 @@ an *interval reservation* model: a transaction occupies the bus only for
 the cycles its bytes are actually moving, so the window between a miss
 request going down and its refill coming back stays free — exactly the
 slack stream-buffer prefetches live off.
+
+Queries start at the first reservation still live at their cycle,
+found by binary search.  That relies on the order ``check_bus``
+enforces (sorted, non-overlapping): every reservation before that one
+ended at or before the query cycle and cannot change the answer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Tuple
 
 from repro.config import BusConfig
+
+#: Sorts after any reservation with the same start: a stand-in for
+#: ``bisect``'s ``key=``, which Python 3.9 lacks.
+_AFTER_ANY_END = 1 << 63
 
 
 class Bus:
     """A single-transaction bus with a bytes-per-cycle bandwidth limit.
 
     Reservations are half-open ``[start, end)`` intervals, kept sorted
-    and non-overlapping.  ``acquire`` books the earliest gap that fits.
+    and non-overlapping; ``check_bus`` enforces that order and the
+    binary-search lookup relies on it.  ``acquire`` books the earliest
+    gap that fits.
     """
 
     def __init__(self, config: BusConfig) -> None:
@@ -37,19 +49,26 @@ class Bus:
 
         Only safe with the *simulation clock* (monotone): an ``acquire``
         may book far in the future and must not erase reservations that
-        earlier-cycle callers still contend with.
+        earlier-cycle callers still contend with.  Pruning is observable
+        (a write-back booked before ``cycle`` afterwards may land in a
+        gap it frees), so it drops exactly those reservations and keeps
+        one straddling ``cycle`` whole.
         """
+        live = self._first_live(cycle)
+        if live:
+            del self._reservations[:live]
+
+    def _first_live(self, cycle: int) -> int:
+        """Index of the first reservation ending after ``cycle``."""
         reservations = self._reservations
         if not reservations or reservations[0][1] > cycle:
-            return
-        drop = 0
-        for start, end in reservations:
-            if end <= cycle:
-                drop += 1
-            else:
-                break
-        if drop:
-            del reservations[:drop]
+            return 0
+        # Reservations starting at or before ``cycle``; of those only
+        # the last can still be running at ``cycle``.
+        index = bisect_right(reservations, (cycle, _AFTER_ANY_END))
+        if reservations[index - 1][1] > cycle:
+            index -= 1
+        return index
 
     def is_free_at(self, cycle: int) -> bool:
         """True when no transaction occupies the bus at ``cycle``.
@@ -68,12 +87,17 @@ class Bus:
         is occupied, nothing can happen before this cycle.  Pure query;
         no pruning.
         """
+        reservations = self._reservations
+        count = len(reservations)
+        index = self._first_live(cycle)
         free = cycle
-        for start, end in self._reservations:
+        while index < count:
+            start, end = reservations[index]
             if start > free:
                 break
             if end > free:
                 free = end
+            index += 1
         return free
 
     def reservations(self) -> List[Tuple[int, int]]:
@@ -100,14 +124,16 @@ class Bus:
         """
         duration = self.transfer_cycles(num_bytes)
         reservations = self._reservations
+        count = len(reservations)
+        position = self._first_live(earliest_cycle)
         start = earliest_cycle
-        position = 0
-        for index, (busy_start, busy_end) in enumerate(reservations):
+        while position < count:
+            busy_start, busy_end = reservations[position]
             if start + duration <= busy_start:
-                position = index
                 break
-            start = max(start, busy_end)
-            position = index + 1
+            if busy_end > start:
+                start = busy_end
+            position += 1
         reservations.insert(position, (start, start + duration))
         self.busy_cycles += duration
         self.transactions += 1

@@ -68,6 +68,19 @@ assert extra["ff_instructions"] > 100000, extra
 print("smoke: sampled run measured", int(extra["windows"]),
       "windows over", int(extra["ff_instructions"]), "fast-forwarded records")
 EOF
+# A demand prefetcher's queue through detuned sampled warming.
+python -m repro run health --machine demand-markov --instructions 120000 \
+    --sample 40000:1000:500 --warm-confidence --invariants full \
+    --metrics --metrics-out "$sample_dir/markov.json"
+python - "$sample_dir/markov.json" <<'EOF'
+import json, sys
+extra = json.load(open(sys.argv[1]))["result"]["extra"]
+assert extra["windows"] == 3.0, extra
+assert extra["invariant_checks"] > 0, extra
+print("smoke: demand-markov sampled run warmed", int(extra["ff_l1_misses"]),
+      "fast-forwarded misses under", int(extra["invariant_checks"]),
+      "invariant checks")
+EOF
 rm -rf "$sample_dir"
 
 echo

@@ -390,12 +390,12 @@ class SamplingConfig:
     strata: int = 1
     #: Timing-aware predictor warm-up: when set, the fast-forward engine
     #: warms prefetcher state through
-    #: :meth:`~repro.memory.hierarchy.PrefetcherPort.warm_confidence`,
-    #: which trains the address/history tables at full rate but moves
-    #: the accuracy-confidence and priority counters at a detuned rate —
-    #: matching detailed steady state, where prefetch hits remove
-    #: training events, instead of overshooting it.  Off by default so
-    #: existing sampled results stay bit-identical.
+    #: :meth:`~repro.memory.hierarchy.PrefetcherPort.warm` in its
+    #: ``detuned`` mode, which trains the address/history tables at full
+    #: rate but moves the accuracy-confidence and priority counters at a
+    #: detuned rate — matching detailed steady state, where prefetch hits
+    #: remove training events, instead of overshooting it.  Off by
+    #: default so existing sampled results stay bit-identical.
     warm_confidence: bool = False
 
     def __post_init__(self) -> None:

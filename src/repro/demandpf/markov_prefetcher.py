@@ -16,7 +16,7 @@ used; while the counter's sign bit is set the prediction is disabled
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.demandpf.buffer import PrefetchBuffer
 from repro.memory.hierarchy import NEVER, MemoryHierarchy, PrefetcherPort
@@ -144,14 +144,15 @@ class DemandMarkovPrefetcher(PrefetcherPort):
             return NEVER
         return self.hierarchy.next_prefetch_slot(cycle)
 
-    def quiesce(self) -> None:
-        """Bound the pending queue after a fast-forward stretch.
+    def warm(self, misses: List[Tuple[int, int]], detuned: bool) -> None:
+        """Train the Markov table on each fast-forwarded miss, then bound
+        the queue.
 
-        Fast-forward trains the Markov table on every functional miss
-        without ticking, so ``_pending`` (and the ``_source`` back-map
-        for never-issued predictions) grows with the gap length; keep
-        only the newest buffer's worth of predictions.
+        Fast-forward never ticks, so ``_pending`` (and the ``_source``
+        back-map for never-issued predictions) grows with the stretch;
+        keep only the newest buffer's worth of predictions.
         """
+        super().warm(misses, detuned)
         if len(self._pending) <= self.buffer.entries:
             return
         dropped = self._pending[: -self.buffer.entries]

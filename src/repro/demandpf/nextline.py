@@ -13,7 +13,7 @@ as a historical baseline for the prior-prefetcher ablation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.demandpf.buffer import PrefetchBuffer
 from repro.memory.hierarchy import NEVER, MemoryHierarchy, PrefetcherPort
@@ -93,13 +93,13 @@ class NextLinePrefetcher(PrefetcherPort):
             return NEVER
         return self.hierarchy.next_prefetch_slot(cycle)
 
-    def quiesce(self) -> None:
-        """Bound the pending queue after a fast-forward stretch.
+    def warm(self, misses: List[Tuple[int, int]], detuned: bool) -> None:
+        """Queue each fast-forwarded miss's next line, then bound the queue.
 
-        Fast-forward calls :meth:`on_l1_miss` for every functional miss
-        without ticking, so ``_pending`` grows with the gap length; only
-        the most recent requests could ever fit the buffer anyway.
+        Fast-forward never ticks, so ``_pending`` grows with the stretch;
+        only the most recent requests could ever fit the buffer anyway.
         """
+        super().warm(misses, detuned)
         if len(self._pending) > self.buffer.entries:
             del self._pending[: -self.buffer.entries]
 

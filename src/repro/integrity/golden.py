@@ -83,7 +83,6 @@ class GoldenStats:
     branches: int = 0
     accesses: int = 0
     l1_misses: int = 0
-    l2_misses: int = 0
     distinct_blocks: int = 0
 
     @property
@@ -111,17 +110,12 @@ def run_golden(
         config.l1_data.block_size,
         config.l1_data.associativity,
     )
-    l2 = GoldenCache(
-        config.l2_unified.size_bytes,
-        config.l2_unified.block_size,
-        config.l2_unified.associativity,
-    )
     stats = GoldenStats()
     seen_blocks: set = set()
     if isinstance(trace, (str, bytes)):
-        _replay_compiled(trace, l1, l2, stats, seen_blocks, max_instructions)
+        _replay_compiled(trace, l1, stats, seen_blocks, max_instructions)
     else:
-        _replay_records(trace, l1, l2, stats, seen_blocks, max_instructions)
+        _replay_records(trace, l1, stats, seen_blocks, max_instructions)
     stats.distinct_blocks = len(seen_blocks)
     return stats
 
@@ -129,7 +123,6 @@ def run_golden(
 def _replay_records(
     trace: Iterable[TraceRecord],
     l1: GoldenCache,
-    l2: GoldenCache,
     stats: GoldenStats,
     seen_blocks: set,
     max_instructions: Optional[int],
@@ -142,11 +135,10 @@ def _replay_records(
     STORE = InstrKind.STORE
     BRANCH = InstrKind.BRANCH
     l1_access = l1.access
-    l2_access = l2.access
     l1_block_size = l1.block_size
     seen_add = seen_blocks.add
     instructions = loads = stores = branches = 0
-    accesses = l1_misses = l2_misses = 0
+    accesses = l1_misses = 0
     for record in source:
         instructions += 1
         kind = record.kind
@@ -163,21 +155,17 @@ def _replay_records(
         seen_add(addr - (addr % l1_block_size))
         if not l1_access(addr):
             l1_misses += 1
-            if not l2_access(addr):
-                l2_misses += 1
     stats.instructions += instructions
     stats.loads += loads
     stats.stores += stores
     stats.branches += branches
     stats.accesses += accesses
     stats.l1_misses += l1_misses
-    stats.l2_misses += l2_misses
 
 
 def _replay_compiled(
     trace: Union[str, bytes],
     l1: GoldenCache,
-    l2: GoldenCache,
     stats: GoldenStats,
     seen_blocks: set,
     max_instructions: Optional[int],
@@ -201,11 +189,10 @@ def _replay_compiled(
     KIND_STORE = int(InstrKind.STORE)
     KIND_BRANCH = int(InstrKind.BRANCH)
     l1_access = l1.access
-    l2_access = l2.access
     l1_block_size = l1.block_size
     seen_add = seen_blocks.add
     instructions = loads = stores = branches = 0
-    accesses = l1_misses = l2_misses = 0
+    accesses = l1_misses = 0
     try:
         for kind, __, __, __, __, addr in _RECORD.iter_unpack(
             memoryview(buffer)[HEADER_BYTES:]
@@ -228,8 +215,6 @@ def _replay_compiled(
             seen_add(addr - (addr % l1_block_size))
             if not l1_access(addr):
                 l1_misses += 1
-                if not l2_access(addr):
-                    l2_misses += 1
     finally:
         import mmap
 
@@ -241,7 +226,6 @@ def _replay_compiled(
     stats.branches += branches
     stats.accesses += accesses
     stats.l1_misses += l1_misses
-    stats.l2_misses += l2_misses
 
 
 @dataclass

@@ -28,7 +28,6 @@ from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import MainMemory
 from repro.memory.mshr import MshrFile
 from repro.memory.tlb import DataTlb
-from repro.stats import Accumulator
 
 #: Bytes of a request (address) packet on the L1-L2 bus.
 REQUEST_BYTES = 8
@@ -92,46 +91,30 @@ class PrefetcherPort:
         """
         return NEVER
 
-    def quiesce(self) -> None:
-        """Trim unbounded transient state after a fast-forward stretch.
+    def warm(self, misses: List[Tuple[int, int]], detuned: bool) -> None:
+        """Functionally warm prefetcher state over one fast-forward stretch.
 
-        The sampling driver (:mod:`repro.sampling`) trains prefetchers on
-        every fast-forwarded L1 miss without ever running :meth:`tick`,
-        so implementations that queue work between the two (the demand
-        prefetchers' pending lists) must bound that queue here.  Learned
-        predictor state must be preserved.  The default is a no-op.
+        The sampling fast-forward engine (:mod:`repro.sampling`) calls
+        this once per stretch, instead of :meth:`on_l1_miss` per miss,
+        with the stretch's demand L1 load misses as ``(pc, addr)`` pairs
+        in trace order.  Fast-forward never runs :meth:`tick`, so
+        implementations should update the *persistent* learned state
+        (predictor tables, confidence counters), may skip transient
+        per-miss work the next window's warm-up rebuilds (allocation,
+        prefetch scheduling), and must leave any queue of work bounded.
+
+        ``detuned`` is :attr:`~repro.config.SamplingConfig.warm_confidence`.
+        Full-rate warming overshoots detailed steady state: there a warm
+        prefetcher *removes* misses, so the predictor trains, and its
+        accuracy-confidence counters climb, more slowly than a replay of
+        every miss.  A detuned warm keeps the address/history tables
+        exact but moves confidence and priority counters at a reduced
+        rate.  The default replays each miss through :meth:`on_l1_miss`
+        at cycle 0, in either mode: a prefetcher without separate
+        confidence state has nothing to detune.
         """
-
-    def warm_l1_miss(self, pc: int, addr: int) -> None:
-        """Functionally warm predictor state for one fast-forwarded miss.
-
-        Called by the sampling fast-forward engine instead of
-        :meth:`on_l1_miss`: implementations should update only the
-        *persistent* learned state (predictor tables, confidence
-        counters) and may skip transient per-miss work — allocation,
-        priority aging, prefetch scheduling — which the next measured
-        window's warm-up rebuilds anyway.  The default delegates to
-        :meth:`on_l1_miss` at cycle 0 so simple prefetchers warm with
-        full fidelity.
-        """
-        self.on_l1_miss(pc, addr, 0, False)
-
-    def warm_confidence(self, pc: int, addr: int) -> None:
-        """Timing-aware warming for one fast-forwarded miss.
-
-        Called instead of :meth:`warm_l1_miss` when
-        :attr:`~repro.config.SamplingConfig.warm_confidence` is set.
-        Full-rate functional warming overshoots detailed steady state:
-        in detailed execution a warm prefetcher *removes* misses, so the
-        predictor trains — and its accuracy-confidence counters climb —
-        more slowly than a fast-forward that replays every miss.
-        Implementations should keep the address/history tables exact
-        (they mirror the access stream either way) but move confidence
-        and priority counters at a detuned rate.  The default delegates
-        to :meth:`warm_l1_miss`: prefetchers without separate confidence
-        state have nothing to detune.
-        """
-        self.warm_l1_miss(pc, addr)
+        for pc, addr in misses:
+            self.on_l1_miss(pc, addr, 0, False)
 
 
 class L2Pipeline:
@@ -199,7 +182,6 @@ class MemoryHierarchy:
         self.demand_misses = 0
         self.sb_hits = 0
         self.sb_pending_hits = 0
-        self.load_latency = Accumulator("load-latency")
         self.prefetches_issued = 0
         self.prefetches_redundant = 0
         # Where true demand misses were ultimately served from (the
@@ -444,25 +426,6 @@ class MemoryHierarchy:
             return 0.0
         return self.demand_misses / self.demand_accesses
 
-    def perf_counters(self) -> dict:
-        """Event counts for the perf subsystem (one flat dict)."""
-        return {
-            "hierarchy.demand_accesses": float(self.demand_accesses),
-            "hierarchy.demand_misses": float(self.demand_misses),
-            "hierarchy.sb_hits": float(self.sb_hits),
-            "hierarchy.sb_pending_hits": float(self.sb_pending_hits),
-            "hierarchy.prefetches_issued": float(self.prefetches_issued),
-            "hierarchy.l1_l2_bus_transactions": float(
-                self.l1_l2_bus.transactions
-            ),
-            "hierarchy.l2_mem_bus_transactions": float(
-                self.l2_mem_bus.transactions
-            ),
-            "hierarchy.demand_l2_fetches": float(self.demand_l2_fetches),
-            "hierarchy.demand_mem_fetches": float(self.demand_mem_fetches),
-            "hierarchy.tlb_misses": float(self.tlb.misses),
-        }
-
     def reset_stats(self) -> None:
         """Zero every statistic (fired at the warm-up boundary)."""
         self.demand_accesses = 0
@@ -475,7 +438,6 @@ class MemoryHierarchy:
         self.demand_mem_fetches = 0
         if self.obs_latency_hist is not None:
             self.obs_latency_hist.reset()
-        self.load_latency.reset()
         self.l1.reset_stats()
         self.l2.reset_stats()
         self.l1_l2_bus.reset_stats()

@@ -4,7 +4,7 @@ Two halves:
 
 - :mod:`repro.perf.collector` — lightweight wall-clock timers and event
   counters threaded through the simulator (cycles skipped by the
-  event-driven fast path, time per phase, component event counts).
+  event-driven fast path, time per phase).
 - :mod:`repro.perf.bench` — the pinned micro-suite behind
   ``repro-sim bench``: per-workload wall time, simulated cycles per
   second, records per second, the event-driven vs cycle-stepped

@@ -97,32 +97,3 @@ class PerfCollector:
             f"{len(self.timers)} timers)"
         )
 
-
-def component_counters(simulator) -> Dict[str, float]:
-    """Event counts harvested from a simulator's components.
-
-    Reads the counters the components already maintain (no hot-path
-    instrumentation): hierarchy demand/prefetch traffic, predictor and
-    stream-buffer activity, core retirement.
-    """
-    out: Dict[str, float] = {}
-    hierarchy = getattr(simulator, "hierarchy", None)
-    if hierarchy is not None:
-        out.update(hierarchy.perf_counters())
-    controller = getattr(simulator, "controller", None)
-    if controller is not None:
-        for name in (
-            "prefetches_issued",
-            "prefetches_used",
-            "predictions_made",
-            "allocations",
-        ):
-            value = getattr(controller, name, None)
-            if value is not None:
-                out[f"prefetcher.{name}"] = float(value)
-    core = getattr(simulator, "core", None)
-    if core is not None:
-        stats = core.stats
-        out["core.retired"] = float(stats.retired)
-        out["core.cycles"] = float(stats.cycles)
-    return out

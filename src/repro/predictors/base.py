@@ -80,8 +80,8 @@ class AddressPredictor(ABC):
         access stream and must stay exact — but leave the accuracy
         confidence and streak counters untouched.  The sampling layer
         alternates the two to warm confidence at a detuned rate matching
-        detailed steady state (see
-        :meth:`repro.memory.hierarchy.PrefetcherPort.warm_confidence`).
+        detailed steady state (see the ``detuned`` mode of
+        :meth:`repro.memory.hierarchy.PrefetcherPort.warm`).
         The default always trains at full fidelity.
         """
         return self.train(pc, address)

@@ -83,14 +83,10 @@ class _SamplingState:
         self.period_index = 0
         #: One dict of raw integer counters per measured window.
         self.windows: List[dict] = []
-        #: Fast-forward totals (mirrors the engine's counters).
-        self.ff = {
-            "instructions": 0,
-            "loads": 0,
-            "stores": 0,
-            "branches": 0,
-            "l1_misses": 0,
-        }
+        #: Fast-forward totals, which the engine updates in place
+        #: (snapshots from older versions also carry loads, stores and
+        #: branches, which nothing reads).
+        self.ff = {"instructions": 0, "l1_misses": 0}
         #: Cumulative L1 MSHR merges at the end of the last window (the
         #: merge counter is never reset, so windows record deltas).
         self.merges_seen = 0
@@ -192,11 +188,9 @@ def _drive_sampled(
         raise SimulationError(
             f"snapshot_every must be positive, got {snapshot_every}"
         )
-    engine = FastForwardEngine(simulator)
-    # Seed the engine with pre-resume totals so stitched ff counters
-    # cover the whole run, not just the post-resume stretch.
-    for name, value in state.ff.items():
-        setattr(engine, name, value)
+    # The engine adds to the state's own totals, so after a resume the
+    # stitched ff counters cover the whole run.
+    engine = FastForwardEngine(simulator, state.ff)
     try:
         with simulator.perf.time("simulate"):
             _sampling_loop(
@@ -215,13 +209,6 @@ def _drive_sampled(
             f"sampled simulation {label!r} crashed: "
             f"{type(error).__name__}: {error}"
         ) from error
-    state.ff = {
-        "instructions": engine.instructions,
-        "loads": engine.loads,
-        "stores": engine.stores,
-        "branches": engine.branches,
-        "l1_misses": engine.l1_misses,
-    }
     return _stitch(simulator, state, sampling, label, window_sink)
 
 
@@ -292,17 +279,15 @@ def _sampling_loop(
             # resumes) and stop.
             if remaining > 0 or pending is not None:
                 state.records_consumed += engine.replay(
-                    source, max(0, remaining), clock, pending
+                    source, max(0, remaining), pending
                 )
-                hierarchy.prefetcher.quiesce()
             break
 
         # ---- fast-forward to the window (SMARTS functional warming) --
         if gap > 0 or pending is not None:
-            pulled = engine.replay(source, gap, clock, pending)
+            pulled = engine.replay(source, gap, pending)
             pending = None
             state.records_consumed += pulled
-            hierarchy.prefetcher.quiesce()
             if pulled < gap:
                 break  # trace ran dry mid-gap: no further window fits
         gap = gap_target
@@ -365,13 +350,6 @@ def _sampling_loop(
         ):
             from repro.integrity.snapshot import SimSnapshot
 
-            state.ff = {
-                "instructions": engine.instructions,
-                "loads": engine.loads,
-                "stores": engine.stores,
-                "branches": engine.branches,
-                "l1_misses": engine.l1_misses,
-            }
             state.last_snapshot_cycle = clock
             snapshot_sink(
                 SimSnapshot.capture(simulator, state, label, mode="sampled")

@@ -25,7 +25,7 @@ keep current (see :mod:`repro.streambuf.buffer`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import PrefetchConfig, PrefetcherKind, StreamBufferConfig
 from repro.memory.hierarchy import NEVER, MemoryHierarchy, PrefetcherPort
@@ -199,11 +199,7 @@ class StreamBufferController(PrefetcherPort):
             return
         # This miss also missed the stream buffers: it is an allocation
         # request, which both ages priorities and may claim a buffer.
-        self._misses_since_aging += 1
-        if self._misses_since_aging >= self.config.priority_age_period:
-            self._misses_since_aging = 0
-            for buffer in self.buffers:
-                buffer.priority.decrement(self.config.priority_age_amount)
+        if self._age_priorities():
             trace = self.obs_trace
             if trace is not None and trace.wants("priority"):
                 trace.emit(
@@ -212,43 +208,49 @@ class StreamBufferController(PrefetcherPort):
                 )
         self._try_allocate(pc, block, cycle)
 
-    def warm_l1_miss(self, pc: int, addr: int) -> None:
+    def _age_priorities(self) -> bool:
+        """Count one allocation request; age every buffer's priority once
+        per ``priority_age_period`` of them.  Returns whether it aged."""
+        self._misses_since_aging += 1
+        if self._misses_since_aging < self.config.priority_age_period:
+            return False
+        self._misses_since_aging = 0
+        for buffer in self.buffers:
+            buffer.priority.decrement(self.config.priority_age_amount)
+        return True
+
+    def warm(self, misses: List[Tuple[int, int]], detuned: bool) -> None:
         """Fast-forward warming: train the predictor, skip allocation.
 
-        Stream-buffer allocations and priorities are transient relative
-        to a sampling gap — they are rebuilt from the (warm) predictor
-        tables during each measured window's warm-up — so only the
-        predictor's learned state needs to observe fast-forwarded
-        misses.
+        Stream-buffer allocations are transient relative to a sampling
+        gap (each measured window's warm-up rebuilds them from the warm
+        predictor tables), so only learned state observes the
+        fast-forwarded misses.  Full rate trains the predictor on every
+        miss.  Detuned (timing-aware) warming reflects that in detailed
+        execution a working stream buffer absorbs many of those misses,
+        so accuracy confidence and allocation streaks climb more slowly:
+        the address/history tables still observe every miss, but
+        confidence moves on alternate misses only, and buffer priorities
+        age on the schedule the detailed miss stream would drive.
         """
-        self.predictor.train(pc, addr & ~(self.block_size - 1))
-        self._training_epoch += 1
+        if not misses:
+            return
+        align = ~(self.block_size - 1)
+        if detuned:
+            warm = self.predictor.warm
+            age = self._age_priorities
+            calls = self._warm_calls
+            for pc, addr in misses:
+                calls += 1
+                warm(pc, addr & align, (calls & 1) == 0)
+                age()
+            self._warm_calls = calls
+        else:
+            train = self.predictor.train
+            for pc, addr in misses:
+                train(pc, addr & align)
+        self._training_epoch += len(misses)
         self._predict_skip = False
-
-    def warm_confidence(self, pc: int, addr: int) -> None:
-        """Timing-aware warming: detune confidence and priority counters.
-
-        Full-rate warming (:meth:`warm_l1_miss`) trains the predictor on
-        *every* fast-forwarded miss, but in detailed execution a working
-        stream buffer absorbs a large share of those misses, so the
-        accuracy-confidence counters and allocation streaks climb far
-        more slowly.  Here the address/history tables still observe
-        every miss (they must stay exact) while confidence moves on
-        alternate misses only, and buffer priorities age on the same
-        schedule the detailed miss stream would drive — so the next
-        measured window opens from predictor state resembling detailed
-        steady state instead of a fully saturated one.
-        """
-        self._warm_calls += 1
-        full = (self._warm_calls & 1) == 0
-        self.predictor.warm(pc, addr & ~(self.block_size - 1), full)
-        self._training_epoch += 1
-        self._predict_skip = False
-        self._misses_since_aging += 1
-        if self._misses_since_aging >= self.config.priority_age_period:
-            self._misses_since_aging = 0
-            for buffer in self.buffers:
-                buffer.priority.decrement(self.config.priority_age_amount)
 
     def _try_allocate(self, pc: int, block: int, cycle: int) -> None:
         # A load that already owns a stream must not thrash it: while its

@@ -64,10 +64,6 @@ class HeapModel:
         self.allocated_objects += 1
         return address
 
-    @property
-    def bytes_in_use(self) -> int:
-        return self._next - self.base
-
 
 class PcAllocator:
     """Stable program-counter values for static instruction sites."""
@@ -115,16 +111,6 @@ class WorkloadGenerator(ABC):
 
     def _scaled(self, value: int, minimum: int = 1) -> int:
         return max(minimum, int(value * self.scale))
-
-
-def alu_block(pcs: List[int], kinds: List[InstrKind]) -> List[TraceRecord]:
-    """Fixed computation padding: one record per (pc, kind) pair."""
-    return [TraceRecord(kind, pc) for pc, kind in zip(pcs, kinds)]
-
-
-def loop_branch(pc: int, taken: bool) -> TraceRecord:
-    """A loop back-edge (taken except on exit): highly predictable."""
-    return TraceRecord(InstrKind.BRANCH, pc, taken=taken)
 
 
 class Emitter:

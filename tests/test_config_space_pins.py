@@ -10,6 +10,12 @@ round-robin scheduling, two-miss allocation, ``credence`` sharing,
 FIFO lookup and overlapping streams.  A host-time optimisation of the
 controller must leave every digest unchanged; a deliberate change of
 simulated behaviour re-pins them.
+
+Sampled runs are pinned the same way, across every prefetcher family's
+fast-forward warming (none, the demand prefetchers' queues, stream
+buffers with fixed and pooled entries) in both warming modes: full rate
+on the classic grid, and detuned confidence warming on a stratified
+grid.
 """
 
 import dataclasses
@@ -96,16 +102,73 @@ PINS = {
 }
 
 
+SAMPLED_INSTRUCTIONS = 40_000
+SAMPLED_WORKLOADS = ("health", "gs")
+SAMPLED_MACHINES = (
+    "base",
+    "next-line",
+    "demand-markov",
+    "stride",
+    "jouppi",
+    "psb",
+    "psb-harmonic",
+)
+#: ``with_sampling`` arguments per sampling shape.
+SAMPLE_SHAPES = {
+    "classic": dict(period=10_000, window=1_000, warmup=500),
+    "detuned": dict(
+        period=10_000, window=1_000, warmup=500, strata=2,
+        warm_confidence=True,
+    ),
+}
+
+#: sha256 of ``asdict(result)`` as sorted JSON, per (machine, workload,
+#: shape) of a sampled run.
+SAMPLED_PINS = {
+    ("base", "health", "classic"): "66d4ca27b16acc55f920c813f478878c96e0b72222023449c3e921983e152424",
+    ("base", "health", "detuned"): "c281b1f0b6246e7f9bfb8c631119bf556f56a86fa4e687c8a954ead9b0679564",
+    ("base", "gs", "classic"): "24d4ef9c407ee08cf6d9e03641f95ef7e347bf2232bea7bba499ba12f8a132b3",
+    ("base", "gs", "detuned"): "e05a7cdab6a37dd115e6e0a8df8acc055aa83e753b4345890560b0d538977f4c",
+    ("next-line", "health", "classic"): "96f050e98a1ca37f10102b730a7deae0541fb7ef163c9d362d3e41a9c927904e",
+    ("next-line", "health", "detuned"): "87d03184c6143f1f8669455c2f4c50a3c6995797175d751eeb5d94d3bb1809a5",
+    ("next-line", "gs", "classic"): "5f25df63f4174efd25fa381cbc870f79807baa2132dc5464d0dd707a73d066dc",
+    ("next-line", "gs", "detuned"): "4af8581981f010109d3c204e29b52fcc6df96c6a536857786c5284b476d6797a",
+    ("demand-markov", "health", "classic"): "05d8f591b9420411a38fc812b01a8fcdb51f140256f7c57f5e4696da0987e2bb",
+    ("demand-markov", "health", "detuned"): "07697394514b02c2dd90080946ef247119f6126625ac3c3bd86279f3a1e4e0d6",
+    ("demand-markov", "gs", "classic"): "9c191999a5dc187b89e18cc56881bfecc3b37884e4a86cfe4b54b4a49e061a2b",
+    ("demand-markov", "gs", "detuned"): "a69545a134ef89e0011b3228e03577fddec6492c4151d6f0596ee0bb1214bc40",
+    ("stride", "health", "classic"): "83fe9fb088f8173cad7ea8ac3b2cfc54e8047d39e702f08b7b7349aa11bdff3d",
+    ("stride", "health", "detuned"): "a552973dc0c329086b8be49a5afb551d3d89694fcf5078afc3a00ad9fb2a5221",
+    ("stride", "gs", "classic"): "e3093e90487302a9719a65a2da2a4f121281b318a39412e00e4d6c36155a1e48",
+    ("stride", "gs", "detuned"): "2b4d4f8a98f22712ecb69fcbf101edede78be1b63b084cc203076fadb2681f36",
+    ("jouppi", "health", "classic"): "0c4e4b3cbd9bd8fdda8a66a113d1cfd6239ed9dd0e682a876c615943b460b5cd",
+    ("jouppi", "health", "detuned"): "f3b7bfa7af371666b43ba0af1c74c6a80f7c14818806f2dc2e46093a085b5ef8",
+    ("jouppi", "gs", "classic"): "2ac1c3310c2f110390e78717509abf76707905746ae46f66af81430c23052635",
+    ("jouppi", "gs", "detuned"): "a4a8852efc075c3d0b2939d5e7ab53935079ebbb9b2748a6cfc54e7d8643b563",
+    ("psb", "health", "classic"): "61016d934d1ada2f48c856276aafadf574e3aa07c293438a2b7e9e8f95c3aef7",
+    ("psb", "health", "detuned"): "fe4ef4c609b67dce7cb2cae9678be2baf0fcfbb58d8e7355e6953175ecff66e4",
+    ("psb", "gs", "classic"): "59e17ee1acfc58aeade52a77f652204028fd052a40e437f46337c2a1bba111da",
+    ("psb", "gs", "detuned"): "b37f181f9edb34c7e762b9f1289f2d9a3197577f72e2489ca34aa9887a040190",
+    ("psb-harmonic", "health", "classic"): "381ce1259b76fd5bbe0fb44c40a02acc3620437145c57f8d395a2af092e8b78d",
+    ("psb-harmonic", "health", "detuned"): "772ad9e53e115c250de5f03483784b521853b6ebe68ab4e66437c29e68414d88",
+    ("psb-harmonic", "gs", "classic"): "b7642efd84d3379c85c84e603331184c2f4fb1aae5bdd7ac376fd536509b30c3",
+    ("psb-harmonic", "gs", "detuned"): "ae619ab73fb2e0bd90b02e79f230918252ac81fb48d63c4e3f0ec370f21737c8",
+}
+
+
+def _digest(result) -> str:
+    payload = json.dumps(dataclasses.asdict(result), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def result_digest(config_name: str, workload: str) -> str:
     """Run one pinned point and digest its result."""
-    result = simulate(
+    return _digest(simulate(
         CONFIGS[config_name](),
         get_workload(workload, seed=1),
         max_instructions=INSTRUCTIONS,
         warmup_instructions=WARMUP,
-    )
-    payload = json.dumps(dataclasses.asdict(result), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    ))
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -114,3 +177,16 @@ def test_result_digest_is_pinned(config_name, workload):
     assert result_digest(config_name, workload) == PINS[
         (config_name, workload)
     ]
+
+
+@pytest.mark.parametrize("shape", sorted(SAMPLE_SHAPES))
+@pytest.mark.parametrize("workload", SAMPLED_WORKLOADS)
+@pytest.mark.parametrize("machine", SAMPLED_MACHINES)
+def test_sampled_result_digest_is_pinned(machine, workload, shape):
+    config = MACHINES[machine]().with_sampling(**SAMPLE_SHAPES[shape])
+    result = simulate(
+        config,
+        get_workload(workload, seed=1),
+        max_instructions=SAMPLED_INSTRUCTIONS,
+    )
+    assert _digest(result) == SAMPLED_PINS[(machine, workload, shape)]

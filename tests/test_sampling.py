@@ -19,7 +19,7 @@ import pytest
 
 from repro.config import SamplingConfig, SimConfig
 from repro.errors import ConfigError, IntegrityError, SimulationError
-from repro.integrity.golden import run_golden
+from repro.integrity.golden import GoldenCache, run_golden
 from repro.integrity.snapshot import SimSnapshot, resume_run
 from repro.memory.hierarchy import PrefetcherPort
 from repro.runner import (
@@ -31,9 +31,10 @@ from repro.runner import (
 )
 from repro.sampling import FastForwardEngine, resume_sampled, run_sampled
 from repro.sim import baseline_config, psb_config
-from repro.sim.presets import next_line_config
+from repro.sim.presets import demand_markov_config, next_line_config
 from repro.sim.simulator import Simulator
 from repro.trace.binfmt import compile_trace
+from repro.trace.record import InstrKind
 from repro.workloads import cached_workload_trace
 
 
@@ -374,43 +375,172 @@ class _RecordingPrefetcher(PrefetcherPort):
         self.calls.append((pc, addr, cycle, sb_hit))
 
 
+def _reference_replay(simulator, records):
+    """Warm ``simulator`` through the detailed models' own methods.
+
+    Applies them in the order the timed hierarchy does for a miss:
+    ``_fetch_from_l2`` looks up the L2 and fills it, ``drain`` fills the
+    L1, and ``_write_back_l1_victim`` marks a dirty victim in the L2 or
+    fills it there dirty.  Branches go through ``GsharePredictor.update``.
+    """
+    l1 = simulator.hierarchy.l1
+    l2 = simulator.hierarchy.l2
+    bp = simulator.core.branch_predictor
+    for record in records:
+        if record.kind is InstrKind.BRANCH:
+            bp.update(record.pc, record.taken)
+            continue
+        if record.kind not in (InstrKind.LOAD, InstrKind.STORE):
+            continue
+        is_store = record.kind is InstrKind.STORE
+        if l1.access(record.addr, is_store=is_store):
+            continue
+        if not l2.access(record.addr):
+            l2.insert(record.addr)
+        victim = l1.insert(record.addr, dirty=is_store)
+        if victim is not None and victim[1]:
+            if not l2.mark_dirty(victim[0]):
+                l2.insert(victim[0], dirty=True)
+
+
+def _cache_sets(cache):
+    return [list(cache_set.items()) for cache_set in cache._sets]
+
+
+#: Fast-forward drift points: every workload, with and without a
+#: prefetcher, at the default L1 and at a 4 KB L1 that forces dirty
+#: write-backs into the L2.
+_DRIFT_CONFIGS = {
+    "base": baseline_config,
+    "psb": psb_config,
+    "base-4k": lambda: baseline_config().with_l1(4 * 1024, 4),
+    "psb-4k": lambda: psb_config().with_l1(4 * 1024, 4),
+}
+_DRIFT_RECORDS = 30_000
+
+
 class TestFastForward:
-    def test_warm_l1_miss_defaults_to_on_l1_miss(self):
+    def test_warm_defaults_to_on_l1_miss(self):
         port = _RecordingPrefetcher()
-        port.warm_l1_miss(0x400, 0x8000)
-        assert port.calls == [(0x400, 0x8000, 0, False)]
+        misses = [(0x400, 0x8000), (0x404, 0x9000)]
+        for detuned in (False, True):
+            port.calls.clear()
+            port.warm(misses, detuned)
+            assert port.calls == [
+                (0x400, 0x8000, 0, False),
+                (0x404, 0x9000, 0, False),
+            ]
+
+    def test_replay_warms_the_prefetcher_once_per_stretch(self):
+        records = cached_workload_trace("sis", seed=1, instructions=5_000)
+        simulator = Simulator(baseline_config())
+        port = _RecordingPrefetcher()
+        simulator.hierarchy.prefetcher = port
+        engine = FastForwardEngine(simulator)
+        warms = []
+        port.warm = lambda misses, detuned: warms.append(list(misses))
+        engine.replay(iter(records), 5_000)
+        # The stretch's load misses, in trace order: stores miss too
+        # but never train a prefetcher.
+        l1 = simulator.config.l1_data
+        golden = GoldenCache(l1.size_bytes, l1.block_size, l1.associativity)
+        load_misses = []
+        for record in records:
+            if record.kind in (InstrKind.LOAD, InstrKind.STORE):
+                hit = golden.access(record.addr)
+                if not hit and record.kind is InstrKind.LOAD:
+                    load_misses.append((record.pc, record.addr))
+        assert 0 < len(load_misses) < engine.totals["l1_misses"]
+        assert warms == [load_misses]
+        assert port.calls == []
 
     def test_replay_counts_and_trace_exhaustion(self):
         records = cached_workload_trace("health", seed=1,
                                         instructions=5_000)
         engine = FastForwardEngine(Simulator(psb_config()))
         source = iter(records)
-        assert engine.replay(source, 3_000, 0) == 3_000
-        assert engine.instructions == 3_000
+        assert engine.replay(source, 3_000) == 3_000
+        assert engine.totals["instructions"] == 3_000
         # Asking past the end reports the short pull.
-        assert engine.replay(source, 5_000, 0) == 2_000
-        assert engine.instructions == 5_000
-        assert engine.loads + engine.stores + engine.branches <= 5_000
-        assert engine.l1_misses <= engine.loads + engine.stores
+        assert engine.replay(source, 5_000) == 2_000
+        assert engine.totals["instructions"] == 5_000
+
+    def test_replay_adds_to_the_totals_it_is_given(self):
+        records = cached_workload_trace("health", seed=1,
+                                        instructions=1_000)
+        totals = {"instructions": 7, "l1_misses": 3, "loads": 99}
+        engine = FastForwardEngine(Simulator(psb_config()), totals)
+        engine.replay(iter(records), 1_000)
+        assert totals["instructions"] == 1_007
+        assert totals["l1_misses"] > 3
+        assert totals["loads"] == 99
 
     def test_pending_record_replays_without_counting(self):
         records = cached_workload_trace("health", seed=1,
                                         instructions=100)
         engine = FastForwardEngine(Simulator(psb_config()))
         source = iter(records[1:])
-        pulled = engine.replay(source, 10, 0, pending=records[0])
+        pulled = engine.replay(source, 10, pending=records[0])
         assert pulled == 10
-        assert engine.instructions == 11
+        assert engine.totals["instructions"] == 11
 
-    def test_quiesce_bounds_demand_prefetcher_queues(self):
-        simulator = Simulator(next_line_config())
+    @pytest.mark.parametrize("config", [next_line_config,
+                                        demand_markov_config])
+    def test_warm_bounds_demand_prefetcher_queues(self, config):
+        simulator = Simulator(config())
         prefetcher = simulator.hierarchy.prefetcher
         engine = FastForwardEngine(simulator)
         records = cached_workload_trace("gs", seed=1, instructions=50_000)
-        engine.replay(iter(records), 50_000, 0)
-        assert engine.l1_misses > prefetcher.buffer.entries
-        prefetcher.quiesce()
-        assert len(prefetcher._pending) <= prefetcher.buffer.entries
+        engine.replay(iter(records), 50_000)
+        assert engine.totals["l1_misses"] > prefetcher.buffer.entries
+        assert 0 < len(prefetcher._pending) <= prefetcher.buffer.entries
+
+    @pytest.mark.parametrize("config_name", sorted(_DRIFT_CONFIGS))
+    @pytest.mark.parametrize(
+        "workload", ["health", "gs", "sis", "turb3d", "many_streams"]
+    )
+    def test_fast_forward_matches_the_models_it_copies(
+        self, workload, config_name
+    ):
+        config = _DRIFT_CONFIGS[config_name]()
+        records = cached_workload_trace(workload, seed=1,
+                                        instructions=_DRIFT_RECORDS)
+        fast = Simulator(config)
+        engine = FastForwardEngine(fast)
+        assert engine.replay(iter(records), _DRIFT_RECORDS) == _DRIFT_RECORDS
+        reference = Simulator(config)
+        _reference_replay(reference, records)
+
+        for level in ("l1", "l2"):
+            assert _cache_sets(getattr(fast.hierarchy, level)) == (
+                _cache_sets(getattr(reference.hierarchy, level))
+            ), level
+        if workload in ("health", "gs", "sis"):
+            # Their stores evict dirty L1 lines: the write-back ran.
+            assert any(
+                dirty
+                for cache_set in _cache_sets(fast.hierarchy.l2)
+                for __, dirty in cache_set
+            )
+        fast_bp = fast.core.branch_predictor
+        reference_bp = reference.core.branch_predictor
+        assert fast_bp._counters == reference_bp._counters
+        assert fast_bp._history == reference_bp._history
+
+        # The golden model's L1 holds the same blocks in the same LRU
+        # order and counts the same misses.
+        l1 = config.l1_data
+        golden = GoldenCache(l1.size_bytes, l1.block_size, l1.associativity)
+        for record in records:
+            if record.kind in (InstrKind.LOAD, InstrKind.STORE):
+                golden.access(record.addr)
+        assert [
+            [block for block, __ in cache_set]
+            for cache_set in _cache_sets(fast.hierarchy.l1)
+        ] == golden._sets
+        assert engine.totals["l1_misses"] == run_golden(
+            config, records
+        ).l1_misses
 
     def test_sampled_run_on_no_prefetch_machine(self):
         # The baseline machine has no prefetcher: warming must degrade

@@ -777,7 +777,8 @@ def _command_sweep_paired(
     """``sweep --sample-paired``: matched-pair sampling across machines."""
     import os
 
-    from repro.sim.sweep import paired_sweep
+    from repro.ioutil import atomic_write_text
+    from repro.sampling.paired import run_paired
 
     if args.sample is None:
         raise ConfigError(
@@ -796,9 +797,9 @@ def _command_sweep_paired(
         for name in machines
     }
     baseline = "base" if "base" in configs else machines[0]
-    paired = paired_sweep(
+    paired = run_paired(
         configs,
-        lambda: get_workload(args.workload, seed=args.seed),
+        get_workload(args.workload, seed=args.seed),
         max_instructions=args.instructions,
         baseline=baseline,
     )
@@ -830,10 +831,11 @@ def _command_sweep_paired(
         )
     )
     if args.campaign_dir:
-        os.makedirs(args.campaign_dir, exist_ok=True)
+        # Atomic: a kill mid-write must not leave a torn paired.json.
         paired_path = os.path.join(args.campaign_dir, "paired.json")
-        with open(paired_path, "w") as handle:
-            json.dump(paired.to_dict(), handle, indent=2)
+        atomic_write_text(
+            paired_path, json.dumps(paired.to_dict(), indent=2)
+        )
         print(f"wrote paired manifest to {paired_path}")
     return 0
 

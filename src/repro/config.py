@@ -189,7 +189,6 @@ class CoreConfig:
     """Out-of-order core parameters (Section 5.1)."""
 
     fetch_width: int = 8
-    decode_width: int = 8
     issue_width: int = 8
     retire_width: int = 8
     rob_entries: int = 128
@@ -207,7 +206,7 @@ class CoreConfig:
 
     def __post_init__(self) -> None:
         positive = (
-            "fetch_width", "decode_width", "issue_width", "retire_width",
+            "fetch_width", "issue_width", "retire_width",
             "rob_entries", "lsq_entries", "branch_predictions_per_cycle",
             "int_alu_units", "load_store_units", "fp_add_units",
             "int_mul_div_units", "fp_mul_div_units",
@@ -233,7 +232,6 @@ class StridePredictorConfig:
     entries: int = 256
     associativity: int = 4
     confidence_max: int = 7
-    confidence_initial: int = 0
 
     def __post_init__(self) -> None:
         owner = "StridePredictorConfig"
@@ -244,11 +242,6 @@ class StridePredictorConfig:
         _require(
             self.confidence_max > 0, owner, "confidence_max",
             "must be positive",
-        )
-        _require(
-            0 <= self.confidence_initial <= self.confidence_max,
-            owner, "confidence_initial",
-            f"must be within [0, confidence_max={self.confidence_max}]",
         )
 
 
@@ -467,7 +460,6 @@ class SimConfig:
     )
     l2_pipeline_depth: int = 3
     warmup_instructions: int = 0
-    max_cycles: Optional[int] = None
     #: Event-driven fast path: when the core is provably quiescent the
     #: main loop jumps straight to the next interesting cycle instead of
     #: stepping one cycle at a time.  Results are bit-identical either

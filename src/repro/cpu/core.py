@@ -383,9 +383,7 @@ class OutOfOrderCore:
                         state.warmup_cycle = cycle
                         state.warmup_retired = retired
                         loads = stores = branches = forwarded = 0
-                        self.stats.load_latency.reset()
-                        self.branch_predictor.reset_stats()
-                        self.store_tracker.reset_stats()
+                        self.reset_stats()
                         if on_warmup_end is not None:
                             on_warmup_end()
                 if rob_head > 4096 and rob_head == len(rob):
@@ -622,6 +620,12 @@ class OutOfOrderCore:
             if self.perf is not None:
                 self.perf.add("core.cycles_skipped", cycles_skipped)
         return finished
+
+    def reset_stats(self) -> None:
+        """Zero the core's own statistics (the warm-up boundary's reset)."""
+        self.stats.load_latency.reset()
+        self.branch_predictor.reset_stats()
+        self.store_tracker.reset_stats()
 
     def finish_run(self, state: _RunState) -> CoreStats:
         """Aggregate a finished (or aborted) run's post-warm-up stats."""

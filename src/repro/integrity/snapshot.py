@@ -2,8 +2,9 @@
 
 A snapshot captures the *entire* machine — caches, MSHRs, buses, stream
 buffers, predictor tables, the core's in-flight window — plus the run
-bookkeeping (:class:`repro.cpu.core._RunState`), as one pickle taken at
-a cycle boundary.  The trace iterator itself is deliberately **not**
+bookkeeping (:class:`repro.cpu.core._RunState`, or the sampling
+driver's state for a sampled run), as one pickle taken at a cycle
+boundary.  The trace iterator itself is deliberately **not**
 captured: traces here are deterministic (workload generators seeded, or
 files), so a resume rebuilds the trace from its source and skips the
 ``records_consumed`` records the snapshotted run already pulled.  The
@@ -22,7 +23,7 @@ import os
 import pickle
 import uuid
 import zlib
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.errors import IntegrityError, SimulationError
 from repro.trace.record import TraceRecord
@@ -54,23 +55,26 @@ class SimSnapshot:
         self.records_consumed = records_consumed
         self.label = label
         self.checksum = zlib.crc32(payload) & 0xFFFFFFFF
-        #: Which driver captured this snapshot: ``"detailed"`` payloads
-        #: hold ``(simulator, _RunState)`` pairs, ``"sampled"`` ones hold
-        #: ``(simulator, _SamplingState)``.  Resume paths check the tag
-        #: so a cross-mode resume fails loudly instead of deserializing
-        #: the wrong state shape into a silently diverging run.
+        #: Which kind of run captured this snapshot (:func:`run_mode`):
+        #: ``"detailed"`` payloads hold ``(simulator, _RunState)`` pairs,
+        #: ``"sampled"`` ones hold ``(simulator, _SamplingState)``.
+        #: Resume paths check the tag against the machine's config so a
+        #: mislabelled snapshot fails loudly instead of deserializing the
+        #: wrong state shape into a silently diverging run.
         self.mode = mode
 
     @classmethod
-    def capture(
-        cls, simulator, state, label: str = "run", mode: str = "detailed"
-    ) -> "SimSnapshot":
+    def capture(cls, simulator, state, label: str = "run") -> "SimSnapshot":
         """Freeze ``simulator`` + its run ``state`` into a snapshot."""
         payload = pickle.dumps(
             (simulator, state), protocol=pickle.HIGHEST_PROTOCOL
         )
         return cls(
-            payload, state.cycle, state.records_consumed, label, mode=mode
+            payload,
+            state.cycle,
+            state.records_consumed,
+            label,
+            mode=run_mode(simulator.config),
         )
 
     def verify(self) -> None:
@@ -160,6 +164,11 @@ class SimSnapshot:
         )
 
 
+def run_mode(config) -> str:
+    """The snapshot mode tag of a run of ``config``."""
+    return "detailed" if config.sampling is None else "sampled"
+
+
 def fast_forward(
     trace: Iterable[TraceRecord], records_consumed: int
 ) -> Iterator[TraceRecord]:
@@ -173,33 +182,42 @@ def resume_run(
     label: Optional[str] = None,
     snapshot_every: Optional[int] = None,
     snapshot_sink=None,
+    window_sink: Optional[List[dict]] = None,
+    on_restore: Optional[Callable] = None,
 ):
-    """Continue a snapshotted run to completion.
+    """Continue a snapshotted run, detailed or sampled, to completion.
 
     ``trace`` must be (a fresh instance of) the same deterministic trace
     the original run consumed; the first ``snapshot.records_consumed``
     records are skipped.  Returns the same
     :class:`~repro.sim.results.SimulationResult` an uninterrupted run
     would, with ``extra["resumed_from_cycle"]`` marking the seam.
+    ``window_sink`` is as for :meth:`Simulator.run
+    <repro.sim.simulator.Simulator.run>`; ``on_restore``, when given,
+    receives the restored simulator before any record is pulled.
 
-    Only ``"detailed"`` snapshots can resume here; a sampled-mode
-    snapshot carries driver state the detailed loop cannot interpret, so
-    it must resume through :func:`repro.sampling.driver.resume_sampled`.
+    The snapshot's ``mode`` tag must match the restored machine's config
+    (:func:`run_mode`); a mismatch raises
+    :class:`~repro.errors.IntegrityError`.
     """
-    if snapshot.mode != "detailed":
-        raise IntegrityError(
-            f"snapshot {snapshot.label!r} was captured in "
-            f"{snapshot.mode!r} mode and cannot resume into the detailed "
-            f"loop; use repro.sampling.driver.resume_sampled"
-        )
     simulator, state = snapshot.restore()
-    source = fast_forward(trace, snapshot.records_consumed)
+    mode = run_mode(simulator.config)
+    if snapshot.mode != mode:
+        raise IntegrityError(
+            f"snapshot {snapshot.label!r} is tagged {snapshot.mode!r} but "
+            f"its machine runs in {mode!r} mode; refusing a cross-mode "
+            "resume",
+            invariant="snapshot.mode",
+        )
+    if on_restore is not None:
+        on_restore(simulator)
     result = simulator._drive(
         state,
-        source,
+        fast_forward(trace, snapshot.records_consumed),
         label if label is not None else snapshot.label,
         snapshot_every=snapshot_every,
         snapshot_sink=snapshot_sink,
+        window_sink=window_sink,
     )
     result.extra["resumed_from_cycle"] = float(snapshot.cycle)
     return result

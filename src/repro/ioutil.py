@@ -1,11 +1,12 @@
 """Durable small-file I/O shared by the persistence layers.
 
-Every artifact the runner *rewrites in place* — the campaign manifest,
-metrics payloads, reports — must go through :func:`atomic_write_text`:
-the bytes land in a uniquely named temp file first (flushed and
-fsync'd), then one ``os.replace`` makes them visible.  A reader — or a
-process killed mid-rewrite — can therefore only ever observe the old
-complete file or the new complete file, never a truncated hybrid.
+The campaign artifacts that are rewritten in place — the runner's
+``manifest.json`` and the ``paired.json`` of ``sweep --sample-paired`` —
+go through :func:`atomic_write_text`: the bytes land in a uniquely
+named temp file first (flushed and fsync'd), then one ``os.replace``
+makes them visible.  A reader — or a process killed mid-rewrite — can
+therefore only ever observe the old complete file or the new complete
+file, never a truncated hybrid.
 
 This module is a leaf (stdlib only) so any layer can use it without
 import cycles.

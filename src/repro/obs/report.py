@@ -575,6 +575,18 @@ def paired_section(payload: Dict[str, Any]) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
+def _load_json(path: str) -> Dict[str, Any]:
+    """A campaign artifact's JSON; a torn file raises :class:`ConfigError`."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{path!r} is not valid JSON (torn write?): {exc}",
+                field="report.campaign",
+            ) from exc
+
+
 def campaign_report(campaign_dir: str) -> str:
     """Render a sweep campaign directory's manifest to markdown.
 
@@ -585,15 +597,13 @@ def campaign_report(campaign_dir: str) -> str:
     manifest_path = os.path.join(campaign_dir, "manifest.json")
     name = os.path.basename(os.path.abspath(campaign_dir))
     try:
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
+        manifest = _load_json(manifest_path)
     except OSError as exc:
         # A paired sampling sweep (`sweep --sample-paired`) runs inline
         # and leaves only paired.json; render that panel on its own.
         paired_path = os.path.join(campaign_dir, "paired.json")
         if os.path.isfile(paired_path):
-            with open(paired_path) as handle:
-                payload = json.load(handle)
+            payload = _load_json(paired_path)
             out = [f"# Campaign report: {name}", ""]
             out.extend(paired_section(payload))
             return "\n".join(out).rstrip() + "\n"

@@ -288,16 +288,17 @@ def execute_spec(
     set, fresh snapshots keep landing at ``snapshot_path`` as the run
     progresses, each one atomically replacing the last.
     """
-    from repro.integrity.snapshot import SimSnapshot, fast_forward
+    from repro.integrity.snapshot import SimSnapshot, resume_run, run_mode
     from repro.sim.simulator import Simulator
 
     trace_errors: List = []
-    machine: Dict[str, Any] = {}
+    # The live simulator, for the state-corruption fault hook.
+    machines: List[Simulator] = []
 
     def on_corrupt_state(target: str) -> None:
         from repro.runner.faults import corrupt_simulator_state
 
-        corrupt_simulator_state(machine["simulator"], target)
+        corrupt_simulator_state(machines[-1], target)
 
     records = _resolve_trace(
         spec.trace,
@@ -314,7 +315,6 @@ def execute_spec(
         def snapshot_sink(snapshot: "SimSnapshot") -> None:
             snapshot.save(snapshot_path)
 
-    resumed_cycle: Optional[int] = None
     snapshot: Optional["SimSnapshot"] = None
     snapshot_quarantined = False
     if snapshot_path is not None and os.path.exists(snapshot_path):
@@ -331,9 +331,7 @@ def execute_spec(
             except OSError:
                 pass
     if snapshot is not None:
-        expected_mode = (
-            "sampled" if spec.config.sampling is not None else "detailed"
-        )
+        expected_mode = run_mode(spec.config)
         if snapshot.mode != expected_mode:
             from repro.errors import IntegrityError
 
@@ -343,31 +341,17 @@ def execute_spec(
                 f"{expected_mode!r} mode; refusing a cross-mode resume",
                 invariant="snapshot.mode",
             )
-        if snapshot.mode == "sampled":
-            from repro.sampling.driver import resume_sampled
-
-            resumed_cycle = snapshot.cycle
-            result = resume_sampled(
-                snapshot,
-                records,
-                label=spec.run_id,
-                snapshot_every=snapshot_every,
-                snapshot_sink=snapshot_sink,
-            )
-        else:
-            simulator, state = snapshot.restore()
-            machine["simulator"] = simulator
-            resumed_cycle = snapshot.cycle
-            result = simulator._drive(
-                state,
-                fast_forward(records, snapshot.records_consumed),
-                spec.run_id,
-                snapshot_every=snapshot_every,
-                snapshot_sink=snapshot_sink,
-            )
+        result = resume_run(
+            snapshot,
+            records,
+            label=spec.run_id,
+            snapshot_every=snapshot_every,
+            snapshot_sink=snapshot_sink,
+            on_restore=machines.append,
+        )
     else:
         simulator = Simulator(spec.config)
-        machine["simulator"] = simulator
+        machines.append(simulator)
         result = simulator.run(
             records,
             max_instructions=spec.max_instructions,
@@ -376,8 +360,6 @@ def execute_spec(
             snapshot_every=snapshot_every,
             snapshot_sink=snapshot_sink,
         )
-    if resumed_cycle is not None:
-        result.extra["resumed_from_cycle"] = float(resumed_cycle)
     if snapshot_quarantined:
         result.extra["snapshot_quarantined"] = 1.0
     if trace_errors:

@@ -7,13 +7,18 @@ model's idea (:mod:`repro.integrity.golden`) into a **fast-forward
 engine** (:mod:`repro.sampling.fastforward`) that warms the *detailed
 machine's own* L1/L2 tag state, gshare predictor, and prefetcher tables
 at trace-replay speed, and a **sampling driver**
-(:mod:`repro.sampling.driver`) that alternates fast-forward gaps with
-detailed measured windows and stitches per-window IPC into a whole-trace
-estimate with a confidence interval.
+(:mod:`repro.sampling.driver`) that places detailed measured windows
+between fast-forward gaps and adds the sampling metadata (a confidence
+interval over per-window IPC, per-window rows) to the stitched result.
 
-Enable it with :meth:`repro.config.SimConfig.with_sampling` or
-``repro-sim run/sweep --sample PERIOD:WINDOW:WARMUP``; the detailed
-path is untouched when ``SimConfig.sampling`` is ``None``.
+There is no separate entry point: enable sampling with
+:meth:`repro.config.SimConfig.with_sampling` or ``repro-sim run/sweep
+--sample PERIOD:WINDOW:WARMUP`` and :meth:`Simulator.run
+<repro.sim.simulator.Simulator.run>` runs the windows through the
+detailed run's own loop, while
+:func:`repro.integrity.snapshot.resume_run` resumes either kind of
+snapshot.  With ``SimConfig.sampling`` left ``None`` no sampling code
+runs.
 
 For machine *comparisons* use the matched-pair driver
 (:mod:`repro.sampling.paired`, ``repro-sim compare --sample`` or
@@ -22,7 +27,6 @@ grid cancels the fast-forward cold-start bias in relative-IPC and
 speedup estimates — the quantities the paper's figures actually report.
 """
 
-from repro.sampling.driver import resume_sampled, run_sampled
 from repro.sampling.fastforward import FastForwardEngine
 from repro.sampling.paired import (
     PairedResult,
@@ -36,7 +40,5 @@ __all__ = [
     "PairStats",
     "PairedResult",
     "paired_from_results",
-    "resume_sampled",
     "run_paired",
-    "run_sampled",
 ]

@@ -26,27 +26,29 @@ MSHR entries, and bus reservations left by the previous window drain
 naturally as the new window's monotone clock passes them — no machinery
 is quiesced between windows.
 
-Per-window statistics are harvested right after each window and stitched
-into one :class:`~repro.sim.results.SimulationResult`: whole-trace IPC
-is instruction-weighted, and ``extra`` carries the sampling metadata
-(window count, a 95% confidence interval over per-window IPC, per-window
-rows) as plain floats so manifests round-trip unchanged.
+Each window runs through the detailed run's own chunk loop
+(:meth:`Simulator._advance_loop
+<repro.sim.simulator.Simulator._advance_loop>`) and its post-warm-up
+counters become one row; the rows go through the result builder a
+detailed run's single row goes through, so whole-trace IPC is
+instruction-weighted.  :func:`stitch` then adds the sampling metadata
+to ``extra`` (window count, a 95% confidence interval over per-window
+IPC, per-window rows) as plain floats so manifests round-trip unchanged.
 
 Snapshots: with ``snapshot_every``/``snapshot_sink`` the driver captures
 a ``mode="sampled"`` :class:`~repro.integrity.snapshot.SimSnapshot` at
 period boundaries (the first boundary at or after each ``snapshot_every``
-cycles of progress); :func:`resume_sampled` continues one to a result
-bit-identical to an uninterrupted run.  Metrics sampling and event
-tracing (:mod:`repro.obs`) stay off in sampled mode — timelines over a
+cycles of progress); :func:`repro.integrity.snapshot.resume_run`
+continues one to a result bit-identical to an uninterrupted run.
+Metrics sampling stays off in sampled mode — timelines over a
 discontinuous clock would mislead more than inform.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
-from repro.errors import IntegrityError, ReproError, SimulationError
 from repro.sampling.fastforward import FastForwardEngine
 from repro.sim.results import SimulationResult
 from repro.stats import ratio
@@ -101,126 +103,21 @@ class _SamplingState:
             setattr(self, name, value)
 
 
-def run_sampled(
+def run_windows(
     simulator,
-    trace: Iterable[TraceRecord],
-    max_instructions: Optional[int] = None,
-    label: str = "run",
-    snapshot_every: Optional[int] = None,
-    snapshot_sink: Optional[Callable] = None,
-    window_sink: Optional[List[dict]] = None,
-) -> SimulationResult:
-    """Run ``trace`` under ``simulator.config.sampling``.
-
-    Called from :meth:`repro.sim.simulator.Simulator.run` when
-    ``config.sampling`` is set; ``max_instructions`` bounds total records
-    (fast-forwarded + detailed), matching detailed-mode semantics.
-    ``window_sink``, when given, receives one *uncapped* row dict per
-    measured window (index, ipc, instructions, cycles, miss_rate) — the
-    paired driver consumes these; ``result.extra`` stays capped at
-    ``_MAX_WINDOW_ROWS`` rows either way.
-    """
-    state = _SamplingState(max_instructions)
-    return _drive_sampled(
-        simulator,
-        iter(trace),
-        state,
-        label,
-        snapshot_every=snapshot_every,
-        snapshot_sink=snapshot_sink,
-        window_sink=window_sink,
-    )
-
-
-def resume_sampled(
-    snapshot,
-    trace: Iterable[TraceRecord],
-    label: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-    snapshot_sink: Optional[Callable] = None,
-    window_sink: Optional[List[dict]] = None,
-) -> SimulationResult:
-    """Continue a ``mode="sampled"`` snapshot to completion.
-
-    The counterpart of :func:`repro.integrity.snapshot.resume_run`:
-    ``trace`` must be a fresh instance of the same deterministic trace,
-    and the stitched result is bit-identical to an uninterrupted sampled
-    run (asserted by the test suite).
-    """
-    if snapshot.mode != "sampled":
-        raise IntegrityError(
-            f"snapshot {snapshot.label!r} was captured in "
-            f"{snapshot.mode!r} mode and cannot resume into the sampling "
-            f"driver; use repro.integrity.snapshot.resume_run"
-        )
-    from repro.integrity.snapshot import fast_forward
-
-    simulator, state = snapshot.restore()
-    source = fast_forward(trace, snapshot.records_consumed)
-    result = _drive_sampled(
-        simulator,
-        source,
-        state,
-        label if label is not None else snapshot.label,
-        snapshot_every=snapshot_every,
-        snapshot_sink=snapshot_sink,
-        window_sink=window_sink,
-    )
-    result.extra["resumed_from_cycle"] = float(snapshot.cycle)
-    return result
-
-
-def _drive_sampled(
-    simulator,
-    source: Iterator[TraceRecord],
     state: _SamplingState,
-    label: str,
-    snapshot_every: Optional[int] = None,
-    snapshot_sink: Optional[Callable] = None,
-    window_sink: Optional[List[dict]] = None,
-) -> SimulationResult:
-    sampling = simulator.config.sampling
-    if sampling is None:
-        raise SimulationError(
-            "sampling driver invoked without SimConfig.sampling"
-        )
-    if snapshot_every is not None and snapshot_every <= 0:
-        raise SimulationError(
-            f"snapshot_every must be positive, got {snapshot_every}"
-        )
-    # The engine adds to the state's own totals, so after a resume the
-    # stitched ff counters cover the whole run.
-    engine = FastForwardEngine(simulator, state.ff)
-    try:
-        with simulator.perf.time("simulate"):
-            _sampling_loop(
-                simulator,
-                source,
-                state,
-                engine,
-                label,
-                snapshot_every,
-                snapshot_sink,
-            )
-    except ReproError:
-        raise
-    except Exception as error:
-        raise SimulationError(
-            f"sampled simulation {label!r} crashed: "
-            f"{type(error).__name__}: {error}"
-        ) from error
-    return _stitch(simulator, state, sampling, label, window_sink)
-
-
-def _sampling_loop(
-    simulator,
     source: Iterator[TraceRecord],
-    state: _SamplingState,
-    engine: FastForwardEngine,
     label: str,
     snapshot_every: Optional[int],
     snapshot_sink: Optional[Callable],
 ) -> None:
+    """Alternate fast-forward gaps with detailed windows to the end.
+
+    Called by :meth:`Simulator._drive
+    <repro.sim.simulator.Simulator._drive>` for a sampled config;
+    ``state.max_instructions`` bounds total records (fast-forwarded +
+    detailed), matching detailed-mode semantics.
+    """
     sampling = simulator.config.sampling
     period = sampling.period
     window = sampling.window
@@ -235,27 +132,10 @@ def _sampling_loop(
         window //= sampling.strata
         warmup //= sampling.strata
     core = simulator.core
-    hierarchy = simulator.hierarchy
-    controller = simulator.controller
-    checker = simulator.checker
+    # The engine adds to the state's own totals, so after a resume the
+    # stitched ff counters cover the whole run.
+    engine = FastForwardEngine(simulator, state.ff)
     budget = state.max_instructions
-
-    def on_warmup_end() -> None:
-        hierarchy.reset_stats()
-        if controller is not None:
-            controller.reset_stats()
-        if checker is not None:
-            checker.note_reset()
-
-    def reset_window_stats() -> None:
-        # With warmup == 0 the core's warm-up boundary never fires, so
-        # replicate its resets before the window starts measuring.
-        core.stats.load_latency.reset()
-        core.branch_predictor.reset_stats()
-        core.store_tracker.reset_stats()
-        on_warmup_end()
-
-    check_stride = checker.stride if checker is not None else None
     clock = state.cycle
     gap_target = period - (window + warmup)
     # The first gap is half a period so windows sit at period *midpoints*
@@ -309,28 +189,22 @@ def _sampling_loop(
         run_state.last_retire_cycle = clock
         run_state.warmup_cycle = clock
         if warmup == 0:
-            reset_window_stats()
-        if check_stride is None:
-            core.advance(source, run_state, on_warmup_end=on_warmup_end)
-        else:
-            while True:
-                stop = (run_state.cycle // check_stride + 1) * check_stride
-                finished = core.advance(
-                    source,
-                    run_state,
-                    on_warmup_end=on_warmup_end,
-                    stop_cycle=stop,
-                )
-                checker.on_cycle(run_state.cycle)
-                if finished:
-                    break
+            # The core's warm-up boundary never fires, so apply its
+            # resets before the window starts measuring.
+            core.reset_stats()
+            simulator._reset_stats()
+        simulator._advance_loop(run_state, source)
         stats = core.finish_run(run_state)
         clock = run_state.cycle
         state.cycle = clock
         state.records_consumed += run_state.records_consumed
         exhausted = run_state.fetched < detailed_cap
         if not run_state.warmup_pending and stats.retired > 0:
-            row = _harvest_window(simulator, stats, state)
+            row = simulator._harvest(stats)
+            # The merge counter is never reset: store this window's delta.
+            merges = row["mshr_merges"]
+            row["mshr_merges"] = merges - state.merges_seen
+            state.merges_seen = merges
             # Record-space offset of the detailed stretch: the paired
             # driver asserts both machines of a pair measured the same
             # trace spans.
@@ -351,104 +225,54 @@ def _sampling_loop(
             from repro.integrity.snapshot import SimSnapshot
 
             state.last_snapshot_cycle = clock
-            snapshot_sink(
-                SimSnapshot.capture(simulator, state, label, mode="sampled")
-            )
+            snapshot_sink(SimSnapshot.capture(simulator, state, label))
 
 
-def _harvest_window(simulator, stats, state: _SamplingState) -> dict:
-    """Raw post-warm-up counters of the window that just finished.
-
-    Every counter here was reset at the window's warm-up boundary (or by
-    ``reset_window_stats`` when warmup is 0) except the MSHR merge
-    counter, which is cumulative and recorded as a delta.
-    """
-    hierarchy = simulator.hierarchy
-    controller = simulator.controller
-    bp = simulator.core.branch_predictor
-    merges_now = hierarchy.l1_mshr.merges
-    merges = merges_now - state.merges_seen
-    state.merges_seen = merges_now
-    return {
-        "instructions": stats.retired,
-        "cycles": stats.cycles,
-        "loads": stats.loads,
-        "stores": stats.stores,
-        "branches": stats.branches,
-        "forwarded": stats.forwarded_loads,
-        "latency_total": stats.load_latency.total,
-        "latency_count": stats.load_latency.count,
-        "demand_accesses": hierarchy.demand_accesses,
-        "demand_misses": hierarchy.demand_misses,
-        "mshr_merges": merges,
-        "bp_predictions": bp.predictions,
-        "bp_mispredictions": bp.mispredictions,
-        "l1l2_busy": hierarchy.l1_l2_bus.busy_cycles,
-        "l2mem_busy": hierarchy.l2_mem_bus.busy_cycles,
-        "tlb_accesses": hierarchy.tlb.accesses,
-        "tlb_misses": hierarchy.tlb.misses,
-        "prefetches_issued": getattr(controller, "prefetches_issued", 0),
-        "prefetches_used": getattr(controller, "prefetches_used", 0),
-        "sb_allocations": getattr(controller, "allocations", 0),
-        "sb_allocations_denied": getattr(
-            controller, "allocations_denied", 0
-        ),
-    }
-
-
-def _stitch(
+def stitch(
     simulator,
     state: _SamplingState,
-    sampling,
     label: str,
     window_sink: Optional[List[dict]] = None,
 ) -> SimulationResult:
-    """Aggregate per-window counters into one whole-trace result."""
+    """The whole-trace result of a finished sampled run.
+
+    ``window_sink``, when given, receives one *uncapped* row dict per
+    measured window (index, ipc, instructions, cycles, miss_rate,
+    start_record) — the paired driver consumes these; ``result.extra``
+    stays capped at ``_MAX_WINDOW_ROWS`` rows either way.
+    """
+    sampling = simulator.config.sampling
     windows = state.windows
-    checker = simulator.checker
-
-    def total(key: str) -> int:
-        return sum(w[key] for w in windows)
-
-    instructions = total("instructions")
-    cycles = total("cycles")
+    result = simulator._result(label, windows)
     ipcs = [ratio(w["instructions"], w["cycles"]) for w in windows]
     ci95 = 0.0
     if len(ipcs) >= 2:
         mean = sum(ipcs) / len(ipcs)
         variance = sum((x - mean) ** 2 for x in ipcs) / (len(ipcs) - 1)
         ci95 = 1.96 * math.sqrt(variance) / math.sqrt(len(ipcs))
-    issued = total("prefetches_issued")
-    used = total("prefetches_used")
-    extra = {
-        # Raw counts mirroring the detailed result's extra block.
-        "demand_accesses": float(total("demand_accesses")),
-        "demand_misses": float(total("demand_misses")),
-        "l1_mshr_merges": float(total("mshr_merges")),
-        "loads": float(total("loads")),
-        "stores": float(total("stores")),
-        "branches": float(total("branches")),
-        "invariant_checks": float(
-            checker.checks_run if checker is not None else 0
-        ),
-        # Sampling metadata (floats only: manifests round-trip asdict).
-        "sampled": 1.0,
-        "sample_period": float(sampling.period),
-        "sample_window": float(sampling.window),
-        "sample_warmup": float(sampling.warmup),
-        "sample_strata": float(sampling.strata),
-        "sample_warm_confidence": float(sampling.warm_confidence),
-        "windows": float(len(windows)),
-        # No silent caps: how many per-window rows the _MAX_WINDOW_ROWS
-        # export limit dropped from this extra block (0 = none).
-        "windows_truncated": float(
-            max(0, len(windows) - _MAX_WINDOW_ROWS)
-        ),
-        "ipc_ci95": ci95,
-        "measured_instructions": float(instructions),
-        "ff_instructions": float(state.ff["instructions"]),
-        "ff_l1_misses": float(state.ff["l1_misses"]),
-    }
+    extra = result.extra
+    extra.update(
+        {
+            # Sampling metadata (floats only: manifests round-trip asdict).
+            "sampled": 1.0,
+            "sample_period": float(sampling.period),
+            "sample_window": float(sampling.window),
+            "sample_warmup": float(sampling.warmup),
+            "sample_strata": float(sampling.strata),
+            "sample_warm_confidence": float(sampling.warm_confidence),
+            "windows": float(len(windows)),
+            # No silent caps: how many per-window rows the
+            # _MAX_WINDOW_ROWS export limit dropped from this extra block
+            # (0 = none).
+            "windows_truncated": float(
+                max(0, len(windows) - _MAX_WINDOW_ROWS)
+            ),
+            "ipc_ci95": ci95,
+            "measured_instructions": float(result.instructions),
+            "ff_instructions": float(state.ff["instructions"]),
+            "ff_l1_misses": float(state.ff["l1_misses"]),
+        }
+    )
     for index, (w, ipc) in enumerate(zip(windows, ipcs)):
         miss_rate = ratio(w["demand_misses"], w["demand_accesses"])
         if window_sink is not None:
@@ -468,34 +292,4 @@ def _stitch(
         extra[f"win.{index}.instructions"] = float(w["instructions"])
         extra[f"win.{index}.cycles"] = float(w["cycles"])
         extra[f"win.{index}.miss_rate"] = miss_rate
-    return SimulationResult(
-        label=label,
-        instructions=instructions,
-        cycles=cycles,
-        ipc=ratio(instructions, cycles),
-        l1_miss_rate=ratio(
-            total("demand_misses"), total("demand_accesses")
-        ),
-        avg_load_latency=ratio(
-            total("latency_total"), total("latency_count")
-        ),
-        load_fraction=ratio(total("loads"), instructions),
-        store_fraction=ratio(total("stores"), instructions),
-        branch_misprediction_rate=ratio(
-            total("bp_mispredictions"), total("bp_predictions")
-        ),
-        l1_l2_bus_utilization=min(
-            1.0, ratio(total("l1l2_busy"), cycles)
-        ),
-        l2_mem_bus_utilization=min(
-            1.0, ratio(total("l2mem_busy"), cycles)
-        ),
-        prefetches_issued=issued,
-        prefetches_used=used,
-        prefetch_accuracy=min(1.0, ratio(used, issued)),
-        sb_allocations=total("sb_allocations"),
-        sb_allocations_denied=total("sb_allocations_denied"),
-        forwarded_loads=total("forwarded"),
-        tlb_miss_rate=ratio(total("tlb_misses"), total("tlb_accesses")),
-        extra=extra,
-    )
+    return result

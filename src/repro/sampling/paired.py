@@ -237,9 +237,8 @@ def run_paired(
     label).  ``snapshot_sink``, when given with ``snapshot_every``,
     receives ``(label, snapshot)`` pairs — each leg snapshots like an
     ordinary sampled run and resumes through
-    :func:`repro.sampling.driver.resume_sampled`.
+    :func:`repro.integrity.snapshot.resume_run`.
     """
-    from repro.sampling.driver import run_sampled
     from repro.sim.simulator import Simulator
 
     if len(configs) < 2:
@@ -286,8 +285,7 @@ def run_paired(
                 snapshot_sink(_label, snapshot)
 
         rows: List[dict] = []
-        results[label] = run_sampled(
-            Simulator(configs[label]),
+        results[label] = Simulator(configs[label]).run(
             iter(records),
             max_instructions=max_instructions,
             label=label,

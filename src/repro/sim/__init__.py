@@ -12,7 +12,6 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator, simulate
 from repro.sim.sweep import (
     cache_sweep,
-    paired_sweep,
     run_configs,
     sharing_sweep,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "Simulator",
     "simulate",
     "cache_sweep",
-    "paired_sweep",
     "run_configs",
     "sharing_sweep",
 ]

@@ -126,37 +126,6 @@ def sharing_sweep(
     )
 
 
-def paired_sweep(
-    configs: Dict[str, SimConfig],
-    trace_factory: TraceFactory,
-    max_instructions: Optional[int] = None,
-    baseline: Optional[str] = None,
-):
-    """Sample every machine over the same window grid of one workload.
-
-    The matched-pair counterpart of :func:`run_configs` for sampled
-    sweeps: instead of giving each machine its own trace copy, the
-    trace is materialised once and every config runs the *identical*
-    record sequence and window grid through
-    :func:`repro.sampling.paired.run_paired`, so the fast-forward
-    cold-start bias cancels in the relative-IPC estimates (the
-    quantities Figure 5-style comparisons report).  Every config must
-    carry the same :class:`~repro.config.SamplingConfig`.
-
-    Runs inline by design — the legs share one materialised trace, and
-    a paired comparison is only meaningful when all legs complete.
-    Returns a :class:`~repro.sampling.paired.PairedResult`.
-    """
-    from repro.sampling.paired import run_paired
-
-    return run_paired(
-        configs,
-        trace_factory(),
-        max_instructions=max_instructions,
-        baseline=baseline,
-    )
-
-
 def cache_sweep(
     base_config: SimConfig,
     trace_factory: TraceFactory,

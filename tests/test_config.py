@@ -182,10 +182,6 @@ class TestConstructionValidation:
         with pytest.raises(ConfigError):
             StreamBufferConfig(num_buffers=0)
 
-    def test_confidence_initial_above_max(self):
-        with pytest.raises(ConfigError):
-            StridePredictorConfig(confidence_max=7, confidence_initial=8)
-
     def test_confidence_threshold_outside_counter_range(self):
         with pytest.raises(ConfigError) as excinfo:
             PrefetchConfig(

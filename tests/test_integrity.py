@@ -247,8 +247,19 @@ class TestSnapshotReplay:
         assert loaded.cycle == snapshots[0].cycle
         assert loaded.records_consumed == snapshots[0].records_consumed
 
-    def test_crashed_campaign_point_resumes_from_snapshot(self, tmp_path):
-        config = psb_config()
+    @pytest.mark.parametrize(
+        "config",
+        [
+            psb_config(),
+            # Snapshots land at period boundaries; the first one (after
+            # record 1_150) precedes the crash at record 3_000.
+            psb_config().with_sampling(period=2_000, window=200, warmup=100),
+        ],
+        ids=["detailed", "sampled"],
+    )
+    def test_crashed_campaign_point_resumes_from_snapshot(
+        self, tmp_path, config
+    ):
         reference = simulate(
             config, _trace(), max_instructions=INSTRUCTIONS, label="crash/psb"
         )

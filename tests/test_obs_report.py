@@ -160,6 +160,19 @@ class TestCampaignReport:
         with pytest.raises(ConfigError):
             campaign_report(str(tmp_path))
 
+    # A paired-only directory (``sweep --sample-paired``) has no
+    # manifest.json, so its paired.json is the file read.
+    @pytest.mark.parametrize("name", ["manifest.json", "paired.json"])
+    def test_torn_campaign_file_is_a_clean_error(self, tmp_path, capsys,
+                                                 name):
+        (tmp_path / name).write_text('{"status": "compl')
+        with pytest.raises(ConfigError, match=name):
+            campaign_report(str(tmp_path))
+        assert main(["report", "--campaign", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sim: error:")
+        assert "Traceback" not in err
+
 
 class TestCliRoundTrip:
     def test_run_metrics_then_report(self, tmp_path, monkeypatch):

@@ -14,15 +14,14 @@ import pytest
 
 from repro.config import SimConfig
 from repro.errors import SimulationError
+from repro.integrity.snapshot import resume_run
 from repro.sampling import (
     PairedResult,
     paired_from_results,
-    resume_sampled,
     run_paired,
 )
 from repro.sim.presets import baseline_config, psb_config
 from repro.sim.simulator import Simulator
-from repro.sim.sweep import paired_sweep
 from repro.workloads import cached_workload_trace
 
 
@@ -98,17 +97,6 @@ class TestDeterminism:
         assert clone.to_dict() == paired.to_dict()
         assert clone.pairs["psb"] == paired.pairs["psb"]
 
-    def test_paired_sweep_delegates(self):
-        paired = paired_sweep(
-            {"base": _sampled(baseline_config()),
-             "psb": _sampled(psb_config())},
-            lambda: iter(_health()),
-            max_instructions=120_000,
-            baseline="base",
-        )
-        assert sorted(paired.results) == ["base", "psb"]
-        assert paired.baseline == "base"
-
 
 class TestSnapshotResume:
     def test_resumed_legs_stitch_bit_identically(self):
@@ -134,7 +122,7 @@ class TestSnapshotResume:
         results, window_rows = {}, {}
         for label in ("base", "psb"):
             rows = []
-            resumed = resume_sampled(
+            resumed = resume_run(
                 snapshots[label][0], iter(records), window_sink=rows
             )
             # Resume stamps provenance; strip it before the comparison —

@@ -12,7 +12,7 @@ The sampled estimator's contract has three legs, each pinned here:
   workload keep the bound honest in the test suite).
 - **Isolation** — sampling must never perturb the detailed path, and
   incompatible combinations (run-level warm-up, golden checking,
-  cross-mode snapshot resume) fail loudly.
+  a snapshot whose mode tag disagrees with its machine) fail loudly.
 """
 
 import pytest
@@ -29,7 +29,7 @@ from repro.runner import (
     WorkloadSpec,
     execute_spec,
 )
-from repro.sampling import FastForwardEngine, resume_sampled, run_sampled
+from repro.sampling import FastForwardEngine
 from repro.sim import baseline_config, psb_config
 from repro.sim.presets import demand_markov_config, next_line_config
 from repro.sim.simulator import Simulator
@@ -117,11 +117,6 @@ class TestGuards:
         )
         with pytest.raises(ConfigError, match="sampl"):
             execute_spec(spec)
-
-    def test_driver_requires_sampling_config(self):
-        simulator = Simulator(psb_config())
-        with pytest.raises(SimulationError, match="sampling"):
-            run_sampled(simulator, iter(()), max_instructions=10)
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +270,9 @@ class TestSampledSnapshots:
         assert revived.mode == "detailed"
 
     def test_cross_mode_resume_refused_both_ways(self):
+        # resume_run checks the snapshot's tag against the restored
+        # machine's config, so a mislabelled snapshot of either kind is
+        # refused before it runs.
         records = cached_workload_trace("health", seed=1,
                                         instructions=100_000)
         sampled_config = psb_config().with_sampling(
@@ -286,10 +284,12 @@ class TestSampledSnapshots:
             records, max_instructions=3_000,
             snapshot_every=500, snapshot_sink=detailed_snaps.append,
         )
-        with pytest.raises(IntegrityError, match="sampled"):
+        sampled_snaps[0].mode = "detailed"
+        detailed_snaps[0].mode = "sampled"
+        with pytest.raises(IntegrityError, match="runs in 'sampled' mode"):
             resume_run(sampled_snaps[0], records)
-        with pytest.raises(IntegrityError, match="detailed"):
-            resume_sampled(detailed_snaps[0], records)
+        with pytest.raises(IntegrityError, match="runs in 'detailed' mode"):
+            resume_run(detailed_snaps[0], records)
 
     def test_resume_is_bit_identical(self):
         records = cached_workload_trace("health", seed=1,
@@ -300,7 +300,7 @@ class TestSampledSnapshots:
         whole = self._sampled_run(records, config, snapshots.append)
         assert snapshots
         for snapshot in (snapshots[0], snapshots[-1]):
-            resumed = resume_sampled(snapshot, records)
+            resumed = resume_run(snapshot, records)
             assert resumed.extra["resumed_from_cycle"] == float(
                 snapshot.cycle
             )

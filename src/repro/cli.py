@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.report import ascii_table
 from repro.config import BufferSharing, InvariantLevel, SimConfig
@@ -174,25 +174,32 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload names (default: all six)",
     )
     bench.add_argument(
-        "--machine", choices=sorted(MACHINES), default="base",
-        help="machine config to benchmark (default: base)",
+        "--machine", choices=sorted(MACHINES), default=None,
+        help="machine config to benchmark (default: base; psb with "
+             "--sampling, which refuses base: its paired leg compares "
+             "against base)",
     )
-    bench.add_argument("--instructions", type=int, default=50_000)
+    bench.add_argument(
+        "--instructions", type=int, default=None,
+        help="default: 50000; 10000 with --quick; 1000000 with --sampling",
+    )
     bench.add_argument("--warmup", type=int, default=None,
-                       help="default: instructions // 3")
+                       help="default: instructions // 3 (core suite only)")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="runs per mode; best wall time wins (default: 3)",
+        "--repeats", type=int, default=None,
+        help="runs per mode; best wall time wins (core suite only; "
+             "default: 3)",
     )
     bench.add_argument(
-        "--quick", action="store_true",
+        "--quick", action="store_true", default=None,
         help="small instruction budget and pointer workloads only "
-             "(CI smoke)",
+             "(CI smoke; core suite only)",
     )
     bench.add_argument(
-        "--out", default="BENCH_core.json",
-        help="report path (default: BENCH_core.json)",
+        "--out", default=None,
+        help="report path (default: BENCH_core.json; BENCH_sampling.json "
+             "with --sampling)",
     )
     bench.add_argument(
         "--check", default=None, metavar="BASELINE",
@@ -215,20 +222,24 @@ def _build_parser() -> argparse.ArgumentParser:
              "relative-IPC error, and effective speedup (defaults: "
              "machine psb, 1000000 instructions, out BENCH_sampling.json)",
     )
-    _add_sample_argument(bench)
     bench.add_argument(
-        "--error-bound", type=float, default=0.10, metavar="FRACTION",
+        "--sample", default=None, metavar="PERIOD:WINDOW:WARMUP",
+        help="with --sampling: the classic leg's sampling shape "
+             "(default: 50000:1000:500)",
+    )
+    bench.add_argument(
+        "--error-bound", type=float, default=None, metavar="FRACTION",
         help="with --sampling: stated |IPC error| bound for the tuned "
              "(stratified + warm-confidence) leg stamped into the report "
              "(default: 0.10)",
     )
     bench.add_argument(
-        "--paired-bound", type=float, default=0.05, metavar="FRACTION",
+        "--paired-bound", type=float, default=None, metavar="FRACTION",
         help="with --sampling: stated |relative-IPC error| bound for the "
              "matched-pair leg stamped into the report (default: 0.05)",
     )
     bench.add_argument(
-        "--speedup-floor", type=float, default=10.0, metavar="X",
+        "--speedup-floor", type=float, default=None, metavar="X",
         help="with --sampling: stated effective-speedup floor stamped "
              "into the report (default: 10.0)",
     )
@@ -936,16 +947,50 @@ def _command_trace_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Options only one ``bench`` suite reads, as (option, argparse dest);
+#: each defaults to None.  The other suite rejects them instead of
+#: silently ignoring them.
+_BENCH_SUITE_OPTIONS = {
+    "core": (("--quick", "quick"), ("--warmup", "warmup"),
+             ("--repeats", "repeats")),
+    "sampling": (("--sample", "sample"), ("--error-bound", "error_bound"),
+                 ("--paired-bound", "paired_bound"),
+                 ("--speedup-floor", "speedup_floor")),
+}
+
+
+def _default(value: Any, default: Any) -> Any:
+    """``value``, or ``default`` when the flag was not given."""
+    return default if value is None else value
+
+
 def _command_bench(args: argparse.Namespace) -> int:
     from repro.perf import (
         check_against_baseline,
+        check_sampling_baseline,
         format_report,
+        format_sampling_report,
         load_baseline,
         run_bench,
+        run_sampling_bench,
         write_report,
     )
     from repro.workloads import PAPER_WORKLOADS, POINTER_WORKLOADS
 
+    suite, other = (
+        ("sampling", "core") if args.sampling else ("core", "sampling")
+    )
+    foreign = [
+        option
+        for option, dest in _BENCH_SUITE_OPTIONS[other]
+        if getattr(args, dest) is not None
+    ]
+    if foreign:
+        raise ConfigError(
+            f"bench: {', '.join(foreign)} only applies to the {other} "
+            f"suite, not the {suite} suite",
+            field="bench",
+        )
     if args.workloads is not None:
         workloads = [
             name.strip() for name in args.workloads.split(",") if name.strip()
@@ -960,93 +1005,59 @@ def _command_bench(args: argparse.Namespace) -> int:
         # six Table 1 stand-ins, and extension workloads must not widen
         # the gate's scope implicitly.
         workloads = list(PAPER_WORKLOADS)
-    instructions = args.instructions
-    if args.quick and args.instructions == 50_000:
-        instructions = 10_000
 
     if args.sampling:
-        if args.quick:
+        # The suite's own defaults: the regression target is the paper
+        # machine at acceptance scale, not the core suite's quick shape.
+        machine = _default(args.machine, "psb")
+        if machine == "base":
             raise ConfigError(
-                "bench: --sampling has no --quick mode; the error/"
-                "speedup gate is only meaningful at full trace scale",
-                field="bench.sampling",
+                "bench: --sampling cannot benchmark --machine base; its "
+                "paired leg compares every machine against base",
+                field="bench.machine",
             )
-        return _bench_sampling(args, workloads)
-
-    report = run_bench(
-        workloads,
-        MACHINES[args.machine](),
-        machine=args.machine,
-        instructions=instructions,
-        warmup=args.warmup,
-        seed=args.seed,
-        repeats=args.repeats,
-        profile_dir=args.profile,
-    )
-    write_report(report, args.out)
-    print(format_report(report))
-    print(f"wrote {args.out}")
-    if args.profile:
-        print(f"cProfile dumps in {args.profile}/")
-
-    if args.check is not None:
-        baseline = load_baseline(args.check)
-        failures = check_against_baseline(
-            report, baseline, tolerance=args.tolerance
+        report = run_sampling_bench(
+            workloads,
+            MACHINES[machine](),
+            machine=machine,
+            instructions=_default(args.instructions, 1_000_000),
+            seed=args.seed,
+            sample=(
+                _parse_sample(args.sample) if args.sample is not None
+                else (50_000, 1_000, 500)
+            ),
+            ipc_error_bound=_default(args.error_bound, 0.10),
+            paired_error_bound=_default(args.paired_bound, 0.05),
+            speedup_floor=_default(args.speedup_floor, 10.0),
+            profile_dir=args.profile,
         )
-        if failures:
-            for failure in failures:
-                print(f"bench regression: {failure}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check} "
-              f"(tolerance {args.tolerance * 100:.0f}%)")
-    return 0
-
-
-def _bench_sampling(args: argparse.Namespace, workloads: List[str]) -> int:
-    """The ``bench --sampling`` suite: detailed vs sampled per workload."""
-    from repro.perf import (
-        check_sampling_baseline,
-        format_sampling_report,
-        load_baseline,
-        run_sampling_bench,
-        write_report,
-    )
-
-    # The suite's own defaults: the regression target is the paper
-    # machine at acceptance scale, not the core suite's quick shape.
-    machine = "psb" if args.machine == "base" else args.machine
-    instructions = args.instructions
-    if instructions == 50_000:
-        instructions = 1_000_000
-    out = args.out
-    if out == "BENCH_core.json":
-        out = "BENCH_sampling.json"
-    sample = _parse_sample(args.sample) if args.sample else (50_000, 1_000, 500)
-
-    report = run_sampling_bench(
-        workloads,
-        MACHINES[machine](),
-        machine=machine,
-        instructions=instructions,
-        seed=args.seed,
-        sample=sample,
-        ipc_error_bound=args.error_bound,
-        paired_error_bound=args.paired_bound,
-        speedup_floor=args.speedup_floor,
-        profile_dir=args.profile,
-    )
+        out = _default(args.out, "BENCH_sampling.json")
+        check, describe = check_sampling_baseline, format_sampling_report
+    else:
+        machine = _default(args.machine, "base")
+        report = run_bench(
+            workloads,
+            MACHINES[machine](),
+            machine=machine,
+            instructions=_default(
+                args.instructions, 10_000 if args.quick else 50_000
+            ),
+            warmup=args.warmup,
+            seed=args.seed,
+            repeats=_default(args.repeats, 3),
+            profile_dir=args.profile,
+        )
+        out = _default(args.out, "BENCH_core.json")
+        check, describe = check_against_baseline, format_report
     write_report(report, out)
-    print(format_sampling_report(report))
+    print(describe(report))
     print(f"wrote {out}")
     if args.profile:
         print(f"cProfile dumps in {args.profile}/")
 
     if args.check is not None:
         baseline = load_baseline(args.check)
-        failures = check_sampling_baseline(
-            report, baseline, tolerance=args.tolerance
-        )
+        failures = check(report, baseline, tolerance=args.tolerance)
         if failures:
             for failure in failures:
                 print(f"bench regression: {failure}", file=sys.stderr)

@@ -32,20 +32,35 @@ PAYLOAD_FORMAT = "repro-obs-metrics-v1"
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
 
-def load_metrics(path: str) -> Dict[str, Any]:
-    """Load and validate a metrics payload written by ``run --metrics``."""
+def _load_json(path: str, what: str, field: str) -> Dict[str, Any]:
+    """Read a report input that must hold one JSON object.
+
+    A missing or unreadable file, a torn write and valid JSON that is
+    not an object all raise :class:`ConfigError` naming ``what`` and
+    ``path``; ``field`` tags the error.
+    """
     try:
         with open(path) as handle:
             payload = json.load(handle)
     except OSError as exc:
-        raise ConfigError(
-            f"metrics file {path!r}: {exc}", field="report.metrics"
-        ) from exc
+        raise ConfigError(f"{what} {path!r}: {exc}", field=field) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"metrics file {path!r} is not valid JSON: {exc}",
-            field="report.metrics",
+            f"{what} {path!r} is not valid JSON (torn write?): {exc}",
+            field=field,
         ) from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(
+            f"{what} {path!r}: expected a JSON object, got "
+            f"{type(payload).__name__}",
+            field=field,
+        )
+    return payload
+
+
+def load_metrics(path: str) -> Dict[str, Any]:
+    """Load and validate a metrics payload written by ``run --metrics``."""
+    payload = _load_json(path, "metrics file", "report.metrics")
     if payload.get("format") != PAYLOAD_FORMAT:
         raise ConfigError(
             f"metrics file {path!r}: expected format {PAYLOAD_FORMAT!r}, "
@@ -575,16 +590,9 @@ def paired_section(payload: Dict[str, Any]) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str) -> Dict[str, Any]:
-    """A campaign artifact's JSON; a torn file raises :class:`ConfigError`."""
-    with open(path) as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path!r} is not valid JSON (torn write?): {exc}",
-                field="report.campaign",
-            ) from exc
+def _load_campaign_file(path: str) -> Dict[str, Any]:
+    """A campaign directory's ``manifest.json`` or ``paired.json``."""
+    return _load_json(path, "campaign file", "report.campaign")
 
 
 def campaign_report(campaign_dir: str) -> str:
@@ -595,24 +603,15 @@ def campaign_report(campaign_dir: str) -> str:
     recorded them.
     """
     manifest_path = os.path.join(campaign_dir, "manifest.json")
+    paired_path = os.path.join(campaign_dir, "paired.json")
     name = os.path.basename(os.path.abspath(campaign_dir))
-    try:
-        manifest = _load_json(manifest_path)
-    except OSError as exc:
+    out: List[str] = [f"# Campaign report: {name}", ""]
+    if not os.path.exists(manifest_path) and os.path.isfile(paired_path):
         # A paired sampling sweep (`sweep --sample-paired`) runs inline
         # and leaves only paired.json; render that panel on its own.
-        paired_path = os.path.join(campaign_dir, "paired.json")
-        if os.path.isfile(paired_path):
-            payload = _load_json(paired_path)
-            out = [f"# Campaign report: {name}", ""]
-            out.extend(paired_section(payload))
-            return "\n".join(out).rstrip() + "\n"
-        raise ConfigError(
-            f"campaign dir {campaign_dir!r} has no readable manifest.json: "
-            f"{exc}",
-            field="report.campaign",
-        ) from exc
-    out: List[str] = [f"# Campaign report: {name}", ""]
+        out.extend(paired_section(_load_campaign_file(paired_path)))
+        return "\n".join(out).rstrip() + "\n"
+    manifest = _load_campaign_file(manifest_path)
     rows = [
         ("Status", manifest.get("status", "?")),
         ("Total points", manifest.get("total_points", "?")),
@@ -666,15 +665,8 @@ def campaign_report(campaign_dir: str) -> str:
         if len(ipcs) >= 2:
             out.append(f"IPC across points: `{sparkline([v for _, v in ipcs])}`")
             out.append("")
-    paired_path = os.path.join(campaign_dir, "paired.json")
     if os.path.isfile(paired_path):
-        try:
-            with open(paired_path) as handle:
-                paired_payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            paired_payload = None
-        if paired_payload:
-            out.extend(paired_section(paired_payload))
+        out.extend(paired_section(_load_campaign_file(paired_path)))
     failures = manifest.get("failures", [])
     if failures:
         out.append("## Failures")

@@ -149,13 +149,30 @@ class EventTrace:
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL event file written by :meth:`EventTrace.write_jsonl`."""
+    """Load a JSONL event file written by :meth:`EventTrace.write_jsonl`.
+
+    A missing file, or a line that is not valid JSON (a torn write),
+    raises :class:`ConfigError` naming the file and the line.
+    """
     events: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
+    try:
+        with open(path) as handle:
+            for number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    events.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(
+                        f"event file {path!r}, line {number}: not valid "
+                        f"JSON (torn write?): {exc}",
+                        field="report.events",
+                    ) from exc
+    except OSError as exc:
+        raise ConfigError(
+            f"event file {path!r}: {exc}", field="report.events"
+        ) from exc
     return events
 
 

@@ -15,7 +15,8 @@ failure-handling machinery that a long unattended sweep needs:
   Points complete out of order; the in-memory campaign and the manifest
   are re-ordered back to spec order, so ``workers=N`` output is
   directly comparable to ``workers=1``.  ``isolation="inline"`` runs
-  each point's whole retry loop in the runner's own process instead.
+  the attempts in the runner's own process instead, one at a time, and
+  retries them exactly as a worker's.
 - **Timeouts** — a wall-clock budget per attempt
   (:class:`~repro.errors.RunTimeoutError` when exceeded), tracked as a
   *deadline* per in-flight attempt — the scheduler never blocks in
@@ -25,9 +26,9 @@ failure-handling machinery that a long unattended sweep needs:
   is marked ``retryable`` in the taxonomy are retried; a
   :class:`~repro.errors.ConfigError` or
   :class:`~repro.errors.TraceFormatError` is determinate and fails the
-  point immediately.  A backoff never blocks the worker slots: the
-  retry is *rescheduled* with an eligibility deadline and other points
-  run in the meantime.
+  point immediately.  A backoff never blocks the campaign: the retry is
+  *rescheduled* with an eligibility deadline and other points run in
+  the meantime, inline or on a worker.
 - **Checkpointing** — every terminal outcome is appended to
   ``checkpoint.jsonl`` in the campaign directory; ``resume=True`` skips
   points already recorded there (matching both ``run_id`` and spec
@@ -201,11 +202,36 @@ class RunOutcome:
 class CampaignResult:
     """Everything a campaign produced, completed and failed alike."""
 
-    results: Dict[str, SimulationResult] = field(default_factory=dict)
-    failures: Dict[str, RunOutcome] = field(default_factory=dict)
+    #: The terminal outcome of every finished point, in spec order.
     outcomes: Dict[str, RunOutcome] = field(default_factory=dict)
-    resumed: List[str] = field(default_factory=list)
     manifest: Optional[Dict[str, Any]] = None
+
+    @property
+    def results(self) -> Dict[str, SimulationResult]:
+        """The completed points' results, keyed by ``run_id``."""
+        return {
+            run_id: outcome.result
+            for run_id, outcome in self.outcomes.items()
+            if outcome.ok
+        }
+
+    @property
+    def failures(self) -> Dict[str, RunOutcome]:
+        """The failed and poisoned points' outcomes, keyed by ``run_id``."""
+        return {
+            run_id: outcome
+            for run_id, outcome in self.outcomes.items()
+            if not outcome.ok
+        }
+
+    @property
+    def resumed(self) -> List[str]:
+        """The ``run_id``\\ s replayed from the checkpoint, not re-run."""
+        return [
+            run_id
+            for run_id, outcome in self.outcomes.items()
+            if outcome.resumed
+        ]
 
 
 def _cacheable(trace: TraceSource, max_instructions: Optional[int]) -> bool:
@@ -425,7 +451,6 @@ class CampaignRunner:
         resume: bool = False,
         snapshot_every: Optional[int] = None,
         sleep: Callable[[float], None] = time.sleep,
-        on_outcome: Optional[Callable[[RunOutcome], None]] = None,
         progress: Optional[Any] = None,
         chaos: Optional[ChaosSpec] = None,
         max_worker_kills: int = 3,
@@ -533,7 +558,6 @@ class CampaignRunner:
         #: the default disposition kill the process mid-append.
         self.handle_signals = handle_signals
         self._sleep = sleep
-        self._on_outcome = on_outcome
         self._progress = progress
         self._chaos_engine: Optional[ChaosEngine] = None
         self._stop_requested = False
@@ -544,13 +568,14 @@ class CampaignRunner:
         """Ask a running campaign to stop at the next safe boundary.
 
         Safe to call from a signal handler or another thread.  The
-        scheduler stops launching points and kills its outstanding
-        workers; their un-checkpointed points re-run on resume.  Under
-        ``isolation="inline"`` the point in progress finishes (and is
-        checkpointed) first, since there is no worker to kill.  Either
-        way the runner flushes pending checkpoint appends and writes a
-        resumable manifest with status ``"interrupted"`` before
-        :meth:`run` returns — nothing recorded is lost, nothing torn.
+        scheduler stops launching attempts and kills its outstanding
+        workers; an inline attempt in progress finishes (and a terminal
+        outcome is checkpointed) first, since there is no worker to
+        kill.  Points not yet terminal, a retry backing off included,
+        are dropped and re-run on resume.  The runner flushes pending
+        checkpoint appends and writes a resumable manifest with status
+        ``"interrupted"`` before :meth:`run` returns — nothing recorded
+        is lost, nothing torn.
         """
         self._stop_requested = True
 
@@ -566,73 +591,6 @@ class CampaignRunner:
         return os.path.join(
             self.campaign_dir, "snapshots", spec.fingerprint() + ".snap"
         )
-
-    # -- retry loop ----------------------------------------------------
-
-    def _run_spec(self, spec: RunSpec) -> RunOutcome:
-        """A point's whole retry loop, run inline in this process."""
-        start = time.monotonic()
-        last_error: Optional[ReproError] = None
-        attempts = 0
-        snapshot_path = self._snapshot_path(spec)
-        for attempt in range(self.retries + 1):
-            attempts = attempt + 1
-            try:
-                result = execute_spec(
-                    spec, attempt, self.snapshot_every, snapshot_path
-                )
-                self._discard_snapshot(snapshot_path)
-                return RunOutcome(
-                    run_id=spec.run_id,
-                    status="ok",
-                    attempts=attempts,
-                    result=result,
-                    elapsed_seconds=time.monotonic() - start,
-                )
-            except KeyboardInterrupt:
-                raise
-            except ReproError as error:
-                last_error = error
-            except Exception as error:
-                # The trace source itself can raise before simulate
-                # classifies anything: treat as a simulation failure.
-                last_error = SimulationError(
-                    f"run {spec.run_id!r} raised "
-                    f"{type(error).__name__}: {error}"
-                )
-            if not last_error.retryable or attempt == self.retries:
-                break
-            if self._chaos_engine is not None and snapshot_path is not None:
-                self._chaos_engine.maybe_corrupt_snapshot(snapshot_path)
-            self._sleep(
-                min(self.backoff_max, self.backoff_base * (2.0 ** attempt))
-            )
-        assert last_error is not None
-        self._discard_snapshot(snapshot_path)
-        return RunOutcome(
-            run_id=spec.run_id,
-            status="failed",
-            attempts=attempts,
-            error_kind=error_kind(last_error),
-            error_message=str(last_error),
-            elapsed_seconds=time.monotonic() - start,
-        )
-
-    @staticmethod
-    def _discard_snapshot(snapshot_path: Optional[str]) -> None:
-        """Drop a point's within-run snapshot at a *terminal* outcome.
-
-        Success no longer needs the seed; terminal failure must not
-        leave it either, or a later resume could fast-forward from a
-        snapshot captured under a different attempt's fault schedule.
-        Mid-retry snapshots (a timed-out attempt resuming where it
-        stopped) are untouched — this runs only when the point is done.
-        """
-        if snapshot_path is not None and os.path.exists(snapshot_path):
-            try:
-                os.remove(snapshot_path)
-            except OSError:
-                pass
 
     # -- checkpoint plumbing -------------------------------------------
 
@@ -677,17 +635,16 @@ class CampaignRunner:
         """Execute a single point outside any campaign bookkeeping.
 
         Drives a one-point campaign with no checkpoint store and no
-        progress/outcome hooks: isolation, timeout, retry, and the
-        worker watchdog apply, and a failure always raises (so callers
-        keep plain function semantics).
+        progress hooks: isolation, timeout, retry, and the worker
+        watchdog apply, and a failure always raises (so callers keep
+        plain function semantics).
         """
         self._stop_requested = False
         self._chaos_engine = None  # chaos is a campaign-level plan
         campaign = CampaignResult()
-        _Scheduler(
-            self, [(0, spec, spec.fingerprint())], None, campaign,
-            notify=False,
-        ).drive()
+        scheduler = _Scheduler(self, None, campaign, notify=False)
+        scheduler.add(0, spec, spec.fingerprint())
+        scheduler.drive()
         outcome = campaign.outcomes.get(spec.run_id)
         if outcome is None:
             raise SimulationError(
@@ -754,24 +711,27 @@ class CampaignRunner:
                     )
                 except (OSError, ValueError):  # pragma: no cover
                     continue
+        status = "interrupted"
+        pending_error: Optional[BaseException] = None
         try:
             status, pending_error = self._drive(specs, prior, store, campaign)
-        except KeyboardInterrupt:
-            self._order_campaign(campaign, specs)
-            if store is not None:
-                campaign.manifest = self._try_write_manifest(
-                    store, "interrupted", len(specs), campaign
-                )
-            if self._progress is not None:
-                self._progress.finish("interrupted")
-            raise
+        except KeyboardInterrupt as interrupt:
+            pending_error = interrupt
         finally:
             for signum, handler in previous_handlers:
                 try:
                     signal.signal(signum, handler)
                 except (OSError, ValueError):  # pragma: no cover
                     pass
-        self._order_campaign(campaign, specs)
+        # Completion is out of order; re-keying by the spec list makes
+        # the campaign (and the manifest derived from it) independent
+        # of scheduling, so ``workers=N`` output is directly comparable
+        # to ``workers=1``.
+        campaign.outcomes = {
+            spec.run_id: campaign.outcomes[spec.run_id]
+            for spec in specs
+            if spec.run_id in campaign.outcomes
+        }
         if store is not None:
             campaign.manifest = self._try_write_manifest(
                 store, status, len(specs), campaign
@@ -792,26 +752,20 @@ class CampaignRunner:
         campaign: CampaignResult,
     ) -> "Tuple[str, Optional[ReproError]]":
         """Replay checkpointed points, then schedule the rest."""
-        queue: List[Tuple[int, RunSpec, str]] = []
+        scheduler = _Scheduler(self, store, campaign)
         for index, spec in enumerate(specs):
             fingerprint = spec.fingerprint()
             entry = prior.get(spec.run_id)
-            if entry is not None and entry.get("fingerprint") == fingerprint:
-                outcome = self._outcome_of(entry)
-                campaign.resumed.append(spec.run_id)
-                self._record(campaign, outcome)
-                if self._progress is not None:
-                    self._progress.point_finished(outcome)
-                if self._on_outcome is not None:
-                    self._on_outcome(outcome)
-                if not outcome.ok and self.on_error == "fail":
-                    return "failed", self._failure_error(outcome)
-            else:
-                queue.append((index, spec, fingerprint))
-        warmed = self._prewarm_caches([spec for _, spec, _ in queue])
+            if entry is None or entry.get("fingerprint") != fingerprint:
+                scheduler.add(index, spec, fingerprint)
+            elif scheduler.record(self._outcome_of(entry)):
+                return scheduler.status, scheduler.pending_error
+        warmed = self._prewarm_caches(
+            [point.spec for point in scheduler.ready]
+        )
         if self._chaos_engine is not None:
             self._chaos_engine.corrupt_cache_entries(warmed)
-        return _Scheduler(self, queue, store, campaign).drive()
+        return scheduler.drive()
 
     def _prewarm_caches(self, specs: Sequence[RunSpec]) -> List[str]:
         """Compile each unique workload-trace prefix once, up front.
@@ -852,44 +806,6 @@ class CampaignRunner:
             except ReproError:
                 pass  # e.g. unknown workload: the attempt will report it
         return paths
-
-    @staticmethod
-    def _order_campaign(
-        campaign: CampaignResult, specs: Sequence[RunSpec]
-    ) -> None:
-        """Re-order the campaign's views into spec order.
-
-        Completion is out of order; re-keying by the spec list
-        makes the returned campaign (and the manifest derived from it)
-        independent of scheduling, so ``workers=N`` output is directly
-        comparable to ``workers=1``.
-        """
-        order = [spec.run_id for spec in specs]
-        campaign.results = {
-            run_id: campaign.results[run_id]
-            for run_id in order if run_id in campaign.results
-        }
-        campaign.failures = {
-            run_id: campaign.failures[run_id]
-            for run_id in order if run_id in campaign.failures
-        }
-        campaign.outcomes = {
-            run_id: campaign.outcomes[run_id]
-            for run_id in order if run_id in campaign.outcomes
-        }
-        resumed = set(campaign.resumed)
-        campaign.resumed = [
-            run_id for run_id in order if run_id in resumed
-        ]
-
-    @staticmethod
-    def _record(campaign: CampaignResult, outcome: RunOutcome) -> None:
-        campaign.outcomes[outcome.run_id] = outcome
-        if outcome.ok:
-            assert outcome.result is not None
-            campaign.results[outcome.run_id] = outcome.result
-        else:
-            campaign.failures[outcome.run_id] = outcome
 
     def _try_write_manifest(
         self,
@@ -1067,39 +983,43 @@ class _PointState:
 class _Scheduler:
     """The campaign schedule, at every worker count.
 
-    Under process isolation it keeps up to N points in flight across
-    ``min(N, pending)`` :class:`_WorkerSlot`\\ s:
+    Every attempt, inline or on a worker, ends in :meth:`_absorb`: one
+    exception classifier, one backoff helper and one terminal-outcome
+    builder serve every point.  Under process isolation the scheduler
+    keeps up to N points in flight across ``min(N, pending)``
+    :class:`_WorkerSlot`\\ s:
 
     - **Timeouts** are *deadlines* recorded at submission.  The scheduler
       never blocks in ``future.result(timeout=...)``; it waits with
       ``concurrent.futures.wait`` bounded by the earliest deadline (or
       retry-eligibility time) and kills only the expired slot.
-    - **Backoff** never blocks the slots: a retryable failure pushes the
-      point onto a min-heap keyed by its eligibility time, and the slot
-      immediately takes other work.  The backoff schedule is ``min(max,
-      base * 2**attempt)``.  Only when *nothing* is running does the
-      scheduler actually sleep (through the runner's injectable ``sleep``,
+    - **Backoff** never blocks the campaign: a retryable failure pushes
+      the point onto a min-heap keyed by its eligibility time, and the
+      scheduler immediately takes other work.  The backoff schedule is
+      ``min(max, base * 2**n)``.  Only when *nothing* is running or
+      ready does the scheduler actually sleep, for the time left to the
+      earliest eligibility (through the runner's injectable ``sleep``,
       so tests with a no-op sleep make progress instead of spinning).
     - **Fail-fast** (``on_error="fail"``) finalises the failing point
-      (checkpoint, record, callbacks), then stops scheduling; the
+      (checkpoint, record, progress), then stops scheduling; the
       ``finally`` teardown kills the outstanding workers and drains
       their executors before the failed manifest is written.
     - **Inline points** — every point under ``isolation="inline"``,
       unpicklable specs (legacy lambda traces), and, after the
       watchdog's inline fallback, every point whose worker never died
-      on its own — run synchronously in the scheduler through the
-      blocking :meth:`CampaignRunner._run_spec` retry loop.
+      on its own — run one attempt at a time, synchronously in the
+      scheduler.  A failed inline attempt backs off on the same heap as
+      a worker's, so other points run while it waits.
 
     Checkpoint entries are appended in completion order; resume is
     keyed by ``run_id``, so the out-of-order file replays identically.
-    ``notify=False`` silences the progress and ``on_outcome`` hooks
+    ``notify=False`` silences the progress hooks
     (:meth:`CampaignRunner.run_one` is not a campaign).
     """
 
     def __init__(
         self,
         runner: CampaignRunner,
-        queue: List[Tuple[int, RunSpec, str]],
         store: Optional[CheckpointStore],
         campaign: CampaignResult,
         notify: bool = True,
@@ -1108,13 +1028,8 @@ class _Scheduler:
         self.store = store
         self.campaign = campaign
         self.progress = runner._progress if notify else None
-        self.on_outcome = runner._on_outcome if notify else None
-        self.ready: List[_PointState] = [
-            _PointState(
-                spec, fingerprint, runner._snapshot_path(spec), index=index
-            )
-            for index, spec, fingerprint in queue
-        ]
+        #: Points ready to launch now, first come first served.
+        self.ready: List[_PointState] = []
         #: ``(eligible_time, seq, point)`` min-heap of backing-off retries.
         self.waiting: List[Tuple[float, int, _PointState]] = []
         self._seq = itertools.count()
@@ -1128,6 +1043,15 @@ class _Scheduler:
         self.dying_points: Set[int] = set()
         self.pool_dead = False
         self.inline = runner.isolation == "inline"
+
+    def add(self, index: int, spec: RunSpec, fingerprint: str) -> None:
+        """Queue ``spec``, position ``index`` in the campaign, to run."""
+        self.ready.append(
+            _PointState(
+                spec, fingerprint, self.runner._snapshot_path(spec),
+                index=index,
+            )
+        )
 
     def drive(self) -> Tuple[str, Optional[ReproError]]:
         runner = self.runner
@@ -1194,7 +1118,8 @@ class _Scheduler:
                             return self.status, self.pending_error
                 for future in done:
                     point, slot, _ = running.pop(future)
-                    if self._complete(future, point, slot, idle):
+                    idle.append(slot)
+                    if self._absorb(point, future.result, slot):
                         return self.status, self.pending_error
             return self.status, self.pending_error
         finally:
@@ -1226,24 +1151,22 @@ class _Scheduler:
     ) -> bool:
         """Dispatch one attempt; True when fail-fast stops the campaign."""
         runner = self.runner
-        spec = point.spec
         if point.start is None:
             point.start = time.monotonic()
             if self.progress is not None:
-                self.progress.point_started(spec.run_id)
+                self.progress.point_started(point.spec.run_id)
+        args = (
+            point.spec, point.attempt, runner.snapshot_every,
+            point.snapshot_path,
+        )
         if inline:
-            # Run the point's whole retry loop, blocking the scheduler.
-            outcome = runner._run_spec(spec)
-            return self._finalize(outcome, point.fingerprint)
+            return self._absorb(point, lambda: execute_spec(*args))
         slot = idle.pop()
         deadline = (
             None if runner.timeout is None
             else time.monotonic() + runner.timeout
         )
-        future = slot.submit(
-            execute_spec, spec, point.attempt,
-            runner.snapshot_every, point.snapshot_path,
-        )
+        future = slot.submit(execute_spec, *args)
         running[future] = (point, slot, deadline)
         point.chaos_killed = (
             runner._chaos_engine is not None
@@ -1255,54 +1178,44 @@ class _Scheduler:
             slot.kill_process()
         return False
 
-    def _complete(
+    def _absorb(
         self,
-        future: Any,
         point: _PointState,
-        slot: _WorkerSlot,
-        idle: List[_WorkerSlot],
+        attempt: Callable[[], SimulationResult],
+        slot: Optional[_WorkerSlot] = None,
     ) -> bool:
-        """Absorb one finished future; True when fail-fast stops."""
-        runner = self.runner
-        spec = point.spec
-        now = time.monotonic()
-        error: Optional[ReproError] = None
-        died: Optional[BrokenProcessPool] = None
+        """Classify one finished attempt; True when fail-fast stops.
+
+        ``attempt`` returns the attempt's result or raises its error: a
+        worker future's ``result``, or the inline attempt itself.
+        """
         try:
-            result = future.result()
-        except KeyboardInterrupt:
-            raise
+            result = attempt()
         except BrokenProcessPool as broken:
             # The worker vanished without raising (kill -9, OOM,
-            # segfault).  Respawn the slot; the watchdog decides below
+            # segfault).  Respawn the slot; the watchdog decides
             # whether the *point* gets another launch.
             slot.reset()
-            died = broken
+            return self._worker_died(point, broken, time.monotonic())
         except ReproError as raised:
-            error = raised
+            error: Optional[ReproError] = raised
         except Exception as raised:
+            # The trace source itself can raise before the simulator
+            # classifies anything: treat it as a simulation failure.
             error = SimulationError(
-                f"run {spec.run_id!r} raised "
+                f"run {point.spec.run_id!r} raised "
                 f"{type(raised).__name__}: {raised}"
             )
-        idle.append(slot)
-        if died is not None:
-            return self._worker_died(point, died, now)
-        # The worker is demonstrably alive (it delivered a value or a
-        # real exception), so the pool-health streak resets.
-        self.dying_points.clear()
+        else:
+            error = None
+        now = time.monotonic()
+        if slot is not None:
+            # The worker is demonstrably alive (it delivered a value or
+            # a real exception), so the pool-health streak resets.
+            self.dying_points.clear()
         if error is not None:
             return self._attempt_failed(point, error, now)
-        runner._discard_snapshot(point.snapshot_path)
-        assert point.start is not None
-        outcome = RunOutcome(
-            run_id=spec.run_id,
-            status="ok",
-            attempts=point.attempt + 1,
-            result=result,
-            elapsed_seconds=now - point.start,
-        )
-        return self._finalize(outcome, point.fingerprint)
+        return self._finish(point, now, "ok", point.attempt + 1, result=result)
 
     def _worker_died(
         self, point: _PointState, broken: BrokenProcessPool, now: float
@@ -1326,30 +1239,18 @@ class _Scheduler:
         if len(self.dying_points) >= runner.inline_fallback_after:
             self.pool_dead = True
         if point.worker_kills < runner.max_worker_kills:
-            delay = min(
-                runner.backoff_max,
-                runner.backoff_base * (2.0 ** (point.worker_kills - 1)),
-            )
-            heapq.heappush(
-                self.waiting, (now + delay, next(self._seq), point)
-            )
+            self._back_off(point, point.worker_kills - 1, now)
             return False
-        runner._discard_snapshot(point.snapshot_path)
-        assert point.start is not None
-        outcome = RunOutcome(
-            run_id=point.spec.run_id,
-            status="poisoned",
-            attempts=point.attempt + point.worker_kills,
-            error_kind="WorkerPoisonedError",
-            error_message=(
-                f"run {point.spec.run_id!r}: worker died "
-                f"{point.worker_kills} times "
-                f"(max_worker_kills={runner.max_worker_kills}); "
-                f"point poisoned: {broken}"
-            ),
-            elapsed_seconds=now - point.start,
+        poisoned = WorkerPoisonedError(
+            f"run {point.spec.run_id!r}: worker died "
+            f"{point.worker_kills} times "
+            f"(max_worker_kills={runner.max_worker_kills}); "
+            f"point poisoned: {broken}"
         )
-        return self._finalize(outcome, point.fingerprint)
+        return self._finish(
+            point, now, "poisoned", point.attempt + point.worker_kills,
+            error=poisoned,
+        )
 
     def _attempt_failed(
         self, point: _PointState, error: ReproError, now: float
@@ -1357,10 +1258,7 @@ class _Scheduler:
         """Retry or finalise a failed attempt; True when fail-fast stops."""
         runner = self.runner
         if error.retryable and point.attempt < runner.retries:
-            delay = min(
-                runner.backoff_max,
-                runner.backoff_base * (2.0 ** point.attempt),
-            )
+            self._back_off(point, point.attempt, now)
             point.attempt += 1
             if (
                 runner._chaos_engine is not None
@@ -1369,36 +1267,68 @@ class _Scheduler:
                 runner._chaos_engine.maybe_corrupt_snapshot(
                     point.snapshot_path
                 )
-            heapq.heappush(
-                self.waiting, (now + delay, next(self._seq), point)
-            )
             return False
-        runner._discard_snapshot(point.snapshot_path)
-        assert point.start is not None
-        outcome = RunOutcome(
-            run_id=point.spec.run_id,
-            status="failed",
-            attempts=point.attempt + 1,
-            error_kind=error_kind(error),
-            error_message=str(error),
-            elapsed_seconds=now - point.start,
+        return self._finish(
+            point, now, "failed", point.attempt + 1, error=error
         )
-        return self._finalize(outcome, point.fingerprint)
 
-    def _finalize(self, outcome: RunOutcome, fingerprint: str) -> bool:
-        """Checkpoint/record/notify one terminal outcome.
+    def _back_off(self, point: _PointState, retry: int, now: float) -> None:
+        """Make ``point`` eligible again after its ``retry``-th backoff.
+
+        ``retry`` counts from 0; the delay is ``min(backoff_max,
+        backoff_base * 2**retry)``.
+        """
+        runner = self.runner
+        delay = min(runner.backoff_max, runner.backoff_base * (2.0 ** retry))
+        heapq.heappush(self.waiting, (now + delay, next(self._seq), point))
+
+    def _finish(
+        self,
+        point: _PointState,
+        now: float,
+        status: str,
+        attempts: int,
+        result: Optional[SimulationResult] = None,
+        error: Optional[ReproError] = None,
+    ) -> bool:
+        """Build, checkpoint and record a launched point's terminal outcome.
 
         Returns True when the outcome triggers ``on_error="fail"`` —
         the caller must stop scheduling and let teardown kill the rest.
         """
-        runner = self.runner
+        # The point is done, so its within-run snapshot goes: success no
+        # longer needs it, and after a terminal failure a later resume
+        # could fast-forward from a snapshot captured under a different
+        # attempt's fault schedule.  Mid-retry snapshots (a timed-out
+        # attempt resuming where it stopped) never reach here.
+        if point.snapshot_path is not None:
+            try:
+                os.remove(point.snapshot_path)
+            except OSError:
+                pass
+        assert point.start is not None
+        outcome = RunOutcome(
+            run_id=point.spec.run_id,
+            status=status,
+            attempts=attempts,
+            result=result,
+            error_kind=None if error is None else error_kind(error),
+            error_message=None if error is None else str(error),
+            elapsed_seconds=now - point.start,
+        )
         if self.store is not None:
-            self.store.append(runner._entry_of(outcome, fingerprint))
-        runner._record(self.campaign, outcome)
+            self.store.append(self.runner._entry_of(outcome, point.fingerprint))
+        return self.record(outcome)
+
+    def record(self, outcome: RunOutcome) -> bool:
+        """Record and announce one terminal outcome, run or replayed.
+
+        Returns True when the outcome triggers ``on_error="fail"``.
+        """
+        runner = self.runner
+        self.campaign.outcomes[outcome.run_id] = outcome
         if self.progress is not None:
             self.progress.point_finished(outcome)
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
         if not outcome.ok and runner.on_error == "fail":
             self.status = "failed"
             self.pending_error = runner._failure_error(outcome)

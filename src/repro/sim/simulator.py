@@ -369,7 +369,11 @@ class Simulator:
                     on_warmup_end=on_warmup_end,
                     stop_cycle=min(stops),
                 )
-                if checker is not None:
+                # Sweep only on the checker's own stride (or at the end),
+                # so snapshot and metrics stops do not change the count.
+                if checker is not None and (
+                    finished or state.cycle % check_stride == 0
+                ):
                     checker.on_cycle(state.cycle)
                     if emit_integrity:
                         trace.emit(

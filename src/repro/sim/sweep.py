@@ -66,14 +66,8 @@ def _run_specs(
     runner: Optional[CampaignRunner],
     workers: int = 1,
 ) -> Dict[str, SimulationResult]:
-    campaign = (runner or _default_runner(workers)).run(specs)
-    # Keep sweep order (campaign.results is insertion-ordered already,
-    # but resumed points interleave identically because specs drive it).
-    return {
-        spec.run_id: campaign.results[spec.run_id]
-        for spec in specs
-        if spec.run_id in campaign.results
-    }
+    # A campaign's results come back in spec order, which is sweep order.
+    return (runner or _default_runner(workers)).run(specs).results
 
 
 def run_configs(

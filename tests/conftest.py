@@ -22,3 +22,25 @@ def _isolated_trace_cache(tmp_path_factory):
         os.environ.pop("REPRO_TRACE_CACHE", None)
     else:
         os.environ["REPRO_TRACE_CACHE"] = previous
+
+
+class _FinishHook:
+    """A campaign progress tracker that only passes on terminal outcomes."""
+
+    def __init__(self, on_finish):
+        self.point_finished = on_finish
+
+    def begin(self, total, workers=1):
+        pass
+
+    def point_started(self, run_id):
+        pass
+
+    def finish(self, status):
+        pass
+
+
+@pytest.fixture
+def finish_hook():
+    """Build a progress stub whose ``point_finished`` calls a function."""
+    return _FinishHook

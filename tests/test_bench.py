@@ -134,6 +134,106 @@ class TestBenchCommand:
         assert "regression" in capsys.readouterr().err
 
 
+@pytest.fixture
+def bench_calls(monkeypatch):
+    """Stub both bench suites and the report writer; record their inputs."""
+    import repro.perf as perf
+
+    calls = {}
+
+    def suite(name):
+        def run(workloads, config, **kwargs):
+            calls[name] = kwargs
+            return {}
+
+        return run
+
+    monkeypatch.setattr(perf, "run_bench", suite("core"))
+    monkeypatch.setattr(perf, "run_sampling_bench", suite("sampling"))
+    monkeypatch.setattr(perf, "format_report", lambda report: "")
+    monkeypatch.setattr(perf, "format_sampling_report", lambda report: "")
+    monkeypatch.setattr(
+        perf, "write_report", lambda report, path: calls.update(out=path)
+    )
+    return calls
+
+
+class TestBenchFlags:
+    """Each suite runs with the flags it was given, or refuses them."""
+
+    @pytest.mark.parametrize(
+        "argv, suite, expected",
+        [
+            (
+                ["--quick", "--instructions", "50000"], "core",
+                {"instructions": 50_000, "machine": "base",
+                 "out": "BENCH_core.json"},
+            ),
+            (["--quick"], "core", {"instructions": 10_000, "repeats": 3}),
+            (
+                ["--sampling", "--instructions", "50000",
+                 "--out", "BENCH_core.json"], "sampling",
+                {"instructions": 50_000, "machine": "psb",
+                 "out": "BENCH_core.json"},
+            ),
+            (
+                ["--sampling"], "sampling",
+                {"instructions": 1_000_000, "out": "BENCH_sampling.json",
+                 "sample": (50_000, 1_000, 500), "ipc_error_bound": 0.10,
+                 "paired_error_bound": 0.05, "speedup_floor": 10.0},
+            ),
+            (
+                ["--sampling", "--machine", "stride",
+                 "--sample", "20000:1000:500", "--speedup-floor", "5"],
+                "sampling",
+                {"machine": "stride", "sample": (20_000, 1_000, 500),
+                 "speedup_floor": 5.0},
+            ),
+        ],
+    )
+    def test_given_flags_reach_the_suite(
+        self, bench_calls, argv, suite, expected
+    ):
+        assert main(["bench", *argv]) == 0
+        assert set(bench_calls) == {suite, "out"}
+        seen = dict(bench_calls[suite], out=bench_calls["out"])
+        assert {key: seen[key] for key in expected} == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sampling", "--machine", "base"],
+            ["--sampling", "--quick"],
+            ["--sampling", "--warmup", "0"],
+            ["--sampling", "--repeats", "1"],
+            ["--sample", "50000:1000:500"],
+            ["--error-bound", "0.2"],
+            ["--paired-bound", "0.1"],
+            ["--speedup-floor", "5"],
+        ],
+    )
+    def test_refuses_a_flag_the_suite_does_not_read(
+        self, bench_calls, capsys, argv
+    ):
+        assert main(["bench", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sim: error: bench:")
+        assert err.count("\n") == 1
+        assert bench_calls == {}  # no suite ran
+
+    @pytest.mark.parametrize(
+        "flag", [["--sample-strata", "2"], ["--warm-confidence"]]
+    )
+    def test_sampling_shape_flags_are_not_registered(
+        self, bench_calls, capsys, flag
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--sampling", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert bench_calls == {}
+
+
 class TestTraceCompileCommand:
     def test_compile_workload(self, tmp_path, capsys):
         from repro.trace import load_binary_trace_list

@@ -231,6 +231,26 @@ class TestSnapshotReplay:
         assert resumed.extra["resumed_from_cycle"] == float(middle.cycle)
         _assert_results_identical(resumed, reference)
 
+    def test_cheap_check_count_ignores_snapshots_and_resume(self):
+        # Snapshot stops are not checker stops: the number of sweeps is
+        # the same with or without snapshots, and after a resume.
+        config = psb_config().with_invariants(InvariantLevel.CHEAP)
+        plain = simulate(config, _trace(), max_instructions=INSTRUCTIONS)
+        snapshots = []
+        snapped = Simulator(config).run(
+            _trace(),
+            max_instructions=INSTRUCTIONS,
+            snapshot_every=2_000,
+            snapshot_sink=snapshots.append,
+        )
+        resumed = resume_run(snapshots[len(snapshots) // 2], _trace())
+        counts = [
+            result.extra["invariant_checks"]
+            for result in (plain, snapped, resumed)
+        ]
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
+
     def test_snapshot_roundtrips_through_disk(self, tmp_path):
         config = psb_config()
         snapshots = []

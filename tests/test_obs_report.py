@@ -19,6 +19,10 @@ from repro.sim.simulator import Simulator
 from repro.workloads import get_workload
 
 
+#: The smallest payload ``load_metrics`` accepts.
+_METRICS = json.dumps({"format": "repro-obs-metrics-v1"})
+
+
 def _observed_run(tmp_path, machine="psb", instructions=6_000):
     trace = EventTrace()
     simulator = Simulator(
@@ -211,6 +215,53 @@ class TestCliRoundTrip:
         monkeypatch.chdir(tmp_path)
         assert main(["report"]) == 1
         assert "metrics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "files, argv, named",
+        [
+            pytest.param(
+                {"metrics.json": _METRICS, "ev.jsonl": '{"cycle": 1}\n{"cyc'},
+                ["--events", "ev.jsonl"], ("ev.jsonl", "line 2"),
+                id="torn-events",
+            ),
+            pytest.param(
+                {"metrics.json": _METRICS},
+                ["--events", "absent.jsonl"], ("absent.jsonl",),
+                id="missing-events",
+            ),
+            pytest.param(
+                {"metrics.json": "[1, 2]"}, [], ("metrics.json", "object"),
+                id="metrics-not-an-object",
+            ),
+            pytest.param(
+                {"camp/manifest.json": "[]"}, ["--campaign", "camp"],
+                ("manifest.json", "object"),
+                id="manifest-not-an-object",
+            ),
+            pytest.param(
+                {
+                    "camp/manifest.json": '{"status": "complete"}',
+                    "camp/paired.json": '{"paired": tr',
+                },
+                ["--campaign", "camp"], ("paired.json",),
+                id="torn-paired-beside-manifest",
+            ),
+        ],
+    )
+    def test_bad_input_errors_cleanly(
+        self, tmp_path, monkeypatch, capsys, files, argv, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+        assert main(["report", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sim: error:")
+        assert "Traceback" not in err
+        for fragment in named:
+            assert fragment in err
 
     def test_campaign_report_cli(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

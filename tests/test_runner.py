@@ -48,6 +48,14 @@ def _inline(**kwargs):
     return CampaignRunner(**kwargs)
 
 
+def _assert_slept_out(sleeps, backoffs):
+    """The scheduler sleeps only the time left to a retry's eligibility:
+    each sleep is at most its backoff and within 50 ms of it."""
+    assert len(sleeps) == len(backoffs), sleeps
+    for slept, backoff in zip(sleeps, backoffs):
+        assert backoff - 0.05 <= slept <= backoff, (sleeps, backoffs)
+
+
 class TestRunOne:
     def test_matches_direct_simulate(self):
         direct = simulate(
@@ -72,7 +80,7 @@ class TestRetryPolicy:
         ).outcomes["point"]
         assert outcome.ok
         assert outcome.attempts == 2
-        assert sleeps == [0.5]  # one backoff before the healing attempt
+        _assert_slept_out(sleeps, [0.5])  # one backoff, then the heal
 
     def test_backoff_grows_exponentially_and_caps(self):
         sleeps = []
@@ -82,7 +90,7 @@ class TestRetryPolicy:
         campaign = runner.run([_spec(faults=FaultSpec(crash_at=10))])
         outcome = campaign.failures["point"]
         assert outcome.attempts == 5
-        assert sleeps == [1.0, 2.0, 3.0, 3.0]
+        _assert_slept_out(sleeps, [1.0, 2.0, 3.0, 3.0])
 
     def test_non_retryable_fails_immediately(self):
         sleeps = []
@@ -100,6 +108,55 @@ class TestRetryPolicy:
         ).failures["point"]
         assert outcome.error_kind == "SimulationError"
         assert outcome.attempts == 2
+
+    def test_backing_off_point_lets_the_next_one_finish_first(
+        self, finish_hook
+    ):
+        # An inline retry waits on the scheduler's eligibility heap, not
+        # in a blocking loop, so the next point runs in the meantime.
+        seen = []
+        campaign = _inline(
+            retries=1, backoff_base=5.0, sleep=lambda delay: None,
+            progress=finish_hook(lambda o: seen.append(o.run_id)),
+        ).run(
+            [
+                _spec("flaky", faults=FaultSpec(crash_at=10, crash_attempts=1)),
+                _spec("steady"),
+            ]
+        )
+        assert seen == ["steady", "flaky"]
+        assert campaign.outcomes["flaky"].attempts == 2
+        assert list(campaign.outcomes) == ["flaky", "steady"]  # spec order
+
+    def test_stop_during_backoff_drops_the_retry_until_resume(
+        self, tmp_path
+    ):
+        d = str(tmp_path / "camp")
+        specs = [
+            _spec("flaky", faults=FaultSpec(crash_at=10, crash_attempts=1)),
+            _spec("steady"),
+        ]
+        reference = _inline(retries=1).run(specs)
+        runner = _inline(
+            campaign_dir=d, retries=1, backoff_base=5.0,
+            sleep=lambda delay: runner.request_stop(),
+        )
+        stopped = runner.run(specs)
+        assert stopped.manifest["status"] == "interrupted"
+        with open(os.path.join(d, CHECKPOINT_NAME)) as handle:
+            checkpointed = [json.loads(line)["run_id"] for line in handle]
+        assert checkpointed == ["steady"]  # the backing-off point is not
+
+        resumed = _inline(campaign_dir=d, retries=1, resume=True).run(specs)
+        assert resumed.manifest["status"] == "complete"
+        assert resumed.resumed == ["steady"]
+        assert {
+            run_id: (result.ipc, result.cycles)
+            for run_id, result in resumed.results.items()
+        } == {
+            run_id: (result.ipc, result.cycles)
+            for run_id, result in reference.results.items()
+        }
 
 
 class TestDegradationPolicy:
@@ -119,15 +176,15 @@ class TestDegradationPolicy:
         with pytest.raises(TraceFormatError):
             _inline(on_error="fail").run(self._specs())
 
-    def test_fail_fast_still_notifies_on_outcome(self):
+    def test_fail_fast_still_notifies_on_outcome(self, finish_hook):
         # Regression: the fail-fast break used to run before the
         # terminal callback, so the *failing* outcome was never
-        # delivered to on_outcome.
+        # delivered to it.
         seen = []
         with pytest.raises(TraceFormatError):
             _inline(
                 on_error="fail",
-                on_outcome=lambda o: seen.append((o.run_id, o.ok)),
+                progress=finish_hook(lambda o: seen.append((o.run_id, o.ok))),
             ).run(self._specs())
         assert seen == [("a", True), ("bad", False)]
 
@@ -205,7 +262,9 @@ class TestResume:
 
         return [_spec(run_id, trace=factory_for(run_id)) for run_id in "abc"]
 
-    def test_interrupt_then_resume_skips_completed(self, tmp_path):
+    def test_interrupt_then_resume_skips_completed(
+        self, tmp_path, finish_hook
+    ):
         d = str(tmp_path / "camp")
         executed = {}
         baseline_counter = {}
@@ -218,7 +277,7 @@ class TestResume:
 
         with pytest.raises(KeyboardInterrupt):
             _inline(
-                campaign_dir=d, on_outcome=interrupt_after_first
+                campaign_dir=d, progress=finish_hook(interrupt_after_first)
             ).run(self._counting_specs(executed))
         assert executed == {"a": 1}
 

@@ -78,7 +78,9 @@ def test_process_isolation_matches_inline_result(tmp_path):
 
 
 @pytest.mark.slow
-def test_acceptance_faulted_campaign_completes_and_resumes(tmp_path):
+def test_acceptance_faulted_campaign_completes_and_resumes(
+    tmp_path, finish_hook
+):
     """The ISSUE acceptance campaign.
 
     A sweep with an injected crash, an injected hang (caught by the
@@ -130,7 +132,9 @@ def test_acceptance_faulted_campaign_completes_and_resumes(tmp_path):
             raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        runner(camp_dir, on_outcome=interrupt_after_three).run(specs)
+        runner(
+            camp_dir, progress=finish_hook(interrupt_after_three)
+        ).run(specs)
     assert json.load(open(os.path.join(camp_dir, MANIFEST_NAME)))[
         "status"
     ] == "interrupted"
@@ -276,11 +280,15 @@ class TestGracefulStop:
             ),
         ]
 
-    def test_serial_stop_interrupts_and_resume_completes(self, tmp_path):
+    def test_serial_stop_interrupts_and_resume_completes(
+        self, tmp_path, finish_hook
+    ):
         camp = str(tmp_path / "camp")
         specs = self._four_specs()
-        runner = CampaignRunner(camp, isolation="inline")
-        runner._on_outcome = lambda outcome: runner.request_stop()
+        runner = CampaignRunner(
+            camp, isolation="inline",
+            progress=finish_hook(lambda outcome: runner.request_stop()),
+        )
         result = runner.run(specs)
         assert runner.stop_requested
         assert result.manifest["status"] == "interrupted"
@@ -312,17 +320,19 @@ class TestGracefulStop:
         assert result.manifest["status"] == "complete"
         assert result.manifest["ok"] == 4
 
-    def test_sigterm_with_handle_signals_stops_gracefully(self, tmp_path):
+    def test_sigterm_with_handle_signals_stops_gracefully(
+        self, tmp_path, finish_hook
+    ):
         import signal as _signal
 
         camp = str(tmp_path / "camp")
         runner = CampaignRunner(
-            camp, isolation="inline", handle_signals=True
+            camp, isolation="inline", handle_signals=True,
+            progress=finish_hook(
+                lambda outcome: os.kill(os.getpid(), _signal.SIGTERM)
+            ),
         )
         before = _signal.getsignal(_signal.SIGTERM)
-        runner._on_outcome = lambda outcome: os.kill(
-            os.getpid(), _signal.SIGTERM
-        )
         result = runner.run(self._four_specs())
         # The signal stopped the campaign instead of killing the
         # process, and the previous handler is back in place.
@@ -331,11 +341,15 @@ class TestGracefulStop:
         assert _signal.getsignal(_signal.SIGTERM) is before
 
     @pytest.mark.slow
-    def test_parallel_stop_interrupts_and_resume_completes(self, tmp_path):
+    def test_parallel_stop_interrupts_and_resume_completes(
+        self, tmp_path, finish_hook
+    ):
         camp = str(tmp_path / "camp")
         specs = self._four_specs()
-        runner = CampaignRunner(camp, isolation="process", workers=2)
-        runner._on_outcome = lambda outcome: runner.request_stop()
+        runner = CampaignRunner(
+            camp, isolation="process", workers=2,
+            progress=finish_hook(lambda outcome: runner.request_stop()),
+        )
         result = runner.run(specs)
         assert result.manifest["status"] == "interrupted"
         assert len(result.outcomes) < 4

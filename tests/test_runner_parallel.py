@@ -139,13 +139,15 @@ class TestParallelRetry:
 
 
 class TestParallelFailFast:
-    def test_fail_fast_notifies_stops_and_writes_manifest(self, tmp_path):
+    def test_fail_fast_notifies_stops_and_writes_manifest(
+        self, tmp_path, finish_hook
+    ):
         seen = []
         camp = str(tmp_path / "camp")
         with pytest.raises(TraceFormatError):
             CampaignRunner(
                 camp, workers=2, isolation="process", on_error="fail",
-                on_outcome=lambda o: seen.append((o.run_id, o.ok)),
+                progress=finish_hook(lambda o: seen.append((o.run_id, o.ok))),
             ).run(
                 [
                     _spec("bad", faults=FaultSpec(corrupt_at=50)),
@@ -161,7 +163,9 @@ class TestParallelFailFast:
 
 
 class TestParallelResume:
-    def test_interrupt_then_resume_completes_identically(self, tmp_path):
+    def test_interrupt_then_resume_completes_identically(
+        self, tmp_path, finish_hook
+    ):
         specs = [_spec(f"p{i}", seed=i + 1) for i in range(6)]
         reference = CampaignRunner(
             str(tmp_path / "ref"), workers=4, isolation="process"
@@ -178,7 +182,7 @@ class TestParallelResume:
         with pytest.raises(KeyboardInterrupt):
             CampaignRunner(
                 camp, workers=4, isolation="process",
-                on_outcome=interrupt_after_two,
+                progress=finish_hook(interrupt_after_two),
             ).run(specs)
         assert json.load(open(os.path.join(camp, MANIFEST_NAME)))[
             "status"

@@ -33,12 +33,24 @@ echo "== trace compilation round trip =="
 trace_dir="$(mktemp -d)"
 python -m repro trace compile health --out "$trace_dir/health.rtb" \
     --instructions 2000
-python - "$trace_dir/health.rtb" <<'EOF'
+REPRO_TRACE_CACHE="$trace_dir/cache" python - "$trace_dir/health.rtb" <<'EOF'
 import sys
 from repro.trace import load_binary_trace_list
+from repro.workloads import cache_path, cache_stats, cached_workload_trace
 records = load_binary_trace_list(sys.argv[1])
 assert len(records) == 2000, len(records)
 print("smoke: compiled trace loads back", len(records), "records")
+# A cold cache call builds the records once and compiles the same bytes.
+cold = cached_workload_trace("health", seed=1, instructions=2000)
+with open(sys.argv[1], "rb") as compiled, \
+        open(cache_path("health", 1, 2000), "rb") as entry:
+    assert entry.read() == compiled.read(), "cache entry != trace compile"
+hit = cached_workload_trace("health", seed=1, instructions=2000)
+assert hit == cold == records
+assert cache_stats() == {"hits": 1, "misses": 1, "corrupt_recompiled": 0}, \
+    cache_stats()
+print("smoke: cold cache entry equals trace compile byte for byte;"
+      " the hit returns equal records")
 EOF
 rm -rf "$trace_dir"
 

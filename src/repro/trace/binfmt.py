@@ -36,7 +36,9 @@ errors of the text parser.
 from __future__ import annotations
 
 import io
+import itertools
 import mmap
+import operator
 import os
 import struct
 import time
@@ -63,6 +65,7 @@ RECORD_BYTES = _RECORD.size
 #: Suggested extension for compiled traces.
 SUFFIX = ".rtb"
 
+_MAX_KIND = (1 << 8) - 1
 _MAX_DEP1 = (1 << 32) - 1
 _MAX_DEP2 = (1 << 32) - 1
 _MAX_U64 = (1 << 64) - 1
@@ -80,6 +83,10 @@ __all__ = [
     "read_header",
     "sniff_binary",
 ]
+
+#: Records packed per write: one ``b"".join``, one CRC32 update and one
+#: ``write`` per chunk instead of one of each per record.
+_CHUNK_RECORDS = 4096
 
 #: Temp files this old (seconds) are presumed orphaned by a dead writer.
 _STALE_TMP_SECONDS = 3600.0
@@ -107,11 +114,29 @@ def _sweep_stale_tmp(destination: str, max_age: float = _STALE_TMP_SECONDS) -> N
             pass
 
 
+def _field(record: TraceRecord, name: str, index: int) -> int:
+    """``record.<name>`` as an int, else a :class:`TraceFormatError`
+    naming record ``index``."""
+    value = getattr(record, name)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TraceFormatError(
+            f"record {index}: {name} {value!r} is not an integer"
+        ) from None
+
+
 def _pack_record(record: TraceRecord, index: int) -> bytes:
-    dep1 = record.dep1
-    dep2 = record.dep2
-    pc = record.pc
-    addr = record.addr
+    """Pack one record, raising :class:`TraceFormatError` naming
+    ``index`` for a field that is not an integer or does not fit."""
+    kind, dep1, dep2, pc, addr = [
+        _field(record, name, index)
+        for name in ("kind", "dep1", "dep2", "pc", "addr")
+    ]
+    if not 0 <= kind <= _MAX_KIND:
+        raise TraceFormatError(
+            f"record {index}: kind {kind} does not fit in 8 bits"
+        )
     if not 0 <= dep1 <= _MAX_DEP1 or not 0 <= dep2 <= _MAX_DEP2:
         raise TraceFormatError(
             f"record {index}: dependence distances ({dep1}, {dep2}) "
@@ -122,9 +147,27 @@ def _pack_record(record: TraceRecord, index: int) -> bytes:
             f"record {index}: pc/addr ({pc:#x}, {addr:#x}) do not fit in "
             f"64 bits"
         )
-    return _RECORD.pack(
-        int(record.kind), 1 if record.taken else 0, dep1, dep2, pc, addr
-    )
+    return _RECORD.pack(kind, 1 if record.taken else 0, dep1, dep2, pc, addr)
+
+
+def _pack_chunk(chunk: List[TraceRecord], first: int) -> bytes:
+    """Pack ``chunk``, whose first record has index ``first``, in bulk.
+
+    A field ``struct`` rejects sends the chunk back through
+    :func:`_pack_record` one record at a time, which raises the typed
+    error naming that record's absolute index.
+    """
+    pack = _RECORD.pack
+    try:
+        return b"".join([
+            pack(r.kind, 1 if r.taken else 0, r.dep1, r.dep2, r.pc, r.addr)
+            for r in chunk
+        ])
+    except (struct.error, TypeError):
+        return b"".join([
+            _pack_record(record, first + offset)
+            for offset, record in enumerate(chunk)
+        ])
 
 
 def compile_trace(
@@ -137,19 +180,26 @@ def compile_trace(
     Returns the number of records written.  The count is back-patched
     into the header after the record stream is exhausted, so unbounded
     generators work (with a ``limit``) without materializing a list.
+    Records are pulled and packed :data:`_CHUNK_RECORDS` at a time, and
+    never one past ``limit``.
     """
 
     def _write(handle: IO[bytes]) -> int:
         handle.write(_HEADER.pack(MAGIC, VERSION, RECORD_BYTES, 0, 0))
+        source = iter(records)
         written = 0
         checksum = 0
-        for record in records:
-            if limit and written >= limit:
+        while True:
+            wanted = _CHUNK_RECORDS
+            if limit:
+                wanted = min(wanted, limit - written)
+            chunk = list(itertools.islice(source, wanted))
+            if not chunk:
                 break
-            packed = _pack_record(record, written)
+            packed = _pack_chunk(chunk, written)
             checksum = zlib.crc32(packed, checksum)
             handle.write(packed)
-            written += 1
+            written += len(chunk)
         # Back-patch the count and the payload checksum now that the
         # stream is exhausted; readers verify both on every load.
         handle.seek(0)

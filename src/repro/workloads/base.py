@@ -141,4 +141,4 @@ class Emitter:
         dep1 = self.index - after if after >= 0 else 0
         dep2 = self.index - also_after if also_after >= 0 else 0
         self.index += 1
-        return TraceRecord(kind, pc, addr=addr, taken=taken, dep1=dep1, dep2=dep2)
+        return TraceRecord(kind, pc, addr, taken, dep1, dep2)

@@ -15,9 +15,11 @@ in place.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import os
-from typing import List
+from typing import Iterable, List
 
 from repro.errors import TraceFormatError
 from repro.trace.binfmt import (
@@ -84,14 +86,17 @@ def cached_workload_trace(
     """Load ``instructions`` records of workload ``name``, cached on disk.
 
     On a cache miss (or ``refresh=True``, or an unreadable/stale cache
-    file) the generator runs once and its prefix is compiled through
-    :func:`repro.trace.binfmt.compile_trace`; either way the returned
-    records are exactly what ``get_workload(name, seed=seed)`` yields.
+    file) the generator runs once into a list.  That list is compiled
+    through :func:`repro.trace.binfmt.compile_trace`, the written
+    entry's header, checksum and count are checked, and the list itself
+    is returned.  Either way the returned records are exactly what
+    ``get_workload(name, seed=seed)`` yields.  An entry that fails the
+    check stays on disk, and the next call recompiles it as corrupt.
     ``instructions`` must be positive: generators are unbounded, so an
     unlimited cache entry cannot exist.
 
     If the cache directory cannot be created or written (read-only
-    home, sandbox), the generator result is returned uncached — the
+    home, sandbox), the generated records are returned uncached — the
     cache is an accelerator, never a requirement.
     """
     if instructions <= 0:
@@ -106,17 +111,13 @@ def cached_workload_trace(
             _STATS["corrupt_recompiled"] += 1
         else:
             _STATS["misses"] += 1
-    # Validate the name before touching the filesystem.
-    source = get_workload(name, seed=seed)
-    try:
-        os.makedirs(cache_dir(), exist_ok=True)
-        compile_trace(path, source, limit=instructions)
-    except (OSError, TraceFormatError):
-        return list(itertools.islice(get_workload(name, seed=seed), instructions))
-    records, __ = _try_load(path, instructions)
-    if records is not None:
-        return records
-    return list(itertools.islice(get_workload(name, seed=seed), instructions))
+    # An unknown name raises here, before the filesystem is touched.
+    with _collector_paused():
+        records = list(
+            itertools.islice(get_workload(name, seed=seed), instructions)
+        )
+    _compile_entry(path, records)
+    return records
 
 
 def prewarm_workload_trace(
@@ -152,15 +153,43 @@ def prewarm_workload_trace(
     else:
         _STATS["misses"] += 1
     source = get_workload(name, seed=seed)
+    return _compile_entry(path, source, instructions)
+
+
+def _compile_entry(
+    path: str, records: Iterable[TraceRecord], instructions: int = 0
+) -> bool:
+    """Compile ``records`` (up to ``instructions``, 0 = all) into the
+    cache entry at ``path``; True when the written entry's header,
+    checksum and count check out, False when it cannot be written or
+    does not."""
     try:
         os.makedirs(cache_dir(), exist_ok=True)
-        compile_trace(path, source, limit=instructions)
+        written = compile_trace(path, records, limit=instructions)
+        return binary_trace_count(path) == written
     except (OSError, TraceFormatError):
         return False
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause CPython's cycle collector while a record list is built.
+
+    Left on, the collector traverses the records again and again as
+    they pile up, which roughly doubles the time to build a million of
+    them.  Records hold only ints, bools and ``InstrKind`` members, and
+    the generators leave no cyclic garbage, so the pause defers no
+    collection work.  The caller's collector state (on or off) is
+    restored on the way out, exception or not; the state is
+    process-wide, so the pause covers other threads too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return binary_trace_count(path) == instructions
-    except TraceFormatError:
-        return False
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _try_load(path: str, instructions: int):
@@ -174,7 +203,8 @@ def _try_load(path: str, instructions: int):
     if not os.path.exists(path):
         return None, False
     try:
-        records = load_binary_trace_list(path)
+        with _collector_paused():
+            records = load_binary_trace_list(path)
     except TraceFormatError:
         return None, True
     if len(records) != instructions:

@@ -9,8 +9,12 @@ L1 *capacity* misses that persist at all three sizes.
 from _shared import run, run_custom
 
 from repro.analysis.report import ascii_table
-from repro.sim import baseline_config, psb_config, stride_config
-from repro.sim.sweep import FIGURE10_CACHES
+from repro.sim.presets import (
+    FIGURE10_CACHES,
+    baseline_config,
+    psb_config,
+    stride_config,
+)
 from repro.workloads import workload_names
 
 _CONFIG_MAKERS = {

@@ -965,7 +965,7 @@ def _default(value: Any, default: Any) -> Any:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
+    from repro.perf.bench import (
         check_against_baseline,
         check_sampling_baseline,
         format_report,

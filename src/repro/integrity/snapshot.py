@@ -93,9 +93,22 @@ class SimSnapshot:
             )
 
     def restore(self):
-        """A fresh ``(simulator, run_state)`` pair from the payload."""
+        """A fresh ``(simulator, run_state)`` pair from the payload.
+
+        A payload that passes its checksum but does not unpickle into
+        such a pair (state pickled by code whose classes have since
+        changed, or bytes that were never a machine) raises
+        :class:`SimulationError` naming the snapshot.
+        """
         self.verify()
-        return pickle.loads(self.payload)
+        try:
+            simulator, state = pickle.loads(self.payload)
+        except Exception as error:
+            raise SimulationError(
+                f"cannot restore snapshot {self.label!r}: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+        return simulator, state
 
     def save(self, path: str) -> None:
         """Write atomically: a reader never sees a torn snapshot."""

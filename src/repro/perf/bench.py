@@ -36,6 +36,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.errors import ReproError
+from repro.sampling.paired import run_paired
+from repro.sim.presets import baseline_config
+from repro.sim.simulator import Simulator
 from repro.workloads import cached_workload_trace, workload_names
 
 #: Schema version of the report / baseline JSON.
@@ -74,8 +77,6 @@ def _timed_run(
     Profiled wall times are inflated by instrumentation — compare them
     only against other profiled runs.
     """
-    from repro.sim.simulator import Simulator
-
     simulator = Simulator(config)
     profiler = None
     if profile_path is not None:
@@ -257,9 +258,6 @@ def run_sampling_bench(
     :func:`check_sampling_baseline` enforces the *baseline's* stated
     values, so the checked-in bound is the contract.
     """
-    from repro.sampling.paired import run_paired
-    from repro.sim.presets import baseline_config as _baseline_preset
-
     known = set(workload_names())
     unknown = [name for name in workloads if name not in known]
     if unknown:
@@ -277,7 +275,7 @@ def run_sampling_bench(
     )
     p_period, p_window, p_warmup = (int(value) for value in paired_sample)
     if base_config is None:
-        base_config = _baseline_preset()
+        base_config = baseline_config()
     if profile_dir is not None:
         os.makedirs(profile_dir, exist_ok=True)
 
@@ -400,6 +398,26 @@ def run_sampling_bench(
     }
 
 
+#: Report keys that must match for a sampling baseline to be comparable.
+_SAMPLING_SHAPE = (
+    "machine", "instructions", "seed", "sample", "tuned_sample",
+    "paired_sample", "baseline_machine",
+)
+
+#: The stated contract a sampling baseline must carry.
+_SAMPLING_CONTRACT = ("ipc_error_bound", "paired_error_bound", "speedup_floor")
+
+#: Each leg of a sampling-bench entry: what the gate calls it, and the
+#: fields that must be bit-identical to the baseline's.
+_SAMPLING_LEGS = {
+    "detailed": ("detailed mode", ("cycles", "instructions", "ipc")),
+    "base_detailed": ("detailed baseline-machine run", ("cycles", "ipc")),
+    "sampled": ("sampled estimate", ("ipc", "windows")),
+    "tuned": ("tuned estimate", ("ipc", "windows")),
+    "paired": ("paired estimate", ("rel_ipc", "windows")),
+}
+
+
 def check_sampling_baseline(
     report: dict, baseline: dict, tolerance: float = 0.25
 ) -> List[str]:
@@ -425,113 +443,73 @@ def check_sampling_baseline(
       (wall-clock ratios survive machine differences; the slack covers
       load noise).
 
-    Baselines written before the tuned/paired legs existed are still
-    accepted: those sections are only gated when the baseline carries
-    them.
+    A baseline that lacks a comparability key, a bound, or any leg of
+    a workload is refused by name: a leg it does not carry would
+    otherwise go ungated.
     """
     if not 0.0 <= tolerance < 1.0:
         raise BenchmarkError(
             f"tolerance must be in [0, 1), got {tolerance}"
         )
-    failures: List[str] = []
     if baseline.get("suite") != "sampling":
-        failures.append(
+        return [
             "baseline not comparable: it is not a sampling-suite report "
             "(re-generate with 'repro-sim bench --sampling')"
-        )
-        return failures
-    comparability = ["machine", "instructions", "seed", "sample"]
-    for key in ("tuned_sample", "paired_sample", "baseline_machine"):
-        if key in baseline:
-            comparability.append(key)
-    for key in comparability:
-        if baseline.get(key) != report.get(key):
-            failures.append(
-                f"baseline not comparable: {key} is {baseline.get(key)!r} "
-                f"in the baseline but {report.get(key)!r} in this run"
-            )
+        ]
+    failures = [
+        f"baseline not comparable: {key} is {baseline.get(key)!r} in the "
+        f"baseline but {report.get(key)!r} in this run"
+        for key in _SAMPLING_SHAPE
+        if baseline.get(key) != report.get(key)
+    ]
+    failures += [
+        f"baseline not comparable: it states no {key}"
+        for key in _SAMPLING_CONTRACT
+        if key not in baseline
+    ]
     if failures:
         return failures
-    error_bound = float(baseline.get("ipc_error_bound", 0.0))
-    paired_bound = float(baseline.get("paired_error_bound", 0.0))
-    floor = float(baseline.get("speedup_floor", 0.0)) * (1.0 - tolerance)
+    error_bound = float(baseline["ipc_error_bound"])
+    paired_bound = float(baseline["paired_error_bound"])
+    floor = float(baseline["speedup_floor"]) * (1.0 - tolerance)
     for name, entry in sorted(report.get("results", {}).items()):
         base_entry = baseline.get("results", {}).get(name)
         if base_entry is None:
             continue
-        detailed = entry.get("detailed", {})
-        base_detailed = base_entry.get("detailed", {})
-        for field in ("cycles", "instructions", "ipc"):
-            if detailed.get(field) != base_detailed.get(field):
-                failures.append(
-                    f"{name}: detailed mode is not bit-identical to the "
-                    f"baseline ({field} {detailed.get(field)} vs "
-                    f"{base_detailed.get(field)})"
-                )
-        if "base_detailed" in base_entry:
-            ref = entry.get("base_detailed", {})
-            base_ref = base_entry["base_detailed"]
-            for field in ("cycles", "ipc"):
-                if ref.get(field) != base_ref.get(field):
-                    failures.append(
-                        f"{name}: detailed baseline-machine run is not "
-                        f"bit-identical to the baseline ({field} "
-                        f"{ref.get(field)} vs {base_ref.get(field)})"
-                    )
-        sampled = entry.get("sampled", {})
-        base_sampled = base_entry.get("sampled", {})
-        for field in ("ipc", "windows"):
-            if sampled.get(field) != base_sampled.get(field):
-                failures.append(
-                    f"{name}: sampled estimate is not bit-identical to "
-                    f"the baseline ({field} {sampled.get(field)} vs "
-                    f"{base_sampled.get(field)})"
-                )
-        if "tuned" in base_entry:
-            tuned = entry.get("tuned", {})
-            base_tuned = base_entry["tuned"]
-            for field in ("ipc", "windows"):
-                if tuned.get(field) != base_tuned.get(field):
-                    failures.append(
-                        f"{name}: tuned estimate is not bit-identical to "
-                        f"the baseline ({field} {tuned.get(field)} vs "
-                        f"{base_tuned.get(field)})"
-                    )
-            tuned_error = float(tuned.get("ipc_error", 1.0))
-            if tuned_error > error_bound:
-                failures.append(
-                    f"{name}: tuned IPC error {tuned_error * 100:.2f}% "
-                    f"exceeds the stated bound {error_bound * 100:.2f}%"
-                )
-        elif float(entry.get("ipc_error", 1.0)) > error_bound:
-            # Legacy baselines gated the classic leg's absolute error.
+        missing = [leg for leg in _SAMPLING_LEGS if leg not in base_entry]
+        if missing:
             failures.append(
-                f"{name}: sampled IPC error "
-                f"{float(entry.get('ipc_error', 1.0)) * 100:.2f}% exceeds "
-                f"the stated bound {error_bound * 100:.2f}%"
+                f"{name}: the baseline has no {', '.join(missing)} leg "
+                "(re-generate with 'repro-sim bench --sampling')"
             )
-        if "paired" in base_entry:
-            paired = entry.get("paired", {})
-            base_paired = base_entry["paired"]
-            for field in ("rel_ipc", "windows"):
-                if paired.get(field) != base_paired.get(field):
+            continue
+        for leg, (what, fields) in _SAMPLING_LEGS.items():
+            ours, theirs = entry.get(leg, {}), base_entry[leg]
+            for field in fields:
+                if ours.get(field) != theirs.get(field):
                     failures.append(
-                        f"{name}: paired estimate is not bit-identical to "
-                        f"the baseline ({field} {paired.get(field)} vs "
-                        f"{base_paired.get(field)})"
+                        f"{name}: {what} is not bit-identical to the "
+                        f"baseline ({field} {ours.get(field)} vs "
+                        f"{theirs.get(field)})"
                     )
-            rel_err = float(paired.get("rel_err", 1.0))
-            if rel_err > paired_bound:
-                failures.append(
-                    f"{name}: paired relative-IPC error "
-                    f"{rel_err * 100:.2f}% exceeds the stated bound "
-                    f"{paired_bound * 100:.2f}%"
-                )
+        tuned_error = float(entry.get("tuned", {}).get("ipc_error", 1.0))
+        if tuned_error > error_bound:
+            failures.append(
+                f"{name}: tuned IPC error {tuned_error * 100:.2f}% "
+                f"exceeds the stated bound {error_bound * 100:.2f}%"
+            )
+        rel_err = float(entry.get("paired", {}).get("rel_err", 1.0))
+        if rel_err > paired_bound:
+            failures.append(
+                f"{name}: paired relative-IPC error "
+                f"{rel_err * 100:.2f}% exceeds the stated bound "
+                f"{paired_bound * 100:.2f}%"
+            )
         speedup = float(entry.get("speedup", 0.0))
         if speedup < floor:
             failures.append(
                 f"{name}: effective speedup {speedup:.2f}x is below the "
-                f"stated floor {baseline.get('speedup_floor')}x "
+                f"stated floor {baseline['speedup_floor']}x "
                 f"(tolerance {tolerance * 100:.0f}% -> gate {floor:.2f}x)"
             )
     return failures
@@ -539,44 +517,31 @@ def check_sampling_baseline(
 
 def format_sampling_report(report: dict) -> str:
     """A compact human-readable table of a sampling-bench report."""
-    sample = report.get("sample", {})
+    sample = report["sample"]
     lines = [
         f"bench --sampling: machine={report['machine']} "
         f"instructions={report['instructions']} seed={report['seed']} "
-        f"period={sample.get('period')} window={sample.get('window')} "
-        f"warmup={sample.get('warmup')} rev={report['git_rev']}",
+        f"period={sample['period']} window={sample['window']} "
+        f"warmup={sample['warmup']} rev={report['git_rev']}",
         f"{'workload':<12} {'det IPC':>9} {'samp IPC':>9} {'err':>7} "
         f"{'tuned err':>9} {'pair err':>8} {'speedup':>8} {'windows':>8}",
     ]
     for name, entry in sorted(report["results"].items()):
-        tuned = entry.get("tuned")
-        paired = entry.get("paired")
-        tuned_col = (
-            f"{tuned['ipc_error'] * 100:>8.2f}%" if tuned else f"{'-':>9}"
-        )
-        paired_col = (
-            f"{paired['rel_err'] * 100:>7.2f}%" if paired else f"{'-':>8}"
-        )
         lines.append(
             f"{name:<12} "
             f"{entry['detailed']['ipc']:>9.4f} "
             f"{entry['sampled']['ipc']:>9.4f} "
             f"{entry['ipc_error'] * 100:>6.2f}% "
-            f"{tuned_col} "
-            f"{paired_col} "
+            f"{entry['tuned']['ipc_error'] * 100:>8.2f}% "
+            f"{entry['paired']['rel_err'] * 100:>7.2f}% "
             f"{entry['speedup']:>7.2f}x "
             f"{entry['sampled']['windows']:>8}"
         )
     lines.append(
         f"stated contract: tuned |IPC error| <= "
-        f"{report['ipc_error_bound'] * 100:.1f}%"
-        + (
-            f", paired |rel-IPC error| <= "
-            f"{report['paired_error_bound'] * 100:.1f}%"
-            if "paired_error_bound" in report
-            else ""
-        )
-        + f", speedup >= {report['speedup_floor']}x"
+        f"{report['ipc_error_bound'] * 100:.1f}%, paired |rel-IPC error| "
+        f"<= {report['paired_error_bound'] * 100:.1f}%, speedup >= "
+        f"{report['speedup_floor']}x"
     )
     return "\n".join(lines)
 

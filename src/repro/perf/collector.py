@@ -1,10 +1,11 @@
 """Wall-clock timers and event counters for the simulator itself.
 
 A :class:`PerfCollector` measures the *simulator*, never the simulated
-machine: wall time per phase (trace loading, simulation), cycles the
-event-driven fast path skipped, events per second.  It is deliberately
-cheap — a dict update per event bucket, a ``perf_counter`` pair per
-timed section — so it can stay attached even when nobody reads it.
+machine: the wall time of each run's simulation loop (``simulate``) and
+the cycles the event-driven fast path skipped
+(``core.cycles_skipped``).  It is deliberately cheap — a dict update
+per event bucket, a ``perf_counter`` pair per timed section — so it can
+stay attached even when nobody reads it.
 
 Collectors are **excluded from simulation snapshots**: pickling one
 yields an empty collector.  This keeps snapshot/replay bit-identical
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict
 
 
 class PerfCollector:
@@ -49,35 +50,6 @@ class PerfCollector:
 
     def elapsed(self, name: str, default: float = 0.0) -> float:
         return self.timers.get(name, default)
-
-    # -- derived rates -------------------------------------------------
-
-    def rate(self, counter: str, timer: str) -> float:
-        """``counter`` events per second of ``timer`` (0 when unmeasured)."""
-        seconds = self.timers.get(timer, 0.0)
-        if seconds <= 0.0:
-            return 0.0
-        return self.counters.get(counter, 0.0) / seconds
-
-    # -- aggregation ---------------------------------------------------
-
-    def merge(self, other: "PerfCollector") -> None:
-        """Fold another collector's counters and timers into this one."""
-        for name, value in other.counters.items():
-            self.add(name, value)
-        for name, value in other.timers.items():
-            self.timers[name] = self.timers.get(name, 0.0) + value
-
-    def report(self) -> Dict[str, Dict[str, float]]:
-        """A JSON-able snapshot of everything collected so far."""
-        return {
-            "counters": dict(self.counters),
-            "timers": dict(self.timers),
-        }
-
-    def reset(self) -> None:
-        self.counters.clear()
-        self.timers.clear()
 
     # -- pickling ------------------------------------------------------
     # Snapshots capture the whole simulator object graph; the collector

@@ -38,7 +38,7 @@ failure-handling machinery that a long unattended sweep needs:
   out-of-order checkpoints replay exactly the same way.
 - **Degradation policy** — ``on_error="skip"`` records the failure and
   moves on (the unattended default); ``on_error="fail"`` re-raises after
-  recording (fail-fast, the legacy in-process sweep behaviour).
+  recording (fail-fast).
   Fail-fast kills the outstanding workers, drains the scheduler, and
   writes the failed manifest before re-raising.
 - **Worker watchdog** — a worker that dies *without raising* (kill -9,
@@ -64,9 +64,11 @@ failure-handling machinery that a long unattended sweep needs:
 Because specs cross a process boundary, a spec's trace is *declarative*:
 a :class:`WorkloadSpec` (regenerate from the registry), a
 :class:`TraceFileSpec` (reload from disk), or a picklable zero-argument
-callable.  Unpicklable callables (lambdas/closures, as used by the
-legacy ``run_configs`` API) automatically fall back to inline execution
-for that point.
+callable.  Unpicklable callables (lambdas/closures) automatically fall
+back to inline execution for that point.
+
+This module imports the simulator, the workload registry and the
+integrity layer; none of them imports the runner back.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -107,6 +108,8 @@ from repro.errors import (
     WorkerPoisonedError,
     error_kind,
 )
+from repro.integrity.golden import golden_check, run_golden
+from repro.integrity.snapshot import SimSnapshot, resume_run, run_mode
 from repro.runner.chaos import ChaosEngine, ChaosSpec
 from repro.runner.checkpoint import (
     CheckpointStore,
@@ -114,11 +117,21 @@ from repro.runner.checkpoint import (
     result_to_dict,
     spec_fingerprint,
 )
-from repro.runner.faults import FaultSpec, inject_faults
+from repro.runner.faults import (
+    FaultSpec,
+    corrupt_simulator_state,
+    inject_faults,
+)
+from repro.sim.results import SimulationResult
+from repro.sim.simulator import Simulator
+from repro.trace.io import load_trace
 from repro.trace.record import TraceRecord
-
-if TYPE_CHECKING:  # runtime import is lazy: repro.sim.sweep imports us back
-    from repro.sim.results import SimulationResult
+from repro.workloads import get_workload
+from repro.workloads.cache import (
+    cache_path,
+    cached_workload_trace,
+    prewarm_workload_trace,
+)
 
 #: Upper bound on how long the scheduler blocks in ``wait`` before
 #: re-checking for a requested stop (signal or cross-thread).
@@ -256,9 +269,6 @@ def _resolve_trace(
     on_corrupt_state: Optional[Callable[[str], None]] = None,
     max_instructions: Optional[int] = None,
 ) -> Iterable[TraceRecord]:
-    # Imported lazily: this module must stay importable from
-    # repro.sim.sweep without creating an import cycle through
-    # repro.sim/__init__ or repro.workloads.
     if isinstance(trace, WorkloadSpec):
         if _cacheable(trace, max_instructions):
             # The core consumes at most ``max_instructions`` records, so
@@ -266,20 +276,14 @@ def _resolve_trace(
             # as the run can see — results are bit-identical, the load
             # is an mmap instead of a generator re-run, and a parallel
             # campaign's pre-warmed entry is shared by every worker.
-            from repro.workloads.cache import cached_workload_trace
-
             records: Iterable[TraceRecord] = cached_workload_trace(
                 trace.name, seed=trace.seed, instructions=max_instructions
             )
         else:
-            from repro.workloads import get_workload
-
             records = get_workload(
                 trace.name, seed=trace.seed, scale=trace.scale
             )
     elif isinstance(trace, TraceFileSpec):
-        from repro.trace.io import load_trace
-
         records = load_trace(trace.path, strict=trace.strict, errors=errors)
     elif callable(trace):
         records = trace()
@@ -310,20 +314,18 @@ def execute_spec(
 
     When ``snapshot_path`` names an existing snapshot file the run
     *resumes* from it instead of starting over (the typical case: a
-    previous attempt timed out mid-run); when ``snapshot_every`` is also
-    set, fresh snapshots keep landing at ``snapshot_path`` as the run
-    progresses, each one atomically replacing the last.
+    previous attempt timed out mid-run); a file that cannot be read,
+    verified or restored is moved to ``.corrupt`` and the run starts
+    over with ``extra["snapshot_quarantined"]`` set.  When
+    ``snapshot_every`` is also set, fresh snapshots keep landing at
+    ``snapshot_path`` as the run progresses, each one atomically
+    replacing the last.
     """
-    from repro.integrity.snapshot import SimSnapshot, resume_run, run_mode
-    from repro.sim.simulator import Simulator
-
     trace_errors: List = []
     # The live simulator, for the state-corruption fault hook.
     machines: List[Simulator] = []
 
     def on_corrupt_state(target: str) -> None:
-        from repro.runner.faults import corrupt_simulator_state
-
         corrupt_simulator_state(machines[-1], target)
 
     records = _resolve_trace(
@@ -338,18 +340,21 @@ def execute_spec(
     snapshot_sink = None
     if snapshot_path is not None and snapshot_every is not None:
 
-        def snapshot_sink(snapshot: "SimSnapshot") -> None:
+        def snapshot_sink(snapshot: SimSnapshot) -> None:
             snapshot.save(snapshot_path)
 
-    snapshot: Optional["SimSnapshot"] = None
+    snapshot: Optional[SimSnapshot] = None
     snapshot_quarantined = False
     if snapshot_path is not None and os.path.exists(snapshot_path):
         try:
             snapshot = SimSnapshot.load(snapshot_path)
+            # A payload can pass its checksum and still not unpickle.
+            snapshot.restore()
         except SimulationError:
-            # A corrupt/torn snapshot must never poison the retry: move
-            # it aside (post-mortem evidence, audit-visible) and run the
-            # attempt from scratch — slower, but always correct.
+            # A corrupt/torn/unrestorable snapshot must never poison the
+            # retry: move it aside (post-mortem evidence, audit-visible)
+            # and run the attempt from scratch — slower, but always
+            # correct.
             snapshot = None
             snapshot_quarantined = True
             try:
@@ -359,8 +364,6 @@ def execute_spec(
     if snapshot is not None:
         expected_mode = run_mode(spec.config)
         if snapshot.mode != expected_mode:
-            from repro.errors import IntegrityError
-
             raise IntegrityError(
                 f"snapshot for {spec.run_id!r} was captured in "
                 f"{snapshot.mode!r} mode but the spec runs in "
@@ -397,8 +400,6 @@ def execute_spec(
 
 def _golden_validate(spec: RunSpec, result: SimulationResult) -> None:
     """Replay the spec's trace through the golden model and verify."""
-    from repro.integrity.golden import golden_check, run_golden
-
     if spec.warmup_instructions:
         raise ConfigError(
             "RunSpec.golden_check requires warmup_instructions == 0 "
@@ -789,11 +790,6 @@ class CampaignRunner:
                 continue
             warmed.add(key)
             try:
-                from repro.workloads.cache import (
-                    cache_path,
-                    prewarm_workload_trace,
-                )
-
                 if prewarm_workload_trace(
                     trace.name, seed=trace.seed,
                     instructions=spec.max_instructions,

@@ -46,7 +46,6 @@ import os
 import shutil
 import uuid
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -57,22 +56,18 @@ from typing import (
 )
 
 from repro.ioutil import atomic_write_text, crc32_of
-
-if TYPE_CHECKING:  # runtime import is lazy: repro.sim imports us back
-    from repro.runner.chaos import ChaosEngine
-    from repro.sim.results import SimulationResult
+from repro.runner.chaos import ChaosEngine
+from repro.sim.results import SimulationResult
 
 CHECKPOINT_NAME = "checkpoint.jsonl"
 MANIFEST_NAME = "manifest.json"
 
 
-def result_to_dict(result: "SimulationResult") -> Dict[str, Any]:
+def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     return dataclasses.asdict(result)
 
 
-def result_from_dict(data: Dict[str, Any]) -> "SimulationResult":
-    from repro.sim.results import SimulationResult
-
+def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
     known = {field.name for field in dataclasses.fields(SimulationResult)}
     return SimulationResult(**{k: v for k, v in data.items() if k in known})
 
@@ -170,7 +165,7 @@ class CheckpointStore:
     def __init__(
         self,
         campaign_dir: str,
-        chaos: Optional["ChaosEngine"] = None,
+        chaos: Optional[ChaosEngine] = None,
     ) -> None:
         self.campaign_dir = campaign_dir
         os.makedirs(campaign_dir, exist_ok=True)

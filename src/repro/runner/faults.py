@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import TraceFormatError
+from repro.streambuf.buffer import EntryState
 from repro.trace.record import TraceRecord
 
 #: Valid ``FaultSpec.corrupt_state_target`` values.
@@ -164,8 +165,6 @@ def corrupt_simulator_state(simulator, target: str) -> None:
     - ``stats`` — the hierarchy reports more demand misses than demand
       accesses (violates ``stats.consistency``).
     """
-    from repro.streambuf.buffer import EntryState
-
     hierarchy = simulator.hierarchy
     controller = simulator.controller
     if target in ("streambuf", "counter") and not hasattr(

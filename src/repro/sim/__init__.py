@@ -1,4 +1,9 @@
-"""End-to-end simulation driver, paper presets, and sweep helpers."""
+"""End-to-end simulation driver and paper presets.
+
+Sweeps over many configurations run on :mod:`repro.runner`, which
+imports this package; nothing here imports the runner or the bench
+harness (:mod:`repro.perf.bench`).
+"""
 
 from repro.sim.presets import (
     baseline_config,
@@ -10,11 +15,6 @@ from repro.sim.presets import (
 )
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator, simulate
-from repro.sim.sweep import (
-    cache_sweep,
-    run_configs,
-    sharing_sweep,
-)
 
 __all__ = [
     "baseline_config",
@@ -26,7 +26,4 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "simulate",
-    "cache_sweep",
-    "run_configs",
-    "sharing_sweep",
 ]

@@ -11,7 +11,7 @@ Section 6 compares six configurations on every benchmark:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import (
     AllocationPolicy,
@@ -31,6 +31,13 @@ PAPER_PREFETCH_LABELS = (
     "ConfAlloc-RR",
     "ConfAlloc-Priority",
 )
+
+#: L1 geometries of Figure 10: (size_bytes, associativity, label).
+FIGURE10_CACHES: List[Tuple[int, int, str]] = [
+    (16 * 1024, 4, "16K 4-w"),
+    (32 * 1024, 2, "32K 2-w"),
+    (32 * 1024, 4, "32K 4-w"),
+]
 
 
 def baseline_config() -> SimConfig:

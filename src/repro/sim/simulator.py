@@ -213,8 +213,6 @@ class Simulator:
                 obs.metrics.sample(state.cycle)
             stats = self.core.finish_run(state)
             result = self._result(label, [self._harvest(stats)])
-        self.perf.add("sim.cycles", result.cycles)
-        self.perf.add("sim.instructions", result.instructions)
         return result
 
     def _reset_stats(self) -> None:

@@ -65,7 +65,9 @@ RECORD_BYTES = _RECORD.size
 #: Suggested extension for compiled traces.
 SUFFIX = ".rtb"
 
-_MAX_KIND = (1 << 8) - 1
+#: Kinds are the contiguous :class:`InstrKind` values ``0.._MAX_KIND``.
+_MAX_KIND = len(InstrKind) - 1
+_KIND_BYTES = bytes(range(_MAX_KIND + 1))
 _MAX_DEP1 = (1 << 32) - 1
 _MAX_DEP2 = (1 << 32) - 1
 _MAX_U64 = (1 << 64) - 1
@@ -135,7 +137,8 @@ def _pack_record(record: TraceRecord, index: int) -> bytes:
     ]
     if not 0 <= kind <= _MAX_KIND:
         raise TraceFormatError(
-            f"record {index}: kind {kind} does not fit in 8 bits"
+            f"record {index}: unknown instruction kind {kind} "
+            f"(expected 0..{_MAX_KIND})"
         )
     if not 0 <= dep1 <= _MAX_DEP1 or not 0 <= dep2 <= _MAX_DEP2:
         raise TraceFormatError(
@@ -153,21 +156,27 @@ def _pack_record(record: TraceRecord, index: int) -> bytes:
 def _pack_chunk(chunk: List[TraceRecord], first: int) -> bytes:
     """Pack ``chunk``, whose first record has index ``first``, in bulk.
 
-    A field ``struct`` rejects sends the chunk back through
+    A field ``struct`` rejects, or a kind byte that names no
+    :class:`InstrKind`, sends the chunk back through
     :func:`_pack_record` one record at a time, which raises the typed
     error naming that record's absolute index.
     """
     pack = _RECORD.pack
     try:
-        return b"".join([
+        packed = b"".join([
             pack(r.kind, 1 if r.taken else 0, r.dep1, r.dep2, r.pc, r.addr)
             for r in chunk
         ])
+        # The kind is each record's first byte; deleting every valid
+        # kind byte leaves nothing when the whole chunk is valid.
+        if not packed[::RECORD_BYTES].translate(None, _KIND_BYTES):
+            return packed
     except (struct.error, TypeError):
-        return b"".join([
-            _pack_record(record, first + offset)
-            for offset, record in enumerate(chunk)
-        ])
+        pass
+    return b"".join([
+        _pack_record(record, first + offset)
+        for offset, record in enumerate(chunk)
+    ])
 
 
 def compile_trace(

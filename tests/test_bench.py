@@ -1,13 +1,16 @@
 """The perf-regression harness: run_bench, baselines, and the CLI."""
 
+import copy
 import json
+import os
 
 import pytest
 
 from repro.cli import main
-from repro.perf import (
+from repro.perf.bench import (
     BenchmarkError,
     check_against_baseline,
+    check_sampling_baseline,
     format_report,
     load_baseline,
     run_bench,
@@ -105,6 +108,147 @@ class TestBaseline:
             load_baseline(str(versionless))
 
 
+SAMPLING_BASELINE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks", "BENCH_sampling.json"
+)
+
+
+def _sampling_report():
+    """A one-workload sampling-bench report carrying every leg and key."""
+    return {
+        "version": 1,
+        "suite": "sampling",
+        "machine": "psb",
+        "instructions": 1_000_000,
+        "seed": 1,
+        "sample": {"period": 50_000, "window": 1_000, "warmup": 500},
+        "tuned_sample": {"strata": 4, "warm_confidence": True},
+        "paired_sample": {"period": 50_000, "window": 4_000, "warmup": 1_000},
+        "baseline_machine": "base",
+        "ipc_error_bound": 0.10,
+        "paired_error_bound": 0.05,
+        "speedup_floor": 10.0,
+        "results": {
+            "health": {
+                "detailed": {"cycles": 1_000, "instructions": 900,
+                             "ipc": 0.9},
+                "base_detailed": {"cycles": 2_000, "ipc": 0.45},
+                "sampled": {"ipc": 0.95, "windows": 20},
+                "tuned": {"ipc": 0.92, "windows": 80, "ipc_error": 0.02},
+                "paired": {"rel_ipc": 2.1, "windows": 20, "rel_err": 0.03},
+                "ipc_error": 0.05,
+                "speedup": 11.0,
+            },
+        },
+    }
+
+
+class TestSamplingGate:
+    """``check_sampling_baseline`` on synthetic reports, no simulation."""
+
+    def test_checked_in_baseline_passes_against_itself(self):
+        baseline = load_baseline(SAMPLING_BASELINE)
+        assert check_sampling_baseline(baseline, baseline) == []
+
+    @pytest.mark.parametrize(
+        "leg, field, what",
+        [
+            ("detailed", "cycles", "detailed mode"),
+            ("base_detailed", "ipc", "detailed baseline-machine run"),
+            ("sampled", "windows", "sampled estimate"),
+            ("tuned", "ipc", "tuned estimate"),
+            ("paired", "rel_ipc", "paired estimate"),
+        ],
+    )
+    def test_each_leg_must_be_bit_identical(self, leg, field, what):
+        report = _sampling_report()
+        baseline = copy.deepcopy(report)
+        report["results"]["health"][leg][field] += 1
+        assert check_sampling_baseline(report, baseline) == [
+            f"health: {what} is not bit-identical to the baseline "
+            f"({field} {report['results']['health'][leg][field]} vs "
+            f"{baseline['results']['health'][leg][field]})"
+        ]
+
+    @pytest.mark.parametrize(
+        "leg, field, message",
+        [
+            ("tuned", "ipc_error",
+             "health: tuned IPC error 10.50% exceeds the stated bound "
+             "10.00%"),
+            ("paired", "rel_err",
+             "health: paired relative-IPC error 10.50% exceeds the "
+             "stated bound 5.00%"),
+        ],
+    )
+    def test_error_bounds(self, leg, field, message):
+        report = _sampling_report()
+        baseline = copy.deepcopy(report)
+        report["results"]["health"][leg][field] = 0.105
+        assert check_sampling_baseline(report, baseline) == [message]
+
+    def test_speedup_floor_is_scaled_by_the_tolerance(self):
+        report = _sampling_report()
+        baseline = copy.deepcopy(report)
+        report["results"]["health"]["speedup"] = 7.6
+        assert check_sampling_baseline(report, baseline, tolerance=0.25) == []
+        report["results"]["health"]["speedup"] = 7.4
+        assert check_sampling_baseline(report, baseline, tolerance=0.25) == [
+            "health: effective speedup 7.40x is below the stated floor "
+            "10.0x (tolerance 25% -> gate 7.50x)"
+        ]
+
+    def test_comparability_key_must_match(self):
+        report = _sampling_report()
+        baseline = copy.deepcopy(report)
+        report["paired_sample"] = {"period": 50_000, "window": 2_000,
+                                   "warmup": 1_000}
+        failures = check_sampling_baseline(report, baseline)
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            "baseline not comparable: paired_sample is "
+        )
+
+    def test_refuses_a_non_sampling_suite(self):
+        report = _sampling_report()
+        baseline = dict(copy.deepcopy(report), suite="core")
+        failures = check_sampling_baseline(report, baseline)
+        assert len(failures) == 1
+        assert "not a sampling-suite report" in failures[0]
+
+    @pytest.mark.parametrize("tolerance", [-0.1, 1.0])
+    def test_rejects_a_tolerance_outside_zero_to_one(self, tolerance):
+        report = _sampling_report()
+        with pytest.raises(BenchmarkError, match="tolerance"):
+            check_sampling_baseline(report, report, tolerance=tolerance)
+
+    def test_refuses_a_baseline_without_its_tuned_leg(self):
+        report = _sampling_report()
+        baseline = copy.deepcopy(report)
+        del baseline["results"]["health"]["tuned"]
+        assert check_sampling_baseline(report, baseline) == [
+            "health: the baseline has no tuned leg (re-generate with "
+            "'repro-sim bench --sampling')"
+        ]
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("tuned_sample",
+             "baseline not comparable: tuned_sample is None in the "
+             "baseline but {'strata': 4, 'warm_confidence': True} in this "
+             "run"),
+            ("speedup_floor",
+             "baseline not comparable: it states no speedup_floor"),
+        ],
+    )
+    def test_refuses_a_baseline_without_a_key_it_gates_on(self, key, message):
+        report = _sampling_report()
+        baseline = copy.deepcopy(report)
+        del baseline[key]
+        assert check_sampling_baseline(report, baseline) == [message]
+
+
 class TestBenchCommand:
     def test_quick_writes_report(self, tmp_path, capsys):
         out = str(tmp_path / "BENCH_core.json")
@@ -137,7 +281,7 @@ class TestBenchCommand:
 @pytest.fixture
 def bench_calls(monkeypatch):
     """Stub both bench suites and the report writer; record their inputs."""
-    import repro.perf as perf
+    import repro.perf.bench as perf
 
     calls = {}
 

@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.errors import ConfigError, SimulationError, TraceFormatError
-from repro.integrity.snapshot import SimSnapshot
+from repro.integrity.snapshot import SimSnapshot, resume_run
 from repro.runner import (
     CHECKPOINT_NAME,
     MANIFEST_NAME,
@@ -322,17 +322,43 @@ class TestSnapshotCorruption:
         with pytest.raises(SimulationError):
             SimSnapshot.load(path)
 
-    def test_execute_spec_quarantines_and_reruns(self, tmp_path):
-        path = _snapshot(tmp_path)
-        corrupt_binary_file(path, "bitflip", seed=2)
+    @staticmethod
+    def _unrestorable_snapshot(tmp_path):
+        # Passes its CRC32, but the payload does not unpickle: what a
+        # campaign resumed under changed classes meets.
+        path = str(tmp_path / "run.snap")
+        SimSnapshot(
+            b"not a pickle", cycle=10, records_consumed=5, label="p"
+        ).save(path)
+        return path
+
+    @staticmethod
+    def _assert_quarantined_and_rerun(path):
         spec = _spec("quarantine", psb_config())
         result = execute_spec(spec, snapshot_path=path)
         # The attempt ran from scratch and flagged the quarantine...
-        assert result.extra["snapshot_quarantined"] == 1.0
-        assert "resumed_from_cycle" not in result.extra
+        assert result.extra.pop("snapshot_quarantined") == 1.0
+        assert result == execute_spec(spec)
         # ...and the damaged file was kept aside for post-mortem.
         assert not os.path.exists(path)
         assert os.path.exists(path + ".corrupt")
+
+    def test_execute_spec_quarantines_and_reruns(self, tmp_path):
+        path = _snapshot(tmp_path)
+        corrupt_binary_file(path, "bitflip", seed=2)
+        self._assert_quarantined_and_rerun(path)
+
+    def test_execute_spec_quarantines_an_unrestorable_snapshot(
+        self, tmp_path
+    ):
+        self._assert_quarantined_and_rerun(
+            self._unrestorable_snapshot(tmp_path)
+        )
+
+    def test_resume_run_refuses_an_unrestorable_snapshot(self, tmp_path):
+        snapshot = SimSnapshot.load(self._unrestorable_snapshot(tmp_path))
+        with pytest.raises(SimulationError, match="cannot restore snapshot 'p'"):
+            resume_run(snapshot, get_workload("health", seed=1))
 
     def test_retry_with_corrupted_snapshot_still_succeeds(self, tmp_path):
         from repro.runner import FaultSpec

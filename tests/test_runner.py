@@ -24,7 +24,6 @@ from repro.runner import (
     WorkloadSpec,
 )
 from repro.sim import baseline_config, simulate
-from repro.sim.sweep import cache_sweep, run_configs
 from repro.workloads import get_workload
 
 INSTRUCTIONS = 1_500
@@ -350,48 +349,24 @@ class TestProcessFallback:
         assert result.instructions > 0
 
 
-class TestSweepOnRunner:
-    def test_run_configs_unchanged_semantics(self):
-        def factory():
-            return itertools.islice(get_workload("health", seed=1), 10_000)
+def _broken_trace():
+    raise RuntimeError("boom")
 
-        results = run_configs(
-            {"Base": baseline_config()}, factory,
-            max_instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-        )
-        direct = simulate(
-            baseline_config(), factory(),
-            max_instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-        )
-        assert results["Base"].ipc == direct.ipc
 
-    def test_run_configs_fail_fast_by_default(self):
-        def broken():
-            raise RuntimeError("boom")
+class TestPlainTraceError:
+    """A trace source that raises a plain exception, not a taxonomy error."""
 
+    def test_fail_fast_raises_simulation_error(self):
         with pytest.raises(SimulationError):
-            run_configs(
-                {"Base": baseline_config()}, broken,
-                max_instructions=INSTRUCTIONS,
-            )
+            _inline(on_error="fail").run([_spec("broken", trace=_broken_trace)])
 
-    def test_cache_sweep_with_resilient_runner_skips_failures(self, tmp_path):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] == 2:  # fail the second geometry only
-                raise RuntimeError("boom")
-            return itertools.islice(get_workload("health", seed=1), 10_000)
-
-        runner = _inline(campaign_dir=str(tmp_path / "camp"), on_error="skip")
-        results = cache_sweep(
-            baseline_config(), flaky,
-            max_instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
-            runner=runner,
+    def test_skip_keeps_the_other_point(self, tmp_path):
+        d = str(tmp_path / "camp")
+        campaign = _inline(campaign_dir=d, on_error="skip").run(
+            [_spec("broken", trace=_broken_trace), _spec("fine")]
         )
-        assert len(results) == 2  # the failed geometry is absent
-        manifest = json.load(
-            open(os.path.join(str(tmp_path / "camp"), MANIFEST_NAME))
-        )
+        assert set(campaign.results) == {"fine"}
+        assert campaign.failures["broken"].error_kind == "SimulationError"
+        manifest = json.load(open(os.path.join(d, MANIFEST_NAME)))
         assert manifest["failed"] == 1
+        assert manifest["ok"] == 1

@@ -1,7 +1,12 @@
 """Tests for the end-to-end simulator driver and presets."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.config import (
     AllocationPolicy,
     PrefetcherKind,
@@ -16,9 +21,12 @@ from repro.sim import (
     simulate,
     stride_config,
 )
-from repro.sim.presets import PAPER_PREFETCH_LABELS, sequential_config
+from repro.sim.presets import (
+    FIGURE10_CACHES,
+    PAPER_PREFETCH_LABELS,
+    sequential_config,
+)
 from repro.sim.results import best_of
-from repro.sim.sweep import FIGURE10_CACHES, cache_sweep, run_configs
 from repro.workloads import get_workload
 
 RUN = dict(max_instructions=4000, warmup_instructions=1000)
@@ -109,19 +117,17 @@ class TestPresets:
 
 
 class TestSweeps:
-    def test_run_configs(self):
-        configs = {"Base": baseline_config(), "Stride": stride_config()}
-        results = run_configs(
-            configs, lambda: get_workload("turb3d"), **RUN
-        )
-        assert set(results) == {"Base", "Stride"}
-        assert results["Stride"].label == "Stride"
-
-    def test_cache_sweep_covers_figure10_geometries(self):
-        results = cache_sweep(
-            baseline_config(), lambda: get_workload("health"), **RUN
-        )
-        assert set(results) == {label for __, __, label in FIGURE10_CACHES}
+    def test_figure10_geometries_build_and_simulate(self):
+        for size_bytes, associativity, label in FIGURE10_CACHES:
+            simulator = Simulator(
+                baseline_config().with_l1(size_bytes, associativity)
+            )
+            l1 = simulator.hierarchy.l1
+            assert l1.associativity == associativity
+            assert l1.num_sets * associativity * l1.block_size == size_bytes
+            result = simulator.run(get_workload("health"), label=label, **RUN)
+            assert result.label == label
+            assert result.instructions == 3000
 
     def test_smaller_cache_misses_more(self):
         big = simulate(
@@ -133,3 +139,37 @@ class TestSweeps:
             max_instructions=20000, warmup_instructions=5000,
         )
         assert small.l1_miss_rate >= big.l1_miss_rate
+
+
+class TestLayering:
+    def test_simulator_import_loads_no_runner_or_bench_harness(self):
+        # The runner and the bench harness import the simulator, never
+        # the reverse: a process that only simulates loads neither, nor
+        # the process-pool machinery only campaigns need.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        probe = (
+            "import sys\n"
+            "import repro.sim.simulator\n"
+            "print('\\n'.join(sorted(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "repro.sim.simulator" in loaded
+        forbidden = {
+            "repro.perf.bench",
+            "repro.cli",
+            "multiprocessing",
+            "concurrent.futures.process",
+        }
+        leaked = sorted(
+            name for name in loaded
+            if name in forbidden or name.split(".")[:2] == ["repro", "runner"]
+        )
+        assert leaked == []

@@ -114,7 +114,7 @@ class TestBadRecords:
     @pytest.mark.parametrize(
         "field, value",
         [("pc", 1.5), ("addr", None), ("dep1", -1), ("dep2", 1 << 32),
-         ("addr", 1 << 64)],
+         ("addr", 1 << 64), ("kind", 10)],
     )
     def test_bad_field_past_the_first_chunk_is_typed(
         self, tmp_path, field, value
@@ -124,6 +124,14 @@ class TestBadRecords:
         with pytest.raises(TraceFormatError, match="record 5000"):
             compile_trace(str(tmp_path / "t.rtb"), records)
         assert os.listdir(tmp_path) == []  # no file, no ``.tmp.*``
+
+    def test_kind_the_loader_rejects_is_refused(self):
+        # A kind that fits the u8 field but names no InstrKind would
+        # compile into a trace that every later load calls corrupt.
+        with pytest.raises(
+            TraceFormatError, match="record 0: unknown instruction kind 20"
+        ):
+            compile_trace(io.BytesIO(), [TraceRecord(20, 0x40)])
 
 
 #: sha256 of the compiled bytes of the first 3,000 records of each

@@ -20,6 +20,10 @@ python -m repro run health --machine psb --instructions 5000 \
     --invariants full
 
 echo
+echo "== full invariant checking through a duplicate-prediction streak =="
+python -m repro run sis --machine psb --instructions 5000 --invariants full
+
+echo
 echo "== full invariant checking on a deeply booked bus (pooled sharing) =="
 python -m repro run many_streams --machine psb-harmonic --instructions 4000 \
     --warmup 1000 --invariants full

@@ -1158,7 +1158,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     ]
     progress = None
     if args.progress:
-        from repro.obs import CampaignProgress
+        from repro.obs.progress import CampaignProgress
 
         progress = CampaignProgress(
             emit=lambda line: print(line, file=sys.stderr)

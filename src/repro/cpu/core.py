@@ -19,13 +19,14 @@ instructions are not executed (the misprediction penalty is charged
 instead), and stores access the cache at issue rather than at commit.
 
 **Event-driven fast path** (``event_driven``, default on): when a cycle
-ends with nothing to issue, nothing retirable, fetch provably blocked,
-and the prefetcher idle, the loop computes a *horizon* — the earliest
-of the next completion in the heap, a stalled branch's redirect cycle,
-and the prefetcher's ``next_event_cycle`` (next free bus slot or
-in-flight-fill refresh) — and jumps ``cycle`` straight there.  Skipped
-iterations have exactly one per-cycle side effect to replay
-(``FunctionalUnits.new_cycle``), so the machine state at every cycle
+ends with nothing to issue, nothing retirable and fetch provably
+blocked, the loop computes a *horizon* — the earlier of the next
+completion in the heap and a stalled branch's redirect cycle — and
+jumps ``cycle`` straight there.  The skipped iterations did only two
+things each cycle: ``FunctionalUnits.new_cycle``, replayed once for the
+last of them, and the prefetcher's ``tick``, which
+``PrefetcherPort.run`` replays at each cycle the prefetcher's
+``next_event_cycle`` names.  So the machine state at every cycle
 boundary is bit-identical to the cycle-stepped loop; the equivalence
 tests assert this stats-, snapshot-, and golden-check-deep.
 """
@@ -224,8 +225,9 @@ class OutOfOrderCore:
         self.store_tracker = StoreTracker(config.disambiguation)
         self.stats = CoreStats()
         #: Optional :class:`repro.perf.PerfCollector`; cycles the fast
-        #: path skipped are tallied here (never into the snapshotted
-        #: run state, so fast and stepped runs stay bit-identical).
+        #: path skipped, the prefetcher's ticks through them included,
+        #: are tallied here (never into the snapshotted run state, so
+        #: fast and stepped runs stay bit-identical).
         self.perf = None
 
     # ------------------------------------------------------------------
@@ -303,7 +305,7 @@ class OutOfOrderCore:
         funits_try_issue = self.funits.try_issue
         hier_access = hierarchy.access
         prefetcher_tick = prefetcher.tick
-        prefetcher_next_event = prefetcher.next_event_cycle
+        prefetcher_run = prefetcher.run
         bp_update = self.branch_predictor.update
         tracker = self.store_tracker
         track_load = tracker.for_load
@@ -538,10 +540,10 @@ class OutOfOrderCore:
 
                 # ---- event-driven skip-ahead -----------------------------
                 # Quiescence test for the cycle about to start: nothing
-                # issuable, nothing retirable, fetch provably blocked,
-                # prefetcher idle.  Each clause either proves the next
-                # cycle is a no-op or falls back to single-stepping, so
-                # a wrong horizon can cost time but never correctness.
+                # issuable, nothing retirable, fetch provably blocked.
+                # Each clause either proves the core does nothing before
+                # the horizon or falls back to single-stepping, so a
+                # wrong horizon can cost time but never correctness.
                 if not event_driven or ready:
                     continue
                 if completions:
@@ -576,11 +578,6 @@ class OutOfOrderCore:
                         pass  # LSQ full: frees only via retire
                     else:
                         continue  # fetch can dispatch this cycle
-                next_prefetch = prefetcher_next_event(cycle)
-                if next_prefetch <= cycle:
-                    continue
-                if next_prefetch < horizon:
-                    horizon = next_prefetch
                 # Never skip past the deadlock detector's trip point or
                 # a caller's stop boundary.
                 deadline = last_retire_cycle + _DEADLOCK_CYCLES + 1
@@ -589,10 +586,13 @@ class OutOfOrderCore:
                 if stop_cycle is not None and horizon > stop_cycle:
                     horizon = stop_cycle
                 if horizon > cycle:
-                    # The skipped iterations' only per-cycle side effect
-                    # is the functional units' slot reset; replay it so
-                    # state at the landing cycle (or a stop boundary)
-                    # matches the stepped loop bit for bit.
+                    # The skipped iterations' only per-cycle side effects
+                    # are the prefetcher's ticks, which create no core
+                    # event before the horizon, and the functional
+                    # units' slot reset.  Replay both so state at the
+                    # landing cycle (or a stop boundary) matches the
+                    # stepped loop bit for bit.
+                    prefetcher_run(cycle, horizon)
                     funits_new_cycle(horizon - 1)
                     cycles_skipped += horizon - cycle
                     cycle = horizon

@@ -15,7 +15,9 @@ timing model can state exactly:
   LRU timestamp never runs ahead of the simulation clock.  Under a
   pooled sharing policy, pool conservation too: entries owned across
   all buffers equal the pool's allocated count, never exceed the pool
-  size, and no entry object is owned by two streams at once.
+  size, and no entry object is owned by two streams at once.  A
+  standing predictor-port decision is what a fresh arbitration would
+  decide.
 - **Saturating counters** — priority/confidence values stay inside
   their ``[minimum, maximum]`` bounds.
 - **Caches** — no set holds more blocks than its associativity, and
@@ -41,6 +43,7 @@ from typing import Dict, Optional
 
 from repro.config import InvariantLevel, SimConfig
 from repro.errors import IntegrityError
+from repro.streambuf.controller import ARBITRATE
 
 #: Cycle period for the expensive whole-cache set scans, which would
 #: dominate runtime if run every cycle even at ``full`` level.
@@ -183,10 +186,12 @@ def check_stream_buffers(
     buffers equal the pool's allocated count and never exceed its size,
     and no entry object is owned by two buffers at once.
 
-    Last, ``streambuf.index``: each buffer's stored ``occupied_count``
+    Then ``streambuf.index``: each buffer's stored ``occupied_count``
     and the controller's shared ``block_counts`` multiset must equal
-    what the entries themselves hold.  It runs after the structural
-    rules, so a corruption those name is reported under their name.
+    what the entries themselves hold.  Last, ``streambuf.port``: a
+    standing predictor-port decision must be what a fresh arbitration
+    would decide.  Both run after the structural rules, so a corruption
+    those name is reported under their name.
     """
     buffers = getattr(controller, "buffers", None)
     if buffers is None:  # demand-based prefetchers have no buffers
@@ -281,6 +286,7 @@ def check_stream_buffers(
                 )
             owner_of_block[entry.block] = buffer.index
     _check_occupancy_index(controller, buffers, cycle)
+    _check_predictor_port(controller, buffers, cycle)
 
 
 def _check_occupancy_index(controller, buffers, cycle: Optional[int]) -> None:
@@ -313,6 +319,50 @@ def _check_occupancy_index(controller, buffers, cycle: Optional[int]) -> None:
                 "stored": {hex(b): n for b, n in sorted(stored.items())},
                 "recounted": {hex(b): n for b, n in sorted(recount.items())},
             },
+        )
+
+
+def _check_predictor_port(controller, buffers, cycle: Optional[int]) -> None:
+    """The standing predictor-port decision agrees with a fresh pick.
+
+    ``None`` stands for "no buffer can take a prediction"; a standing
+    buffer needs a scheduler whose pick depends only on buffer state,
+    and must be that pick.  The fresh pick counts no grant.
+    """
+    port = controller.predictor_port
+    if port is ARBITRATE:
+        return
+    eligible = controller.sharing.prediction_filter(controller._training_epoch)
+    if port is None:
+        ready = [buffer.index for buffer in buffers if eligible(buffer)]
+        if ready:
+            _fail(
+                "streambuf.port",
+                f"the predictor port idles while buffers {ready} can "
+                "take a prediction",
+                cycle,
+                {"eligible": ready},
+            )
+        return
+    scheduler = controller.scheduler
+    if not scheduler.stateless:
+        _fail(
+            "streambuf.port",
+            f"buffer {port.index} stands on the predictor port under "
+            f"{type(scheduler).__name__}, whose pick depends on its "
+            "earlier grants",
+            cycle,
+            {"standing": port.index, "scheduler": type(scheduler).__name__},
+        )
+    fresh = scheduler.pick(buffers, eligible)
+    if fresh is not port:
+        fresh_index = None if fresh is None else fresh.index
+        _fail(
+            "streambuf.port",
+            f"buffer {port.index} stands on the predictor port but a "
+            f"fresh pick names {fresh_index}",
+            cycle,
+            {"standing": port.index, "fresh": fresh_index},
         )
 
 

@@ -82,14 +82,31 @@ class PrefetcherPort:
         """Earliest cycle >= ``cycle`` at which :meth:`tick` could do
         anything.
 
-        The event-driven core loop folds this into its skip-ahead
-        horizon; :data:`NEVER` means the prefetcher is idle until an
-        external event (miss, probe) wakes it.  Implementations must be
-        pure queries, and must be *conservative*: returning ``cycle``
-        simply disables skipping for a cycle, while returning too large
-        a value would silently change simulation results.
+        :meth:`run` steps by this through the core's idle stretches;
+        :data:`NEVER` means the prefetcher is idle until an external
+        event (miss, probe) wakes it.  Implementations must be pure
+        queries, and must be *conservative*: returning ``cycle`` merely
+        costs one tick that does nothing, while returning too large a
+        value would silently change simulation results.
         """
         return NEVER
+
+    def run(self, cycle: int, horizon: int) -> None:
+        """Tick through ``[cycle, horizon)`` while the core is idle.
+
+        The event-driven core calls this once it has proved nothing of
+        its own happens before ``horizon``; :meth:`tick` runs at each
+        cycle :meth:`next_event_cycle` names, in order, which is what
+        the stepped loop's per-cycle ticks amount to.  A prefetch
+        creates no core event before ``horizon``: its fills and bus
+        bookings are seen at the core's next demand access.
+        """
+        next_event = self.next_event_cycle
+        tick = self.tick
+        cycle = next_event(cycle)
+        while cycle < horizon:
+            tick(cycle)
+            cycle = next_event(cycle + 1)
 
     def warm(self, misses: List[Tuple[int, int]], detuned: bool) -> None:
         """Functionally warm prefetcher state over one fast-forward stretch.

@@ -18,6 +18,9 @@ predictor accuracy, bus occupancy, priority-counter dynamics — visible
   whole campaign directory, into a self-contained markdown or HTML
   report reproducing the paper's figure shapes.
 
+The campaign progress tracker lives in :mod:`repro.obs.progress`; only
+campaigns use it, so it is imported from there, not re-exported here.
+
 :class:`Observability` bundles a registry and an optional trace for one
 :class:`~repro.sim.simulator.Simulator`; :func:`build_observability` and
 :func:`wire_simulator` are the only integration points the simulator
@@ -36,12 +39,10 @@ from repro.obs.metrics import (
     HistogramMetric,
     MetricsRegistry,
 )
-from repro.obs.progress import CampaignProgress
 from repro.obs.tracing import CATEGORIES, EventTrace, parse_categories, read_jsonl
 
 __all__ = [
     "CATEGORIES",
-    "CampaignProgress",
     "CounterMetric",
     "EventTrace",
     "GaugeMetric",

@@ -99,6 +99,46 @@ def _timed_run(
     return result, wall, simulator.perf
 
 
+def _best_of(
+    repeats: int,
+    config: SimConfig,
+    records: list,
+    instructions: int,
+    warmup: int,
+    label: str,
+    profile_path: Optional[str] = None,
+):
+    """:func:`_timed_run` ``repeats`` times: the result, the best wall
+    time, and the last run's perf counters.
+
+    Simulations are deterministic, so repeat variance is pure scheduler
+    and cache noise, and the minimum is the honest estimate of the
+    code's cost.  Raises :class:`BenchmarkError` if two repeats' results
+    differ.
+    """
+    result = best_wall = perf = None
+    for __ in range(repeats):
+        again, wall, perf = _timed_run(
+            config, records, instructions, warmup, label,
+            profile_path=profile_path,
+        )
+        if result is not None and again != result:
+            raise BenchmarkError(
+                f"repeated runs of {label!r} disagree: cycles "
+                f"{again.cycles} vs {result.cycles}, IPC {again.ipc:.6f} "
+                f"vs {result.ipc:.6f}"
+            )
+        result = again
+        if best_wall is None or wall < best_wall:
+            best_wall = wall
+    return result, best_wall, perf
+
+
+#: Runs of each leg the sampling bench's effective speedup divides: the
+#: best of three, so one slow run does not set the ratio.
+_SPEEDUP_REPEATS = 3
+
+
 def run_bench(
     workloads: Sequence[str],
     config: SimConfig,
@@ -111,14 +151,13 @@ def run_bench(
 ) -> dict:
     """Benchmark ``workloads`` on ``config``; return a report dict.
 
-    Each mode runs ``repeats`` times and reports its best wall time —
-    simulations are deterministic, so repeat variance is pure scheduler
-    and cache noise, and the minimum is the honest estimate of the
-    code's cost.  Raises :class:`BenchmarkError` if any workload name
-    is unknown or if the event-driven run disagrees with the
-    cycle-stepped one (a fast path that changes the answer is a bug,
-    not a speedup).  With ``profile_dir``, each run also dumps cProfile
-    stats to ``<profile_dir>/<workload>-{stepped,event}.prof``.
+    Each mode runs ``repeats`` times and reports its best wall time
+    (:func:`_best_of`).  Raises :class:`BenchmarkError` if any workload
+    name is unknown, if repeats disagree, or if the event-driven run
+    disagrees with the cycle-stepped one (a fast path that changes the
+    answer is a bug, not a speedup).  With ``profile_dir``, each run
+    also dumps cProfile stats to
+    ``<profile_dir>/<workload>-{stepped,event}.prof``.
     """
     known = set(workload_names())
     unknown = [name for name in workloads if name not in known]
@@ -139,18 +178,6 @@ def run_bench(
             return None
         return os.path.join(profile_dir, f"{name}-{mode}.prof")
 
-    def _best_of(mode_config, records, name, mode):
-        best_wall = None
-        result = perf = None
-        for __ in range(repeats):
-            result, wall, perf = _timed_run(
-                mode_config, records, instructions, warmup,
-                f"{name}:{mode}", profile_path=_profile_path(name, mode),
-            )
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
-        return result, best_wall, perf
-
     results: Dict[str, dict] = {}
     for name in workloads:
         # Workload generators are unbounded; take more records than we
@@ -162,10 +189,12 @@ def run_bench(
                                         instructions=instructions * 2)
 
         stepped, stepped_wall, _ = _best_of(
-            config.with_event_driven(False), records, name, "stepped"
+            repeats, config.with_event_driven(False), records, instructions,
+            warmup, f"{name}:stepped", _profile_path(name, "stepped"),
         )
         event, event_wall, event_perf = _best_of(
-            config.with_event_driven(True), records, name, "event"
+            repeats, config.with_event_driven(True), records, instructions,
+            warmup, f"{name}:event", _profile_path(name, "event"),
         )
         if (stepped.cycles, stepped.instructions, stepped.ipc) != (
             event.cycles, event.instructions, event.ipc
@@ -254,6 +283,10 @@ def run_sampling_bench(
       Figure 5 speedup estimator; pairing cancels the fast-forward
       cold-start bias that the absolute legs can only damp).
 
+    The effective speedup divides the best of three detailed runs by
+    the best of three sampled runs (:func:`_best_of`), so one slow run
+    does not set it; the other legs run once.
+
     The bounds and floor are stamped into the report;
     :func:`check_sampling_baseline` enforces the *baseline's* stated
     values, so the checked-in bound is the contract.
@@ -288,17 +321,17 @@ def run_sampling_bench(
     for name in workloads:
         records = cached_workload_trace(name, seed=seed,
                                         instructions=instructions)
-        detailed, detailed_wall, _ = _timed_run(
-            config, records, instructions, 0, f"{name}:detailed",
-            profile_path=_profile_path(name, "detailed"),
+        detailed, detailed_wall, _ = _best_of(
+            _SPEEDUP_REPEATS, config, records, instructions, 0,
+            f"{name}:detailed", _profile_path(name, "detailed"),
         )
         base_detailed, base_wall, _ = _timed_run(
             base_config, records, instructions, 0, f"{name}:base-detailed",
             profile_path=_profile_path(name, "base-detailed"),
         )
-        sampled, sampled_wall, _ = _timed_run(
-            sampled_config, records, instructions, 0, f"{name}:sampled",
-            profile_path=_profile_path(name, "sampled"),
+        sampled, sampled_wall, _ = _best_of(
+            _SPEEDUP_REPEATS, sampled_config, records, instructions, 0,
+            f"{name}:sampled", _profile_path(name, "sampled"),
         )
         tuned, tuned_wall, _ = _timed_run(
             tuned_config, records, instructions, 0, f"{name}:tuned",

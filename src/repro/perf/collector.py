@@ -3,7 +3,8 @@
 A :class:`PerfCollector` measures the *simulator*, never the simulated
 machine: the wall time of each run's simulation loop (``simulate``) and
 the cycles the event-driven fast path skipped
-(``core.cycles_skipped``).  It is deliberately cheap — a dict update
+(``core.cycles_skipped``, including those the prefetcher ticked
+through while the core was idle).  It is deliberately cheap — a dict update
 per event bucket, a ``perf_counter`` pair per timed section — so it can
 stay attached even when nobody reads it.
 

@@ -18,7 +18,7 @@ arbitrarily far ahead of the miss stream.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 
 class StreamState:
@@ -70,6 +70,19 @@ class AddressPredictor(ABC):
         Advances ``state`` speculatively; never touches the tables.
         Returns None when the predictor has nothing useful to say.
         """
+
+    def train_all(self, misses: Iterable[Tuple[int, int]], align: int) -> None:
+        """:meth:`train` on each ``(pc, address & align)`` of ``misses``,
+        in order.
+
+        Full-rate fast-forward warming trains a whole stretch's misses
+        in one call.  An implementation may override this with a loop
+        that keeps its tables in locals, provided the tables and
+        counters end exactly as the per-miss calls leave them.
+        """
+        train = self.train
+        for pc, address in misses:
+            train(pc, address & align)
 
     def warm(self, pc: int, address: int, full: bool = True) -> bool:
         """Observe one *fast-forwarded* miss (sampling warm-up).

@@ -18,12 +18,12 @@ A two-delta stride table sits in front of a differential Markov table:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.config import MarkovPredictorConfig, StridePredictorConfig
 from repro.predictors.base import AddressPredictor, StreamState
 from repro.predictors.markov import DifferentialMarkovTable, MarkovTable
-from repro.predictors.stride import TwoDeltaStrideTable
+from repro.predictors.stride import StrideEntry, TwoDeltaStrideTable
 
 
 class StrideFilteredMarkovPredictor(AddressPredictor):
@@ -81,6 +81,101 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
             # table (the "filter" of Stride-Filtered Markov).
             self.markov_table.train(last_address, address)
         return correct
+
+    def train_all(self, misses: Iterable[Tuple[int, int]], align: int) -> None:
+        """:meth:`train` over a fast-forward stretch's misses, inlined.
+
+        The same updates in the same order as one :meth:`train` per
+        miss — the stride entry's confidence, streaks and two-delta
+        state, the Markov lookup and filtered transition, and every
+        statistics counter — with the table sets, the hash and the
+        counters held in locals.  The test suite pins the tables and
+        counters to the per-miss calls for both Markov variants.
+        """
+        stride_table = self.stride_table
+        stride_sets = stride_table._sets
+        stride_nsets = stride_table.num_sets
+        stride_ways = stride_table.config.associativity
+        confidence_max = stride_table.config.confidence_max
+        markov = self.markov_table
+        store = markov._store
+        markov_sets = store._sets
+        markov_nsets = store.num_sets
+        markov_ways = store.associativity
+        differential = isinstance(markov, DifferentialMarkovTable)
+        if differential:
+            delta_low = -(1 << (markov.delta_bits - 1))
+            delta_high = (1 << (markov.delta_bits - 1)) - 1
+        trains = correct_trains = lookups = hits = 0
+        markov_trains = out_of_range = 0
+        for pc, address in misses:
+            address &= align
+            trains += 1
+            stride_set = stride_sets[pc % stride_nsets]
+            entry = stride_set.get(pc)
+            if entry is None:
+                if len(stride_set) >= stride_ways:
+                    stride_set.popitem(last=False)
+                stride_set[pc] = StrideEntry(pc, address, confidence_max)
+                continue
+            stride_set.move_to_end(pc)
+            last_address = entry.last_address
+            # Markov lookup (mirrors _AssociativeStore._set_for/get);
+            # the filtered transition below trains the same key.
+            lookups += 1
+            hashed = (last_address >> 5) * 0x9E3779B1 & 0xFFFFFFFF
+            markov_set = markov_sets[(hashed >> 16) % markov_nsets]
+            successor = markov_set.get(last_address)
+            if successor is not None:
+                markov_set.move_to_end(last_address)
+                hits += 1
+                if differential:
+                    successor += last_address
+            new_stride = address - last_address
+            counter = entry.confidence
+            if new_stride == entry.two_delta_stride or address == successor:
+                if counter.value < counter.maximum:
+                    counter.value += 1
+                entry.consecutive_correct += 1
+                correct_trains += 1
+            else:
+                if counter.value > counter.minimum:
+                    counter.value -= 1
+                entry.consecutive_correct = 0
+            # StrideEntry.observe, then the filter.
+            stride_covered = (
+                new_stride == entry.last_stride
+                or new_stride == entry.two_delta_stride
+            )
+            if new_stride == entry.last_stride:
+                entry.two_delta_stride = new_stride
+                entry.consecutive_same_stride += 1
+            else:
+                entry.consecutive_same_stride = 0
+            entry.last_stride = new_stride
+            entry.last_address = address
+            if stride_covered:
+                continue
+            markov_trains += 1
+            if differential:
+                if not delta_low <= new_stride <= delta_high:
+                    out_of_range += 1
+                    continue
+                successor = new_stride
+            else:
+                successor = address
+            if last_address in markov_set:
+                markov_set.move_to_end(last_address)
+            elif len(markov_set) >= markov_ways:
+                markov_set.popitem(last=False)
+            markov_set[last_address] = successor
+        self.trains += trains
+        self.correct_trains += correct_trains
+        markov.lookups += lookups
+        markov.hits += hits
+        markov.trains += markov_trains
+        if differential:
+            markov.trains_out_of_range += out_of_range
 
     def warm(self, pc: int, address: int, full: bool = True) -> bool:
         """Fast-forward observation; ``full=False`` detunes confidence.

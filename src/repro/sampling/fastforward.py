@@ -31,6 +31,7 @@ sets and branch state.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 from repro.trace.record import InstrKind, TraceRecord
@@ -81,15 +82,18 @@ class FastForwardEngine:
         Returns how many records were pulled from ``source`` — fewer
         than ``count`` only when the trace ran dry.
         """
+        records = islice(source, count)
+        if pending is not None:
+            records = chain((pending,), records)
         l1 = self._l1
         l2 = self._l2
         l1_sets = l1._sets
-        l1_mask = l1.block_size - 1
+        l1_align = ~(l1.block_size - 1)
         l1_shift = l1.block_size.bit_length() - 1
         l1_nsets = l1.num_sets
         l1_ways = l1.associativity
         l2_sets = l2._sets
-        l2_mask = l2.block_size - 1
+        l2_align = ~(l2.block_size - 1)
         l2_shift = l2.block_size.bit_length() - 1
         l2_nsets = l2.num_sets
         l2_ways = l2.associativity
@@ -103,38 +107,25 @@ class FastForwardEngine:
         misses = []
         add_miss = misses.append
         instructions = l1_misses = 0
-        pulled = 0
-        while True:
-            if pending is not None:
-                record = pending
-                pending = None
-            else:
-                if pulled >= count:
-                    break
-                record = next(source, None)
-                if record is None:
-                    break
-                pulled += 1
+        # The block the last memory access left most recently used, and
+        # its set: a repeat access to it is an L1 hit whose LRU refresh
+        # is a no-op, so only a store's dirty bit is left to set.
+        mru_block = -1
+        mru_set = None
+        for record in records:
             instructions += 1
             kind = record.kind
-            if kind is BRANCH:
-                # gshare train, inlined without the (window-reset)
-                # prediction counters: only the counter table and the
-                # history register carry warmth across windows.
-                index = ((record.pc >> 2) ^ history) & hist_mask
-                if record.taken:
-                    if counters[index] < 3:
-                        counters[index] += 1
-                    history = ((history << 1) | 1) & hist_mask
-                else:
-                    if counters[index] > 0:
-                        counters[index] -= 1
-                    history = (history << 1) & hist_mask
-            elif kind is LOAD or kind is STORE:
+            if kind is LOAD or kind is STORE:
                 is_store = kind is STORE
                 addr = record.addr
-                block = addr & ~l1_mask
+                block = addr & l1_align
+                if block == mru_block:
+                    if is_store:
+                        mru_set[block] = True
+                    continue
                 l1_set = l1_sets[(block >> l1_shift) % l1_nsets]
+                mru_block = block
+                mru_set = l1_set
                 if block in l1_set:
                     l1_set.move_to_end(block)
                     if is_store:
@@ -143,7 +134,7 @@ class FastForwardEngine:
                 l1_misses += 1
                 # L2 demand lookup + fill (mirrors _fetch_from_l2;
                 # an L2 victim write-back to memory is timing-only).
-                l2_block = addr & ~l2_mask
+                l2_block = addr & l2_align
                 l2_set = l2_sets[(l2_block >> l2_shift) % l2_nsets]
                 if l2_block in l2_set:
                     l2_set.move_to_end(l2_block)
@@ -157,7 +148,7 @@ class FastForwardEngine:
                 if len(l1_set) >= l1_ways:
                     victim_block, victim_dirty = l1_set.popitem(last=False)
                     if victim_dirty:
-                        vb = victim_block & ~l2_mask
+                        vb = victim_block & l2_align
                         vset = l2_sets[(vb >> l2_shift) % l2_nsets]
                         if vb in vset:
                             vset[vb] = True
@@ -169,9 +160,24 @@ class FastForwardEngine:
                 if not is_store:
                     # Only loads train the predictor (_finish_miss).
                     add_miss((record.pc, addr))
+            elif kind is BRANCH:
+                # gshare train, inlined without the (window-reset)
+                # prediction counters: only the counter table and the
+                # history register carry warmth across windows.
+                index = ((record.pc >> 2) ^ history) & hist_mask
+                if record.taken:
+                    if counters[index] < 3:
+                        counters[index] += 1
+                    history = ((history << 1) | 1) & hist_mask
+                else:
+                    if counters[index] > 0:
+                        counters[index] -= 1
+                    history = (history << 1) & hist_mask
         bp._history = history
         totals = self.totals
         totals["instructions"] += instructions
         totals["l1_misses"] += l1_misses
         self._prefetcher.warm(misses, self._detuned)
-        return pulled
+        if pending is not None:
+            instructions -= 1
+        return instructions

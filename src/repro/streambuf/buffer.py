@@ -216,15 +216,6 @@ class StreamBuffer:
                 head = entry
         return head
 
-    def wants_prediction(self, epoch: int) -> bool:
-        """True when this buffer should compete for the predictor port."""
-        return (
-            self.occupied_count < len(self.entries)
-            and self.allocated
-            and self.state is not None
-            and self.exhausted_epoch != epoch
-        )
-
     def mark_exhausted(self, epoch: int) -> None:
         """The predictor had nothing to offer; retry after more training."""
         self.exhausted_epoch = epoch

@@ -21,10 +21,25 @@ still advances the stream's speculative history, exactly as in the paper.
 The check is one lookup in ``block_counts``, the block -> occupied-entry
 count map all eight buffers share, which the entries' own transitions
 keep current (see :mod:`repro.streambuf.buffer`).
+
+The port's arbitration is not redone when its answer cannot have
+changed.  ``predictor_port`` holds the standing decision:
+:data:`ARBITRATE` (arbitrate at the next tick), ``None`` (no buffer can
+take a prediction, so the port idles) or the buffer whose prediction
+was just dropped as a duplicate, which predicts again at the next tick
+without a new arbitration.  A dropped duplicate changes none of the
+pick's inputs, so that buffer would win again — under a scheduler whose
+pick depends only on buffer state (``Scheduler.stateless``).  Every
+event that can change the inputs (a probe hit, an overtaken
+prediction, a demand miss, warming, a taken entry, an exhausted stream)
+resets the decision to :data:`ARBITRATE`.  The invariant
+``streambuf.port`` (:func:`repro.integrity.invariants.check_stream_buffers`)
+checks a standing decision against a fresh pick.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import PrefetchConfig, PrefetcherKind, StreamBufferConfig
@@ -62,8 +77,23 @@ class SequentialPredictor(AddressPredictor):
 _NEVER = NEVER
 
 
+class PortDecision(Enum):
+    """The predictor-port decision that is neither idle nor a buffer."""
+
+    ARBITRATE = "arbitrate"
+
+
+#: ``predictor_port`` value: arbitrate afresh at the next tick.
+ARBITRATE = PortDecision.ARBITRATE
+
+
 class StreamBufferController(PrefetcherPort):
     """Arbitrates 8 stream buffers over one predictor port and one bus."""
+
+    #: Class default for a snapshot pickled before the standing decision
+    #: existed (its controller holds ``_predict_skip`` instead): arbitrating
+    #: afresh is always exact, so such a run resumes unchanged.
+    predictor_port = ARBITRATE
 
     def __init__(
         self,
@@ -100,11 +130,12 @@ class StreamBufferController(PrefetcherPort):
         self._misses_since_aging = 0
         self._warm_calls = 0
         self._any_allocated = False
-        # Steady-state fast path: when a tick finds no work, skip the
-        # scan on subsequent ticks until an event (hit, miss, fresh
-        # prediction) can have changed the answer.  Purely an
-        # optimization; behaviour is identical.
-        self._predict_skip = False
+        #: The standing predictor-port decision: :data:`ARBITRATE`,
+        #: ``None`` (nothing can take a prediction) or the buffer that
+        #: predicts next without arbitration (see the module docstring).
+        self.predictor_port = ARBITRATE
+        # Steady-state fast path: when a tick finds no prefetch to
+        # launch, skip the scan until a fresh prediction is held.
         self._prefetch_skip = False
         self._next_refresh = _NEVER
         #: Optional :class:`repro.obs.EventTrace`; when set, allocation,
@@ -161,14 +192,14 @@ class StreamBufferController(PrefetcherPort):
                 entry.clear()
                 self.sharing.release_entry(buffer, entry)
                 self.predicted_overtaken += 1
-                self._predict_skip = False
+                self.predictor_port = ARBITRATE
                 return None
             ready = entry.ready_cycle
             entry.clear()
             self.sharing.release_entry(buffer, entry)
             buffer.note_hit(cycle, self.config.priority_hit_bonus)
             self.prefetches_used += 1
-            self._predict_skip = False  # a freed entry can take a prediction
+            self.predictor_port = ARBITRATE  # a freed entry, a new priority
             trace = self.obs_trace
             if trace is not None:
                 if trace.wants("prefetch"):
@@ -193,8 +224,9 @@ class StreamBufferController(PrefetcherPort):
         block = self._align(addr)
         self.predictor.train(pc, block)
         self._training_epoch += 1
-        # Training may un-exhaust streams; allocation may add work.
-        self._predict_skip = False
+        # Training may un-exhaust streams; aging and allocation change
+        # priorities and buffers.
+        self.predictor_port = ARBITRATE
         if sb_hit:
             return
         # This miss also missed the stream buffers: it is an allocation
@@ -226,7 +258,8 @@ class StreamBufferController(PrefetcherPort):
         gap (each measured window's warm-up rebuilds them from the warm
         predictor tables), so only learned state observes the
         fast-forwarded misses.  Full rate trains the predictor on every
-        miss.  Detuned (timing-aware) warming reflects that in detailed
+        miss, in one :meth:`~repro.predictors.base.AddressPredictor.train_all`
+        call.  Detuned (timing-aware) warming reflects that in detailed
         execution a working stream buffer absorbs many of those misses,
         so accuracy confidence and allocation streaks climb more slowly:
         the address/history tables still observe every miss, but
@@ -246,11 +279,9 @@ class StreamBufferController(PrefetcherPort):
                 age()
             self._warm_calls = calls
         else:
-            train = self.predictor.train
-            for pc, addr in misses:
-                train(pc, addr & align)
+            self.predictor.train_all(misses, align)
         self._training_epoch += len(misses)
-        self._predict_skip = False
+        self.predictor_port = ARBITRATE
 
     def _try_allocate(self, pc: int, block: int, cycle: int) -> None:
         # A load that already owns a stream must not thrash it: while its
@@ -318,7 +349,13 @@ class StreamBufferController(PrefetcherPort):
     # ------------------------------------------------------------------
 
     def tick(self, cycle: int) -> None:
-        """One controller cycle: refresh fills, predict once, prefetch once."""
+        """One controller cycle: refresh fills, predict once, prefetch once.
+
+        The core calls it every cycle it steps, and through its idle
+        stretches :meth:`PrefetcherPort.run` calls it at each cycle
+        :meth:`next_event_cycle` names.  The prediction is skipped while
+        ``predictor_port`` is ``None``.
+        """
         if not self._any_allocated:
             return
         if cycle >= self._next_refresh:
@@ -339,7 +376,7 @@ class StreamBufferController(PrefetcherPort):
                             buffer=buffer.index, block=entry.block,
                         )
             self._next_refresh = next_refresh
-        if not self._predict_skip:
+        if self.predictor_port is not None:
             self._predict_one(cycle)
         if not self._prefetch_skip:
             self._prefetch_one(cycle)
@@ -347,15 +384,15 @@ class StreamBufferController(PrefetcherPort):
     def next_event_cycle(self, cycle: int) -> int:
         """Earliest cycle >= ``cycle`` at which :meth:`tick` could act.
 
-        Mirrors :meth:`tick`'s own gating exactly: a pending prediction
-        means next cycle is interesting; pending prefetches wake at the
-        next free L1-L2 bus slot; in-flight fills wake the refresh scan
-        at ``_next_refresh``.  Pure query — the event-driven core loop
-        calls this every quiescent cycle.
+        Mirrors :meth:`tick`'s own gating exactly: a port decision other
+        than ``None`` means a prediction this cycle; pending prefetches
+        wake at the next free L1-L2 bus slot; in-flight fills wake the
+        refresh scan at ``_next_refresh``.  Pure query — through the
+        core's idle stretches :meth:`PrefetcherPort.run` steps by it.
         """
         if not self._any_allocated:
             return _NEVER
-        if not self._predict_skip:
+        if self.predictor_port is not None:
             return cycle
         horizon = self._next_refresh
         if not self._prefetch_skip and self.hierarchy is not None:
@@ -366,24 +403,33 @@ class StreamBufferController(PrefetcherPort):
 
     def _predict_one(self, cycle: int) -> None:
         epoch = self._training_epoch
-        buffer = self.scheduler.pick_for_prediction(
-            self.buffers, self.sharing.prediction_filter(epoch)
-        )
+        scheduler = self.scheduler
+        buffer = self.predictor_port
+        if buffer is ARBITRATE:
+            buffer = scheduler.pick_for_prediction(
+                self.buffers, self.sharing.prediction_filter(epoch)
+            )
+        else:
+            scheduler.prediction_grants += 1  # the standing winner's grant
         if buffer is None or buffer.state is None:
             # Nothing can take a prediction; skip until an entry frees,
             # a training event lands, or a (re)allocation happens.
-            self._predict_skip = True
+            self.predictor_port = None
             return
         predicted = self.predictor.next_prediction(buffer.state)
         if predicted is None:
             buffer.mark_exhausted(epoch)
+            self.predictor_port = ARBITRATE
             return
         self.predictions_made += 1
         block = self._align(predicted)
         if self.config.check_overlap and block in self.block_counts:
             # Overlapping streams are forbidden: drop the prediction
-            # (history already advanced — Section 4.1).
+            # (history already advanced — Section 4.1).  Nothing the
+            # pick reads changed, so a stateless scheduler's winner
+            # stands for the next tick.
             self.duplicate_predictions += 1
+            self.predictor_port = buffer if scheduler.stateless else ARBITRATE
             trace = self.obs_trace
             if trace is not None and trace.wants("prefetch"):
                 trace.emit(
@@ -391,6 +437,7 @@ class StreamBufferController(PrefetcherPort):
                     buffer=buffer.index, block=block,
                 )
             return
+        self.predictor_port = ARBITRATE
         entry = self.sharing.take_entry(buffer, cycle)
         if entry is not None:
             entry.hold_prediction(block, cycle)

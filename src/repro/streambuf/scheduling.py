@@ -27,6 +27,15 @@ class Scheduler(ABC):
     layer can report how contended each port was.
     """
 
+    #: True when a pick depends only on the buffers' state, never on
+    #: earlier grants: asked again with no buffer changed, it names the
+    #: same winner.  The controller then keeps that winner standing
+    #: across dropped duplicate predictions instead of re-arbitrating.
+    #: Such a scheduler also offers ``pick(buffers, eligible)``, the
+    #: same choice as a query that counts no grant; the invariant
+    #: ``streambuf.port`` re-asks it.
+    stateless = False
+
     def __init__(self) -> None:
         self.prediction_grants = 0
         self.prefetch_grants = 0
@@ -87,9 +96,12 @@ class RoundRobinScheduler(Scheduler):
 class PriorityScheduler(Scheduler):
     """Highest priority counter first; LRU among equals (Section 4.4)."""
 
-    def _pick(
+    stateless = True
+
+    def pick(
         self, buffers: List[StreamBuffer], eligible: Eligible
     ) -> Optional[StreamBuffer]:
+        """The winner among ``eligible`` buffers, counting no grant."""
         # One pass, no candidate lists: this runs per cycle per port.
         # Recency tie-break: among equal priorities the most recently
         # useful buffer wins the port, keeping the live stream ahead of
@@ -117,7 +129,7 @@ class PriorityScheduler(Scheduler):
     def pick_for_prediction(
         self, buffers: List[StreamBuffer], eligible: Eligible
     ) -> Optional[StreamBuffer]:
-        winner = self._pick(buffers, eligible)
+        winner = self.pick(buffers, eligible)
         if winner is not None:
             self.prediction_grants += 1
         return winner
@@ -125,7 +137,7 @@ class PriorityScheduler(Scheduler):
     def pick_for_prefetch(
         self, buffers: List[StreamBuffer], eligible: Eligible
     ) -> Optional[StreamBuffer]:
-        winner = self._pick(buffers, eligible)
+        winner = self.pick(buffers, eligible)
         if winner is not None:
             self.prefetch_grants += 1
         return winner

@@ -115,10 +115,6 @@ class SharingPolicy(ABC):
         occupancy rather than a chain of calls.
         """
 
-    def wants_prediction(self, buffer: StreamBuffer, epoch: int) -> bool:
-        """True when ``buffer`` should compete for the predictor port."""
-        return self.prediction_filter(epoch)(buffer)
-
     @abstractmethod
     def take_entry(
         self, buffer: StreamBuffer, cycle: int
@@ -145,7 +141,10 @@ class FixedSharing(SharingPolicy):
     pooled = False
 
     def prediction_filter(self, epoch: int) -> Eligible:
-        """:meth:`StreamBuffer.wants_prediction`'s static test, inlined."""
+        """A free entry of the buffer's own, on a live stream.
+
+        The stream must also not be exhausted at ``epoch``.
+        """
 
         def eligible(buffer: StreamBuffer) -> bool:
             return (

@@ -14,9 +14,12 @@ from repro.perf.bench import (
     format_report,
     load_baseline,
     run_bench,
+    run_sampling_bench,
     write_report,
 )
+from repro.sampling.paired import PairedResult, PairStats
 from repro.sim import baseline_config
+from repro.sim.results import SimulationResult
 
 
 @pytest.fixture(autouse=True)
@@ -247,6 +250,65 @@ class TestSamplingGate:
         baseline = copy.deepcopy(report)
         del baseline[key]
         assert check_sampling_baseline(report, baseline) == [message]
+
+
+def _leg_result(label, cycles):
+    return SimulationResult(
+        label=label, instructions=2_000, cycles=cycles, ipc=1.0,
+        l1_miss_rate=0.0, avg_load_latency=0.0, load_fraction=0.0,
+        store_fraction=0.0, branch_misprediction_rate=0.0,
+        l1_l2_bus_utilization=0.0, l2_mem_bus_utilization=0.0,
+    )
+
+
+@pytest.fixture
+def leg_script(monkeypatch):
+    """Stub every run inside ``run_sampling_bench``: each run of a leg
+    takes the next (wall time, cycles) its script lists; a leg without
+    a script reads (1.0, 1000).  No simulation runs."""
+    import repro.perf.bench as perf
+
+    script = {
+        "detailed": [(5.0, 1_000), (3.0, 1_000), (4.0, 1_000)],
+        "sampled": [(0.5, 1_000), (0.2, 1_000), (0.4, 1_000)],
+    }
+
+    def timed_run(config, records, instructions, warmup, label,
+                  profile_path=None):
+        runs = script.get(label.split(":")[1])
+        wall, cycles = runs.pop(0) if runs else (1.0, 1_000)
+        return _leg_result(label, cycles), wall, None
+
+    def paired(configs, records, max_instructions, baseline):
+        stats = PairStats(
+            label="psb", baseline=baseline, rel_ipc=1.0,
+            speedup_percent=0.0, ratio_mean=1.0, ratio_ci95=0.0, windows=1,
+        )
+        return PairedResult(
+            baseline=baseline, sample={}, results={}, pairs={"psb": stats}
+        )
+
+    monkeypatch.setattr(perf, "_timed_run", timed_run)
+    monkeypatch.setattr(perf, "run_paired", paired)
+    monkeypatch.setattr(
+        perf, "cached_workload_trace", lambda *args, **kwargs: []
+    )
+    return script
+
+
+class TestSamplingSpeedup:
+    def test_speedup_is_best_detailed_over_best_sampled(self, leg_script):
+        report = run_sampling_bench(["health"], baseline_config())
+        entry = report["results"]["health"]
+        assert entry["detailed"]["wall_s"] == 3.0
+        assert entry["sampled"]["wall_s"] == 0.2
+        assert entry["speedup"] == 15.0
+        assert leg_script == {"detailed": [], "sampled": []}
+
+    def test_repeats_that_disagree_are_refused(self, leg_script):
+        leg_script["sampled"][2] = (0.4, 1_001)
+        with pytest.raises(BenchmarkError, match="repeated runs"):
+            run_sampling_bench(["health"], baseline_config())
 
 
 class TestBenchCommand:

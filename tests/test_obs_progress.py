@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import CampaignProgress
+from repro.obs.progress import CampaignProgress
 from repro.runner import CampaignRunner, FaultSpec, RunSpec, WorkloadSpec
 from repro.sim import baseline_config
 

@@ -1,6 +1,12 @@
 """Unit tests for the Stride-Filtered Markov predictor (Section 4.2)."""
 
+import pytest
+
+from repro.config import MarkovPredictorConfig, StridePredictorConfig
 from repro.predictors.sfm import StrideFilteredMarkovPredictor
+from repro.sampling import FastForwardEngine
+from repro.sim import Simulator, psb_config
+from repro.workloads import cached_workload_trace
 
 
 def _train_sequence(sfm, pc, addresses):
@@ -109,3 +115,103 @@ class TestTwoMissReadiness:
         _train_sequence(sfm, 0x100, chain)
         _train_sequence(sfm, 0x100, chain)
         assert sfm.allocation_ready(0x100)
+
+
+def _tables(sfm):
+    """Every piece of state training touches, in LRU order."""
+    strides = [
+        [
+            (pc, entry.last_address, entry.last_stride,
+             entry.two_delta_stride, entry.confidence.value,
+             entry.consecutive_correct, entry.consecutive_same_stride)
+            for pc, entry in table_set.items()
+        ]
+        for table_set in sfm.stride_table._sets
+    ]
+    markov = sfm.markov_table
+    transitions = [list(table_set.items()) for table_set in markov._store._sets]
+    counters = (sfm.trains, sfm.correct_trains, markov.trains,
+                markov.lookups, markov.hits,
+                getattr(markov, "trains_out_of_range", None))
+    return strides, transitions, counters
+
+
+def _miss_stream(seed, length=4_000):
+    """Bursts of strided, chained and random misses from 24 loads over
+    8 two-way stride sets, with deltas that overflow 16 bits, so every
+    branch of training runs and both tables evict."""
+    import random
+
+    rng = random.Random(seed)
+    chain = [rng.randrange(0, 1 << 20) for __ in range(24)]
+    steps = {}
+    misses = []
+    while len(misses) < length:
+        pc = 0x400 + rng.randrange(24)
+        for __ in range(rng.randrange(4, 20)):
+            step = steps.get(pc, 0)
+            steps[pc] = step + 1
+            shape = pc % 3
+            if shape == 0:
+                address = (pc << 16) + 96 * step + rng.choice((0, 0, 0, 64))
+            elif shape == 1:
+                address = chain[step % len(chain)]
+            else:
+                address = rng.randrange(0, 1 << 24)
+            misses.append((pc, address))
+    return misses[:length]
+
+
+class TestTrainAll:
+    @pytest.mark.parametrize("differential", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_one_train_per_miss(self, differential, seed):
+        def make():
+            return StrideFilteredMarkovPredictor(
+                StridePredictorConfig(entries=16, associativity=2),
+                MarkovPredictorConfig(entries=64, associativity=4,
+                                      differential=differential),
+            )
+
+        misses = _miss_stream(seed)
+        align = ~31
+        bulk, single = make(), make()
+        # One call per stretch, as fast-forward makes them.
+        for first in range(0, len(misses), 500):
+            stretch = misses[first:first + 500]
+            bulk.train_all(stretch, align)
+            for pc, address in stretch:
+                single.train(pc, address & align)
+            assert _tables(bulk) == _tables(single)
+        markov = single.markov_table
+        assert 0 < markov.hits < markov.lookups
+        assert 0 < single.correct_trains < single.trains
+        entries = [
+            entry
+            for table_set in single.stride_table._sets
+            for entry in table_set.values()
+        ]
+        assert any(entry.consecutive_correct > 0 for entry in entries)
+        assert any(int(entry.confidence) > 0 for entry in entries)
+        if differential:
+            assert markov.trains_out_of_range > 0
+
+    @pytest.mark.parametrize("workload", ["health", "gs", "deltablue"])
+    def test_matches_one_train_per_miss_on_workload_misses(self, workload):
+        # The load misses fast-forward hands the psb controller, which
+        # hit the Markov table on stride-covered misses too.
+        records = cached_workload_trace(workload, seed=1,
+                                        instructions=30_000)
+        recorder = Simulator(psb_config())
+        misses = []
+        recorder.hierarchy.prefetcher.warm = (
+            lambda stretch, detuned: misses.extend(stretch)
+        )
+        FastForwardEngine(recorder).replay(iter(records), 30_000)
+        align = ~(psb_config().l1_data.block_size - 1)
+        bulk = Simulator(psb_config()).hierarchy.prefetcher.predictor
+        single = Simulator(psb_config()).hierarchy.prefetcher.predictor
+        bulk.train_all(misses, align)
+        for pc, address in misses:
+            single.train(pc, address & align)
+        assert _tables(bulk) == _tables(single)

@@ -154,7 +154,7 @@ class TestPooledGrants:
         buffer = _allocate(controller, 0x100, 0x8000)
         _grant(controller, buffer, 2)  # soaks the whole pool itself
         # The only possible victim is the requester: no port interest.
-        assert not controller.sharing.wants_prediction(buffer, epoch=5)
+        assert not controller.sharing.prediction_filter(epoch=5)(buffer)
 
 
 class TestStealMargin:

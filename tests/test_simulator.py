@@ -145,7 +145,8 @@ class TestLayering:
     def test_simulator_import_loads_no_runner_or_bench_harness(self):
         # The runner and the bench harness import the simulator, never
         # the reverse: a process that only simulates loads neither, nor
-        # the process-pool machinery only campaigns need.
+        # the process-pool machinery or progress tracker only campaigns
+        # need.
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -164,6 +165,7 @@ class TestLayering:
         assert "repro.sim.simulator" in loaded
         forbidden = {
             "repro.perf.bench",
+            "repro.obs.progress",
             "repro.cli",
             "multiprocessing",
             "concurrent.futures.process",

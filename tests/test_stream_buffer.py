@@ -2,6 +2,7 @@
 
 from repro.predictors.base import StreamState
 from repro.streambuf.buffer import EntryState, StreamBuffer, StreamBufferEntry
+from repro.streambuf.sharing import FixedSharing
 
 
 def _buffer(index=0, entries=4, priority_max=12):
@@ -71,18 +72,19 @@ class TestStreamBuffer:
 
     def test_wants_prediction_requires_allocation_and_space(self):
         buffer = _buffer(entries=1)
-        assert not buffer.wants_prediction(epoch=0)
+        wants_prediction = FixedSharing().prediction_filter(epoch=0)
+        assert not wants_prediction(buffer)
         buffer.allocate(StreamState(0x100, 0x1000), cycle=0)
-        assert buffer.wants_prediction(epoch=0)
+        assert wants_prediction(buffer)
         buffer.entries[0].hold_prediction(0x1000, 0)
-        assert not buffer.wants_prediction(epoch=0)
+        assert not wants_prediction(buffer)
 
     def test_exhaustion_retries_after_epoch_advance(self):
         buffer = _buffer()
         buffer.allocate(StreamState(0x100, 0x1000), cycle=0)
         buffer.mark_exhausted(epoch=3)
-        assert not buffer.wants_prediction(epoch=3)
-        assert buffer.wants_prediction(epoch=4)
+        assert not FixedSharing().prediction_filter(epoch=3)(buffer)
+        assert FixedSharing().prediction_filter(epoch=4)(buffer)
 
     def test_note_hit_bumps_priority_and_recency(self):
         buffer = _buffer()

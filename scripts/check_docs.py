@@ -171,10 +171,11 @@ def check_python_fences(path, text, problems):
 
 def _clamped(argv):
     """Clamp run length on simulation subcommands for the --run pass."""
-    if argv and argv[0] in ("run", "sweep", "compare", "check", "report",
+    if argv and argv[0] in ("run", "sweep", "compare", "check",
                             "trace") and "--instructions" not in argv:
-        # `trace compile` and plain `trace` accept it; `report` only
-        # simulates in comparison mode, where the flag exists too.
+        # `trace compile` and plain `trace` accept it too.  A documented
+        # `--sample` command pins its own: the clamp is shorter than one
+        # sampling period.
         argv = argv + ["--instructions", RUN_INSTRUCTIONS]
     if (argv and argv[0] == "sweep" and "--no-isolate" not in argv
             and "--timeout" not in argv and "--workers" not in argv):

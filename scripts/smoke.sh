@@ -147,16 +147,16 @@ echo "smoke: buffer-sharing sweep + pool report render"
 rm -rf "$sharing_dir"
 
 echo
-echo "== matched-pair sampled sweep + paired report panel =="
+echo "== matched-pair sampled comparison + paired report panel =="
 paired_dir="$(mktemp -d)"
-python -m repro sweep health --machines base,psb \
-    --instructions 120000 --sample 40000:1000:500 --sample-paired \
-    --campaign-dir "$paired_dir/camp"
+python -m repro compare health --machines base,psb \
+    --instructions 120000 --sample 40000:1000:500 \
+    --paired-out "$paired_dir/camp/paired.json"
 python -m repro report --campaign "$paired_dir/camp" \
     --out "$paired_dir/paired.md"
 grep -q '## Paired sampling' "$paired_dir/paired.md"
 grep -q 'window grid' "$paired_dir/paired.md"
-echo "smoke: paired sampled sweep + report panel render"
+echo "smoke: paired sampled comparison + report panel render"
 rm -rf "$paired_dir"
 
 echo

@@ -2,12 +2,10 @@
 
 from repro.analysis.markov_bits import MarkovBitsAnalysis, markov_delta_bits
 from repro.analysis.report import ascii_bar_chart, ascii_table
-from repro.analysis.summary import comparison_report
 
 __all__ = [
     "MarkovBitsAnalysis",
     "markov_delta_bits",
     "ascii_bar_chart",
     "ascii_table",
-    "comparison_report",
 ]

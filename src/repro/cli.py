@@ -9,6 +9,8 @@ Usage (also available as ``python -m repro``)::
     repro-sim run health --metrics --trace-events ev.jsonl
     repro-sim report --events ev.jsonl --out report.html
     repro-sim compare health --instructions 50000
+    repro-sim compare health --machines base,psb --instructions 1000000 \
+        --sample 50000:1000:500 --paired-out camp/paired.json
     repro-sim trace burg --out burg.trace --instructions 20000
     repro-sim check health --machine psb --instructions 20000
     repro-sim sweep health --campaign-dir camp --timeout 120 --retries 1 \
@@ -40,7 +42,7 @@ from repro.sim.presets import (
 from repro.trace.io import save_trace
 from repro.workloads import WORKLOADS, get_workload, workload_names
 
-#: Machine names accepted by --machine.
+#: Machine names accepted by --machine and --machines.
 MACHINES: Dict[str, Callable[[], SimConfig]] = {
     "base": baseline_config,
     "stride": lambda: paper_configs()["Stride"],
@@ -58,6 +60,9 @@ MACHINES: Dict[str, Callable[[], SimConfig]] = {
     "next-line": next_line_config,
     "demand-markov": demand_markov_config,
 }
+
+#: The Figure 5 machines, baseline first: what ``compare`` runs by default.
+FIGURE5_MACHINES = "base,stride,2miss-rr,2miss-priority,confalloc-rr,psb"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,15 +125,26 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sharing_arguments(run)
 
     compare = commands.add_parser(
-        "compare", help="run all six Figure 5 machines on one workload"
+        "compare",
+        help="run several machines on one workload and compare them",
+        description=(
+            "Run the machines on one workload and print each one's IPC, "
+            "speedup over the baseline machine ('base' when listed, else "
+            "the first) and prefetch accuracy.  With --sample the "
+            "machines run as a matched-pair comparison over one shared "
+            "window grid, so the fast-forward cold-start bias cancels "
+            "in the speedups."
+        ),
     )
     _add_run_arguments(compare)
+    _add_machines_argument(compare, FIGURE5_MACHINES)
     _add_sample_argument(compare)
     compare.add_argument(
         "--paired-out", default=None, metavar="PATH",
         help="with --sample: write the matched-pair comparison "
-             "(PairedResult manifest) as JSON to PATH; 'repro-sim "
-             "report' renders it as a Paired sampling panel",
+             "(PairedResult manifest) as JSON to PATH; name it "
+             "DIR/paired.json and 'repro-sim report --campaign DIR' "
+             "renders it as a Paired sampling panel",
     )
 
     trace = commands.add_parser(
@@ -246,18 +262,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = commands.add_parser(
         "report",
-        help="render a run, sweep, or comparison into markdown/HTML",
+        help="render a run or a campaign into markdown/HTML",
         description=(
-            "Three modes: with no positional, render the metrics payload "
-            "of a previous 'run --metrics' (plus its --trace-events file "
-            "if given) into a single-run report; with --campaign DIR, "
-            "summarize a sweep campaign from its manifest; with a "
-            "workload name, simulate the Figure 5 machines and write the "
-            "legacy comparison report.  An --out ending in .html renders "
-            "a self-contained HTML page instead of markdown."
+            "Two modes: by default, render the metrics payload of a "
+            "previous 'run --metrics' (plus its --trace-events file if "
+            "given) into a single-run report; with --campaign DIR, "
+            "summarize a sweep campaign from its manifest, or the "
+            "paired.json a 'compare --sample --paired-out' wrote there.  "
+            "An --out ending in .html renders a self-contained HTML page "
+            "instead of markdown."
         ),
     )
-    _add_run_arguments(report, optional_workload=True)
     report.add_argument(
         "--out", default="report.md",
         help="output path; .html renders HTML (default: report.md)",
@@ -287,10 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_run_arguments(sweep)
-    sweep.add_argument(
-        "--machines", default="all",
-        help="comma-separated machine names, or 'all' (default)",
-    )
+    _add_machines_argument(sweep, "all")
     sweep.add_argument(
         "--campaign-dir", default=None,
         help="directory for checkpoint.jsonl and manifest.json "
@@ -341,14 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "model (requires --warmup 0)",
     )
     _add_sample_argument(sweep)
-    sweep.add_argument(
-        "--sample-paired", action="store_true",
-        help="with --sample: run the machines as a matched-pair "
-             "comparison over one shared window grid (cancels the "
-             "fast-forward cold-start bias in relative IPC; the first "
-             "machine — or 'base' if selected — is the baseline leg); "
-             "runs inline, writes paired.json into --campaign-dir",
-    )
     _add_sharing_arguments(sweep)
     sweep.add_argument(
         "--chaos-seed", type=int, default=None, metavar="SEED",
@@ -429,6 +433,40 @@ def _add_run_arguments(
         help="runtime invariant checking level: 'cheap' samples the "
              "hook points, 'full' checks every cycle (default: off)",
     )
+
+
+def _add_machines_argument(
+    parser: argparse.ArgumentParser, default: str
+) -> None:
+    parser.add_argument(
+        "--machines", default=default,
+        help=f"comma-separated machine names, or 'all' (default: {default})",
+    )
+
+
+def _machines_of(args: argparse.Namespace) -> List[str]:
+    """The machine names ``--machines`` selects, in the order given."""
+    if args.machines == "all":
+        return sorted(MACHINES)
+    machines = [name.strip() for name in args.machines.split(",") if name.strip()]
+    unknown = [name for name in machines if name not in MACHINES]
+    if unknown:
+        raise ConfigError(
+            f"unknown machine(s) {', '.join(sorted(unknown))}; "
+            f"known: {', '.join(sorted(MACHINES))}",
+            field=f"{args.command}.machines",
+        )
+    if not machines:
+        raise ConfigError(
+            "no machines selected", field=f"{args.command}.machines"
+        )
+    twice = sorted({name for name in machines if machines.count(name) > 1})
+    if twice:
+        raise ConfigError(
+            f"machine(s) listed more than once: {', '.join(twice)}",
+            field=f"{args.command}.machines",
+        )
+    return machines
 
 
 def _add_sharing_arguments(parser: argparse.ArgumentParser) -> None:
@@ -679,175 +717,80 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    if args.sample is not None:
-        return _command_compare_paired(args)
-    if args.paired_out is not None:
+    machines = _machines_of(args)
+    if args.paired_out is not None and args.sample is None:
         raise ConfigError(
             "compare: --paired-out only applies with --sample",
             field="compare.paired_out",
         )
-    warmup = _warmup_of(args)
-    base = simulate(
-        _apply_invariants(args, baseline_config()),
-        get_workload(args.workload, seed=args.seed),
-        max_instructions=args.instructions,
-        warmup_instructions=warmup,
-        label="Base",
-    )
-    rows = [["Base", f"{base.ipc:.3f}", "-", "-"]]
-    for label, config in paper_configs().items():
-        result = simulate(
-            _apply_invariants(args, config),
+    configs = {
+        name: _apply_sample(args, _config_of(args, name)) for name in machines
+    }
+    baseline = "base" if "base" in configs else machines[0]
+    title = f"machines on '{args.workload}', baseline '{baseline}'"
+    if args.sample is None:
+        paired = None
+        results = {
+            name: simulate(
+                config,
+                get_workload(args.workload, seed=args.seed),
+                max_instructions=args.instructions,
+                warmup_instructions=_warmup_of(args),
+                label=name,
+            )
+            for name, config in configs.items()
+        }
+        headers = ["machine", "IPC", "speedup", "accuracy"]
+    else:
+        from repro.sampling.paired import run_paired
+
+        paired = run_paired(
+            configs,
             get_workload(args.workload, seed=args.seed),
             max_instructions=args.instructions,
-            warmup_instructions=warmup,
-            label=label,
+            baseline=baseline,
         )
-        rows.append(
-            [
-                label,
-                f"{result.ipc:.3f}",
-                f"{result.speedup_over(base):+.1f}%",
-                f"{result.prefetch_accuracy * 100:.0f}%",
-            ]
+        results = paired.results
+        headers = ["machine", "IPC (sampled)", "speedup", "window ratio",
+                   "accuracy"]
+        title += (
+            f" (matched-pair sample, "
+            f"{len(paired.window_rows[baseline])} windows)"
         )
-    print(
-        ascii_table(
-            ["machine", "IPC", "speedup", "accuracy"],
-            rows,
-            title=f"Figure 5 machines on '{args.workload}'",
-        )
-    )
-    return 0
-
-
-def _command_compare_paired(args: argparse.Namespace) -> int:
-    """``compare --sample``: all machines over one shared window grid.
-
-    The matched-pair sampler cancels the fast-forward cold-start bias
-    in the relative-IPC column — the number the Figure 5 comparison
-    actually reports — so sampled speedups are trustworthy even where
-    sampled absolute IPCs are biased.
-    """
-    from repro.sampling.paired import run_paired
-
-    configs = {"Base": _apply_invariants(args, baseline_config())}
-    for label, config in paper_configs().items():
-        configs[label] = _apply_invariants(args, config)
-    configs = {
-        label: _apply_sample(args, config)
-        for label, config in configs.items()
-    }
-    paired = run_paired(
-        configs,
-        get_workload(args.workload, seed=args.seed),
-        max_instructions=args.instructions,
-        baseline="Base",
-    )
-    rows = [["Base", f"{paired.results['Base'].ipc:.3f}", "-", "-", "-"]]
-    for label in paired.labels:
-        if label == "Base":
-            continue
-        stats = paired.pairs[label]
-        rows.append(
-            [
-                label,
-                f"{paired.results[label].ipc:.3f}",
+    rows = []
+    for name, result in results.items():
+        if name == baseline:
+            against = ["-"] * (len(headers) - 3)
+        elif paired is None:
+            against = [f"{result.speedup_over(results[baseline]):+.1f}%"]
+        else:
+            stats = paired.pairs[name]
+            against = [
                 f"{stats.speedup_percent:+.1f}%",
                 f"{stats.ratio_mean:.3f} ± {stats.ratio_ci95:.3f}",
-                f"{paired.results[label].prefetch_accuracy * 100:.0f}%",
             ]
+        accuracy = (
+            "-" if result.prefetches_issued == 0
+            else f"{result.prefetch_accuracy * 100:.0f}%"
         )
-    windows = len(paired.window_rows.get("Base", ()))
-    print(
-        ascii_table(
-            ["machine", "IPC (sampled)", "speedup", "window ratio",
-             "accuracy"],
-            rows,
-            title=(
-                f"Figure 5 machines on '{args.workload}' "
-                f"(matched-pair sample, {windows} windows)"
-            ),
-        )
-    )
+        rows.append([name, f"{result.ipc:.3f}", *against, accuracy])
+    print(ascii_table(headers, rows, title=title))
+    if paired is None:
+        return 0
     print(
         "speedups are paired estimates: every machine was sampled over "
         "the same window grid, so fast-forward bias cancels in the "
         "ratios"
     )
     if args.paired_out is not None:
-        with open(args.paired_out, "w") as handle:
-            json.dump(paired.to_dict(), handle, indent=2)
-        print(f"wrote paired manifest to {args.paired_out}")
-    return 0
+        from repro.ioutil import atomic_write_text
 
-
-def _command_sweep_paired(
-    args: argparse.Namespace, machines: List[str]
-) -> int:
-    """``sweep --sample-paired``: matched-pair sampling across machines."""
-    import os
-
-    from repro.ioutil import atomic_write_text
-    from repro.sampling.paired import run_paired
-
-    if args.sample is None:
-        raise ConfigError(
-            "sweep: --sample-paired requires --sample "
-            "PERIOD:WINDOW:WARMUP (the legs share one sampling shape)",
-            field="sweep.sample_paired",
-        )
-    if len(machines) < 2:
-        raise ConfigError(
-            "sweep: --sample-paired needs at least two machines to "
-            "compare",
-            field="sweep.sample_paired",
-        )
-    configs = {
-        name: _apply_sample(args, _apply_sharing(args, _config_of(args, name)))
-        for name in machines
-    }
-    baseline = "base" if "base" in configs else machines[0]
-    paired = run_paired(
-        configs,
-        get_workload(args.workload, seed=args.seed),
-        max_instructions=args.instructions,
-        baseline=baseline,
-    )
-    rows = []
-    for label in paired.labels:
-        result = paired.results[label]
-        if label == baseline:
-            rows.append([label, f"{result.ipc:.4f}", "baseline", "-"])
-            continue
-        stats = paired.pairs[label]
-        rows.append(
-            [
-                label,
-                f"{result.ipc:.4f}",
-                f"{stats.rel_ipc:.4f} ({stats.speedup_percent:+.1f}%)",
-                f"{stats.ratio_mean:.4f} ± {stats.ratio_ci95:.4f} "
-                f"(n={stats.windows})",
-            ]
-        )
-    windows = len(paired.window_rows.get(baseline, ()))
-    print(
-        ascii_table(
-            ["machine", "IPC (sampled)", "rel. IPC", "window ratio"],
-            rows,
-            title=(
-                f"paired sampling campaign: '{args.workload}' "
-                f"({windows} shared windows, baseline '{baseline}')"
-            ),
-        )
-    )
-    if args.campaign_dir:
-        # Atomic: a kill mid-write must not leave a torn paired.json.
-        paired_path = os.path.join(args.campaign_dir, "paired.json")
+        # Atomic: a kill mid-write must not leave a torn file that
+        # `report --campaign` then refuses.
         atomic_write_text(
-            paired_path, json.dumps(paired.to_dict(), indent=2)
+            args.paired_out, json.dumps(paired.to_dict(), indent=2)
         )
-        print(f"wrote paired manifest to {paired_path}")
+        print(f"wrote paired manifest to {args.paired_out}")
     return 0
 
 
@@ -857,9 +800,6 @@ def _command_report(args: argparse.Namespace) -> int:
     if args.campaign is not None:
         document = obs_report.campaign_report(args.campaign)
         title = f"Campaign report: {args.campaign}"
-    elif args.workload is not None:
-        document = _comparison_document(args)
-        title = f"Comparison report: {args.workload}"
     else:
         payload = obs_report.load_metrics(args.metrics)
         events = None
@@ -878,25 +818,6 @@ def _command_report(args: argparse.Namespace) -> int:
     kind = obs_report.write_report(document, args.out, title=title)
     print(f"wrote {kind} report to {args.out}")
     return 0
-
-
-def _comparison_document(args: argparse.Namespace) -> str:
-    """The legacy mode: simulate the Figure 5 machines and compare them."""
-    from repro.analysis.summary import comparison_report
-
-    warmup = _warmup_of(args)
-    results = {}
-    for label, config in [("Base", baseline_config())] + list(
-        paper_configs().items()
-    ):
-        results[label] = simulate(
-            _apply_invariants(args, config),
-            get_workload(args.workload, seed=args.seed),
-            max_instructions=args.instructions,
-            warmup_instructions=warmup,
-            label=label,
-        )
-    return comparison_report(args.workload, results)
 
 
 def _command_trace(args: argparse.Namespace) -> int:
@@ -1115,21 +1036,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
             "model counts every record; sampling only measures windows)",
             field="sweep.golden",
         )
-    if args.machines == "all":
-        machines = sorted(MACHINES)
-    else:
-        machines = [name.strip() for name in args.machines.split(",") if name.strip()]
-        unknown = [name for name in machines if name not in MACHINES]
-        if unknown:
-            raise ConfigError(
-                f"unknown machine(s) {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(MACHINES))}",
-                field="sweep.machines",
-            )
-    if not machines:
-        raise ConfigError("no machines selected", field="sweep.machines")
-    if args.sample_paired:
-        return _command_sweep_paired(args, machines)
+    machines = _machines_of(args)
     chaos = None
     if args.chaos_seed is not None:
         from repro.runner import ChaosSpec

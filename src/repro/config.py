@@ -459,7 +459,6 @@ class SimConfig:
         default_factory=lambda: PrefetchConfig(kind=PrefetcherKind.NONE)
     )
     l2_pipeline_depth: int = 3
-    warmup_instructions: int = 0
     #: Event-driven fast path: when the core is provably quiescent the
     #: main loop jumps straight to the next interesting cycle instead of
     #: stepping one cycle at a time.  Results are bit-identical either

@@ -23,7 +23,7 @@ import os
 import pickle
 import uuid
 import zlib
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import IntegrityError, SimulationError
 from repro.trace.record import TraceRecord
@@ -195,7 +195,6 @@ def resume_run(
     label: Optional[str] = None,
     snapshot_every: Optional[int] = None,
     snapshot_sink=None,
-    window_sink: Optional[List[dict]] = None,
     on_restore: Optional[Callable] = None,
 ):
     """Continue a snapshotted run, detailed or sampled, to completion.
@@ -205,9 +204,8 @@ def resume_run(
     records are skipped.  Returns the same
     :class:`~repro.sim.results.SimulationResult` an uninterrupted run
     would, with ``extra["resumed_from_cycle"]`` marking the seam.
-    ``window_sink`` is as for :meth:`Simulator.run
-    <repro.sim.simulator.Simulator.run>`; ``on_restore``, when given,
-    receives the restored simulator before any record is pulled.
+    ``on_restore``, when given, receives the restored simulator before
+    any record is pulled.
 
     The snapshot's ``mode`` tag must match the restored machine's config
     (:func:`run_mode`); a mismatch raises
@@ -230,7 +228,6 @@ def resume_run(
         label if label is not None else snapshot.label,
         snapshot_every=snapshot_every,
         snapshot_sink=snapshot_sink,
-        window_sink=window_sink,
     )
     result.extra["resumed_from_cycle"] = float(snapshot.cycle)
     return result

@@ -1,8 +1,8 @@
 """Durable small-file I/O shared by the persistence layers.
 
-The campaign artifacts that are rewritten in place — the runner's
-``manifest.json`` and the ``paired.json`` of ``sweep --sample-paired`` —
-go through :func:`atomic_write_text`: the bytes land in a uniquely
+The artifacts that are rewritten in place — the campaign runner's
+``manifest.json`` and the matched-pair manifest of ``compare --sample
+--paired-out`` — go through :func:`atomic_write_text`: the bytes land in a uniquely
 named temp file first (flushed and fsync'd), then one ``os.replace``
 makes them visible.  A reader — or a process killed mid-rewrite — can
 therefore only ever observe the old complete file or the new complete

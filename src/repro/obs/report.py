@@ -2,9 +2,11 @@
 
 Input is the JSON document ``repro-sim run --metrics`` writes (see
 :func:`repro.obs.metrics_payload`), optionally joined with a JSONL event
-trace, or a campaign directory produced by ``repro-sim sweep``.  Output
-is a self-contained markdown report — or single-file HTML via a small
-built-in converter — with the evaluation views the paper leans on:
+trace, or a campaign directory: the manifest ``repro-sim sweep`` keeps
+there, or the ``paired.json`` that ``repro-sim compare --sample
+--paired-out DIR/paired.json`` writes.  Output is a self-contained
+markdown report — or single-file HTML via a small built-in converter —
+with the evaluation views the paper leans on:
 
 - hit-rate breakdown (L1 / stream buffer / L2 / memory, Figure 5 shape),
 - bus occupancy timelines (busy-cycle deltas between samples),
@@ -517,8 +519,7 @@ def paired_section(payload: Dict[str, Any]) -> List[str]:
     """The "Paired sampling" panel for a matched-pair comparison.
 
     ``payload`` is a :meth:`repro.sampling.paired.PairedResult.to_dict`
-    manifest (``compare --sample --paired-out`` or a ``sweep
-    --sample-paired`` campaign's ``paired.json``).
+    manifest, as ``compare --sample --paired-out`` writes it.
     """
     if not payload.get("paired"):
         return []
@@ -596,10 +597,11 @@ def _load_campaign_file(path: str) -> Dict[str, Any]:
 
 
 def campaign_report(campaign_dir: str) -> str:
-    """Render a sweep campaign directory's manifest to markdown.
+    """Render a campaign directory's manifest to markdown.
 
     Needs the ``manifest.json`` that :class:`~repro.runner.campaign.
-    CampaignRunner` maintains; per-point metrics appear when the sweep
+    CampaignRunner` maintains, or the ``paired.json`` of a matched-pair
+    comparison, or both; per-point metrics appear when the sweep
     recorded them.
     """
     manifest_path = os.path.join(campaign_dir, "manifest.json")
@@ -607,8 +609,9 @@ def campaign_report(campaign_dir: str) -> str:
     name = os.path.basename(os.path.abspath(campaign_dir))
     out: List[str] = [f"# Campaign report: {name}", ""]
     if not os.path.exists(manifest_path) and os.path.isfile(paired_path):
-        # A paired sampling sweep (`sweep --sample-paired`) runs inline
-        # and leaves only paired.json; render that panel on its own.
+        # A matched-pair comparison (`compare --sample --paired-out
+        # DIR/paired.json`) leaves only paired.json; render that panel
+        # on its own.
         out.extend(paired_section(_load_campaign_file(paired_path)))
         return "\n".join(out).rstrip() + "\n"
     manifest = _load_campaign_file(manifest_path)

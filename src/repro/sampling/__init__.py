@@ -21,9 +21,9 @@ snapshot.  With ``SimConfig.sampling`` left ``None`` no sampling code
 runs.
 
 For machine *comparisons* use the matched-pair driver
-(:mod:`repro.sampling.paired`, ``repro-sim compare --sample`` or
-``sweep --sample-paired``): sampling every machine over the same window
-grid cancels the fast-forward cold-start bias in relative-IPC and
+(:mod:`repro.sampling.paired`, ``repro-sim compare --machines LIST
+--sample PERIOD:WINDOW:WARMUP``): sampling every machine over the same
+window grid cancels the fast-forward cold-start bias in relative-IPC and
 speedup estimates — the quantities the paper's figures actually report.
 """
 

@@ -21,9 +21,10 @@ cancels in the ratio.  That is what this driver does:
   mean and a 95% confidence interval, alongside the ratio of the
   stitched whole-trace IPCs (the Figure 5 speedup estimator).
 
-:func:`paired_from_results` is the pure stitching step, split out so a
-snapshot-resumed leg can be folded into a :class:`PairedResult` that is
-bit-identical to an uninterrupted paired run (asserted by the tests).
+:func:`paired_from_results` is the pure stitching step: it verifies the
+grids and computes the paired statistics from the legs' results and
+window rows.  ``repro-sim compare --sample`` and ``bench --sampling``
+run comparisons through :func:`run_paired`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.config import SimConfig
 from repro.errors import IntegrityError, SimulationError
@@ -66,7 +67,7 @@ class PairedResult:
     baseline: str
     #: The shared sampling shape every leg ran under.
     sample: Dict[str, float]
-    #: Stitched per-leg results, insertion-ordered (baseline first).
+    #: Stitched per-leg results, in the order the configs were given.
     results: Dict[str, SimulationResult]
     #: Uncapped per-window rows per leg (index, ipc, instructions,
     #: cycles, miss_rate, start_record).
@@ -98,26 +99,6 @@ class PairedResult:
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PairedResult":
-        """Rebuild a result a manifest round-tripped through JSON."""
-        return cls(
-            baseline=payload["baseline"],
-            sample=dict(payload.get("sample", {})),
-            results={
-                label: SimulationResult(**fields)
-                for label, fields in payload.get("results", {}).items()
-            },
-            window_rows={
-                label: [dict(row) for row in rows]
-                for label, rows in payload.get("window_rows", {}).items()
-            },
-            pairs={
-                label: PairStats(**fields)
-                for label, fields in payload.get("pairs", {}).items()
-            },
-        )
-
 
 def _check_same_grid(
     baseline: str, base_rows: List[dict], label: str, rows: List[dict]
@@ -147,14 +128,12 @@ def paired_from_results(
     results: Dict[str, SimulationResult],
     window_rows: Dict[str, List[dict]],
     baseline: Optional[str] = None,
-    sample: Optional[Dict[str, float]] = None,
 ) -> PairedResult:
     """Stitch per-leg sampled results into a :class:`PairedResult`.
 
-    Pure function of its inputs: a leg that was snapshot-resumed stitches
-    to the same paired statistics as an uninterrupted one.  ``baseline``
-    defaults to the first label; every leg's window grid is verified
-    against the baseline's.
+    Pure function of its inputs.  ``baseline`` defaults to the first
+    label; every leg's window grid is verified against the baseline's,
+    and the shared sampling shape is read from the baseline's result.
     """
     if len(results) < 2:
         raise SimulationError(
@@ -173,16 +152,15 @@ def paired_from_results(
         raise SimulationError(
             f"paired baseline {baseline!r} measured no windows"
         )
-    if sample is None:
-        extra = results[baseline].extra
-        sample = {
-            key: extra[key]
-            for key in (
-                "sample_period", "sample_window", "sample_warmup",
-                "sample_strata", "sample_warm_confidence",
-            )
-            if key in extra
-        }
+    extra = results[baseline].extra
+    sample = {
+        key: extra[key]
+        for key in (
+            "sample_period", "sample_window", "sample_warmup",
+            "sample_strata", "sample_warm_confidence",
+        )
+        if key in extra
+    }
     pairs: Dict[str, PairStats] = {}
     base_ipc = results[baseline].ipc
     for label in labels:
@@ -225,8 +203,6 @@ def run_paired(
     trace: Iterable[TraceRecord],
     max_instructions: Optional[int] = None,
     baseline: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-    snapshot_sink: Optional[Callable[[str, object], None]] = None,
 ) -> PairedResult:
     """Sample every config over the same window grid of one trace.
 
@@ -234,10 +210,7 @@ def run_paired(
     *same* :class:`~repro.config.SamplingConfig` (different sampling
     shapes would place different grids, and the bias would no longer
     cancel).  ``baseline`` names the denominator leg (default: the first
-    label).  ``snapshot_sink``, when given with ``snapshot_every``,
-    receives ``(label, snapshot)`` pairs — each leg snapshots like an
-    ordinary sampled run and resumes through
-    :func:`repro.integrity.snapshot.resume_run`.
+    label).
     """
     from repro.sim.simulator import Simulator
 
@@ -277,20 +250,11 @@ def run_paired(
     results: Dict[str, SimulationResult] = {}
     window_rows: Dict[str, List[dict]] = {}
     for label in labels:
-        sink = None
-        if snapshot_sink is not None:
-            bound_label = label
-
-            def sink(snapshot, _label=bound_label):
-                snapshot_sink(_label, snapshot)
-
         rows: List[dict] = []
         results[label] = Simulator(configs[label]).run(
             iter(records),
             max_instructions=max_instructions,
             label=label,
-            snapshot_every=snapshot_every,
-            snapshot_sink=sink,
             window_sink=rows,
         )
         window_rows[label] = rows

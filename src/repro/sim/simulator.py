@@ -96,7 +96,7 @@ class Simulator:
         self,
         trace: Iterable[TraceRecord],
         max_instructions: Optional[int] = None,
-        warmup_instructions: Optional[int] = None,
+        warmup_instructions: int = 0,
         label: str = "run",
         snapshot_every: Optional[int] = None,
         snapshot_sink: Optional[Callable] = None,
@@ -112,23 +112,19 @@ class Simulator:
         ``window_sink``, when given, receives one uncapped row per
         measured window.
         """
-        warmup = (
-            warmup_instructions
-            if warmup_instructions is not None
-            else self.config.warmup_instructions
-        )
         if self.config.sampling is None:
             state = self.core.begin_run(
-                max_instructions=max_instructions, warmup_instructions=warmup
+                max_instructions=max_instructions,
+                warmup_instructions=warmup_instructions,
             )
         else:
             # Warm-up is per measured window (SamplingConfig.warmup), so
             # a whole-run warm-up would be double-counted.
-            if warmup:
+            if warmup_instructions:
                 raise SimulationError(
                     "sampled runs take their warm-up from "
                     "SamplingConfig.warmup; run-level "
-                    f"warmup_instructions={warmup} must be 0"
+                    f"warmup_instructions={warmup_instructions} must be 0"
                 )
             from repro.sampling.driver import _SamplingState
 
@@ -399,7 +395,7 @@ def simulate(
     config: SimConfig,
     trace: Iterable[TraceRecord],
     max_instructions: Optional[int] = None,
-    warmup_instructions: Optional[int] = None,
+    warmup_instructions: int = 0,
     label: str = "run",
     snapshot_every: Optional[int] = None,
     snapshot_sink: Optional[Callable] = None,

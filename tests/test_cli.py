@@ -57,8 +57,46 @@ class TestCompareCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        for label in ("Base", "Stride", "ConfAlloc-Priority"):
-            assert label in out
+        for name in ("base", "stride", "2miss-rr", "2miss-priority",
+                     "confalloc-rr", "psb"):
+            assert name in out
+
+    def test_sampled_comparison_writes_a_paired_manifest(
+        self, tmp_path, capsys
+    ):
+        d = tmp_path / "camp"
+        code = main(
+            ["compare", "health", "--machines", "base,psb",
+             "--instructions", "120000", "--sample", "40000:1000:500",
+             "--paired-out", str(d / "paired.json")]
+        )
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert any(row.split()[:1] == ["base"] for row in rows)
+        assert any(row.split()[:1] == ["psb"] for row in rows)
+        paired = json.loads((d / "paired.json").read_text())
+        assert paired["baseline"] == "base"
+        assert list(paired["results"]) == ["base", "psb"]
+        out = tmp_path / "paired.md"
+        assert main(["report", "--campaign", str(d), "--out", str(out)]) == 0
+        assert "## Paired sampling" in out.read_text()
+
+    @pytest.mark.parametrize(
+        "machines, named",
+        [("warp-drive", "warp-drive"), ("base,psb,base", "more than once")],
+    )
+    def test_bad_machine_list_exits_one(self, machines, named, capsys):
+        code = main(["compare", "health", "--machines", machines])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
+    def test_paired_out_without_sample_exits_one(self, tmp_path, capsys):
+        code = main(
+            ["compare", "health", "--instructions", "100",
+             "--paired-out", str(tmp_path / "paired.json")]
+        )
+        assert code == 1
+        assert "--paired-out" in capsys.readouterr().err
 
 
 class TestTraceCommand:
@@ -190,6 +228,27 @@ class TestExitCodes:
         )
         assert code == 1
         assert "campaign_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["sweep", "health", "--machines", "base,psb",
+                 "--sample", "40000:1000:500", "--sample-paired"],
+                id="sweep-sample-paired",
+            ),
+            pytest.param(["report", "turb3d"], id="report-workload"),
+            pytest.param(["report", "--instructions", "10"],
+                         id="report-instructions"),
+        ],
+    )
+    def test_retired_comparison_flags_are_usage_errors(self, argv, capsys):
+        # `compare` is the one command that compares machines inline:
+        # `sweep` only runs campaigns and `report` only renders.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_audit_command_is_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -98,7 +98,7 @@ class TestSimConfigHelpers:
     def test_configs_are_frozen(self):
         config = SimConfig()
         with pytest.raises(Exception):
-            config.warmup_instructions = 5
+            config.l2_pipeline_depth = 5
 
     def test_default_prefetcher_is_none(self):
         assert SimConfig().prefetch.kind == PrefetcherKind.NONE

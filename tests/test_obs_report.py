@@ -164,8 +164,8 @@ class TestCampaignReport:
         with pytest.raises(ConfigError):
             campaign_report(str(tmp_path))
 
-    # A paired-only directory (``sweep --sample-paired``) has no
-    # manifest.json, so its paired.json is the file read.
+    # A paired-only directory (``compare --sample --paired-out``) has
+    # no manifest.json, so its paired.json is the file read.
     @pytest.mark.parametrize("name", ["manifest.json", "paired.json"])
     def test_torn_campaign_file_is_a_clean_error(self, tmp_path, capsys,
                                                  name):

@@ -3,23 +3,19 @@
 The paired driver exists to kill the cold-start bias of sampled
 *comparisons*: every leg must see the identical record sequence and the
 identical window grid, so the fast-forward bias cancels in the
-per-window IPC ratios.  These tests pin that contract — grid identity,
-determinism, snapshot/resume bit-identity — plus the acceptance
-property the PR was built for: at trace scale the paired relative-IPC
-error beats the classic unpaired absolute error on the workload where
-window placement hurts most (health).
+per-window IPC ratios.  These tests pin that contract — grid identity
+and determinism — plus the acceptance property pairing exists for:
+at trace scale the paired relative-IPC error beats the classic unpaired
+absolute error on the workload where window placement hurts most
+(health).  Sampled snapshot/resume identity is pinned in
+``tests/test_sampling.py``.
 """
 
 import pytest
 
 from repro.config import SimConfig
 from repro.errors import SimulationError
-from repro.integrity.snapshot import resume_run
-from repro.sampling import (
-    PairedResult,
-    paired_from_results,
-    run_paired,
-)
+from repro.sampling import run_paired
 from repro.sim.presets import baseline_config, psb_config
 from repro.sim.simulator import Simulator
 from repro.workloads import cached_workload_trace
@@ -84,56 +80,6 @@ class TestDeterminism:
 
         first, second = go(), go()
         assert first.to_dict() == second.to_dict()
-
-    def test_round_trips_through_dict(self):
-        paired = run_paired(
-            {"base": _sampled(baseline_config()),
-             "psb": _sampled(psb_config())},
-            _health(),
-            max_instructions=120_000,
-            baseline="base",
-        )
-        clone = PairedResult.from_dict(paired.to_dict())
-        assert clone.to_dict() == paired.to_dict()
-        assert clone.pairs["psb"] == paired.pairs["psb"]
-
-
-class TestSnapshotResume:
-    def test_resumed_legs_stitch_bit_identically(self):
-        records = _health()
-        snapshots = {}
-
-        def sink(label, snapshot):
-            snapshots.setdefault(label, []).append(snapshot)
-
-        uninterrupted = run_paired(
-            {"base": _sampled(baseline_config()),
-             "psb": _sampled(psb_config())},
-            records,
-            max_instructions=120_000,
-            baseline="base",
-            # In detailed cycles: the sampled clock only advances inside
-            # measured windows, so 1_000 fires at each period boundary.
-            snapshot_every=1_000,
-            snapshot_sink=sink,
-        )
-        assert sorted(snapshots) == ["base", "psb"]
-
-        results, window_rows = {}, {}
-        for label in ("base", "psb"):
-            rows = []
-            resumed = resume_run(
-                snapshots[label][0], iter(records), window_sink=rows
-            )
-            # Resume stamps provenance; strip it before the comparison —
-            # everything else must match the uninterrupted leg exactly.
-            resumed.extra.pop("resumed_from_cycle")
-            results[label] = resumed
-            window_rows[label] = rows
-        restitched = paired_from_results(
-            results, window_rows, baseline="base"
-        )
-        assert restitched.to_dict() == uninterrupted.to_dict()
 
 
 @pytest.mark.slow

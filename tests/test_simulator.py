@@ -141,28 +141,34 @@ class TestSweeps:
         assert small.l1_miss_rate >= big.l1_miss_rate
 
 
+def _modules_loaded_by(module):
+    """``sys.modules`` of a fresh interpreter after ``import module``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys\n"
+        f"import {module}\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    return loaded
+
+
 class TestLayering:
     def test_simulator_import_loads_no_runner_or_bench_harness(self):
         # The runner and the bench harness import the simulator, never
         # the reverse: a process that only simulates loads neither, nor
         # the process-pool machinery or progress tracker only campaigns
         # need.
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        probe = (
-            "import sys\n"
-            "import repro.sim.simulator\n"
-            "print('\\n'.join(sorted(sys.modules)))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        loaded = set(proc.stdout.split())
-        assert "repro.sim.simulator" in loaded
+        loaded = _modules_loaded_by("repro.sim.simulator")
         forbidden = {
             "repro.perf.bench",
             "repro.obs.progress",
@@ -173,5 +179,24 @@ class TestLayering:
         leaked = sorted(
             name for name in loaded
             if name in forbidden or name.split(".")[:2] == ["repro", "runner"]
+        )
+        assert leaked == []
+
+    def test_cli_import_loads_only_what_every_command_needs(self):
+        # Each command imports its own machinery (the campaign runner,
+        # the sampling code, the bench harness, the report renderer)
+        # when it runs, so `from repro.cli import MACHINES` stays cheap.
+        loaded = _modules_loaded_by("repro.cli")
+        forbidden = {
+            "repro.perf.bench",
+            "repro.obs.report",
+            "repro.analysis.summary",
+            "multiprocessing",
+        }
+        leaked = sorted(
+            name for name in loaded
+            if name in forbidden
+            or name.split(".")[:2] in (["repro", "runner"],
+                                       ["repro", "sampling"])
         )
         assert leaked == []

@@ -71,9 +71,9 @@ def run_matrix() -> Dict[Tuple[str, str], SimulationResult]:
     """All 36 runs of the main evaluation (Figures 5-9, Table 2).
 
     With ``REPRO_BENCH_WORKERS > 1`` the not-yet-cached cells run as
-    one parallel campaign instead of one ``run_one`` at a time — same
-    per-cell results (the runner's parallel schedule is result-
-    identical), filled into the same cache.
+    one parallel campaign instead of one single-point campaign at a
+    time — same per-cell results (the runner's parallel schedule is
+    result-identical), filled into the same cache.
     """
     labelled = configs_by_label()
     missing = [
@@ -113,7 +113,8 @@ def run_custom(workload: str, label: str, config: SimConfig) -> SimulationResult
             max_instructions=MAX_INSTRUCTIONS,
             warmup_instructions=WARMUP_INSTRUCTIONS,
         )
-        _cache[key] = _runner.run_one(spec)
+        # A one-point campaign; the fail-fast runner re-raises a failure.
+        _cache[key] = _runner.run([spec]).results[spec.run_id]
     return _cache[key]
 
 

@@ -40,7 +40,13 @@ from repro.sim.presets import (
     sharing_configs,
 )
 from repro.trace.io import save_trace
-from repro.workloads import WORKLOADS, get_workload, workload_names
+from repro.trace.record import TraceRecord
+from repro.workloads import (
+    WORKLOADS,
+    cached_workload_trace,
+    get_workload,
+    workload_names,
+)
 
 #: Machine names accepted by --machine and --machines.
 MACHINES: Dict[str, Callable[[], SimConfig]] = {
@@ -170,10 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="records to write (default: 20000 for "
                             "workloads, all for trace files)")
     trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument(
-        "--binary", action="store_true",
-        help="write the binary format directly (same as compiling)",
-    )
 
     bench = commands.add_parser(
         "bench",
@@ -582,6 +584,27 @@ def _warmup_of(args: argparse.Namespace) -> int:
     return args.instructions // 3
 
 
+def _check_instructions(args: argparse.Namespace) -> None:
+    """Reject a run length below one record."""
+    if args.instructions < 1:
+        raise ConfigError(
+            f"{args.command}: --instructions must be >= 1, "
+            f"got {args.instructions}",
+            field=f"{args.command}.instructions",
+        )
+
+
+def _records_of(args: argparse.Namespace) -> List[TraceRecord]:
+    """The workload's first ``--instructions`` records, as one list.
+
+    Generated once (or loaded from the trace cache) and replayed by every
+    run the command makes.
+    """
+    return cached_workload_trace(
+        args.workload, seed=args.seed, instructions=args.instructions
+    )
+
+
 def _apply_invariants(args: argparse.Namespace, config: SimConfig) -> SimConfig:
     """Apply the ``--invariants`` level to a machine config."""
     level = InvariantLevel(args.invariants)
@@ -615,6 +638,7 @@ def _command_run(args: argparse.Namespace) -> int:
             "cannot contain malformed records)",
             field="run.lax",
         )
+    _check_instructions(args)
     config = _apply_sample(
         args, _apply_sharing(args, _config_of(args, args.machine))
     )
@@ -691,8 +715,7 @@ def _command_run(args: argparse.Namespace) -> int:
             "(--lax)", file=sys.stderr,
         )
     if args.metrics:
-        import json
-
+        from repro.ioutil import atomic_write
         from repro.obs import metrics_payload
 
         payload = metrics_payload(
@@ -703,8 +726,7 @@ def _command_run(args: argparse.Namespace) -> int:
                 "seed": args.seed,
             },
         )
-        with open(args.metrics_out, "w") as handle:
-            json.dump(payload, handle, indent=1)
+        atomic_write(args.metrics_out, json.dumps(payload, indent=1))
         print(f"wrote metrics to {args.metrics_out}")
     if event_trace is not None:
         written = event_trace.write_jsonl(args.trace_events)
@@ -717,6 +739,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    _check_instructions(args)
     machines = _machines_of(args)
     if args.paired_out is not None and args.sample is None:
         raise ConfigError(
@@ -728,12 +751,13 @@ def _command_compare(args: argparse.Namespace) -> int:
     }
     baseline = "base" if "base" in configs else machines[0]
     title = f"machines on '{args.workload}', baseline '{baseline}'"
+    records = _records_of(args)
     if args.sample is None:
         paired = None
         results = {
             name: simulate(
                 config,
-                get_workload(args.workload, seed=args.seed),
+                records,
                 max_instructions=args.instructions,
                 warmup_instructions=_warmup_of(args),
                 label=name,
@@ -746,7 +770,7 @@ def _command_compare(args: argparse.Namespace) -> int:
 
         paired = run_paired(
             configs,
-            get_workload(args.workload, seed=args.seed),
+            records,
             max_instructions=args.instructions,
             baseline=baseline,
         )
@@ -783,13 +807,11 @@ def _command_compare(args: argparse.Namespace) -> int:
         "ratios"
     )
     if args.paired_out is not None:
-        from repro.ioutil import atomic_write_text
+        from repro.ioutil import atomic_write
 
         # Atomic: a kill mid-write must not leave a torn file that
         # `report --campaign` then refuses.
-        atomic_write_text(
-            args.paired_out, json.dumps(paired.to_dict(), indent=2)
-        )
+        atomic_write(args.paired_out, json.dumps(paired.to_dict(), indent=2))
         print(f"wrote paired manifest to {args.paired_out}")
     return 0
 
@@ -835,15 +857,10 @@ def _command_trace(args: argparse.Namespace) -> int:
             field="trace.source",
         )
     limit = 20_000 if args.instructions is None else args.instructions
-    records = get_workload(args.workload, seed=args.seed)
-    if args.binary:
-        from repro.trace.binfmt import compile_trace
-
-        written = compile_trace(args.out, records, limit=limit)
-        print(f"compiled {written} records to {args.out}")
-    else:
-        written = save_trace(args.out, records, limit=limit)
-        print(f"wrote {written} records to {args.out}")
+    written = save_trace(
+        args.out, get_workload(args.workload, seed=args.seed), limit=limit
+    )
+    print(f"wrote {written} records to {args.out}")
     return 0
 
 
@@ -991,6 +1008,7 @@ def _command_bench(args: argparse.Namespace) -> int:
 def _command_check(args: argparse.Namespace) -> int:
     from repro.integrity import golden_check, run_golden
 
+    _check_instructions(args)
     if args.warmup not in (None, 0):
         raise ConfigError(
             "check: golden-model validation requires --warmup 0 (a "
@@ -999,18 +1017,15 @@ def _command_check(args: argparse.Namespace) -> int:
         )
     config = _config_of(args, args.machine)
     label = f"{args.workload}:{args.machine}"
+    records = _records_of(args)
     result = simulate(
         config,
-        get_workload(args.workload, seed=args.seed),
+        records,
         max_instructions=args.instructions,
         warmup_instructions=0,
         label=label,
     )
-    golden = run_golden(
-        config,
-        get_workload(args.workload, seed=args.seed),
-        max_instructions=args.instructions,
-    )
+    golden = run_golden(config, records, max_instructions=args.instructions)
     if args.tolerance is not None:
         report = golden_check(result, golden, miss_rate_tolerance=args.tolerance)
     else:
@@ -1024,6 +1039,7 @@ def _command_check(args: argparse.Namespace) -> int:
 def _command_sweep(args: argparse.Namespace) -> int:
     from repro.runner import CampaignRunner, RunSpec, WorkloadSpec
 
+    _check_instructions(args)
     if args.golden and _warmup_of(args) != 0:
         raise ConfigError(
             "sweep: --golden requires --warmup 0 (a warm-up reset "
@@ -1125,18 +1141,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     )
     for outcome in campaign.failures.values():
         print(f"  {outcome.run_id}: {outcome.error_message}")
-    skipped = {
-        run_id: int(result.extra.get("trace_records_skipped", 0))
-        for run_id, result in campaign.results.items()
-        if result.extra.get("trace_records_skipped")
-    }
-    if skipped:
-        total = sum(skipped.values())
-        print(
-            f"warning: {total} malformed trace record(s) skipped "
-            f"({', '.join(f'{k}: {v}' for k, v in sorted(skipped.items()))})",
-            file=sys.stderr,
-        )
     if args.campaign_dir:
         print(f"campaign state in {args.campaign_dir}")
     if runner.stop_requested:

@@ -3,7 +3,8 @@
 A deliberately tiny, *obviously correct* functional model of the demand
 side of the memory hierarchy: a set-associative LRU tag store with
 immediate fills and no timing at all — no MSHRs, no buses, no
-pipelining, no prefetching.  Replaying a run's trace through it yields
+pipelining, no prefetching.  Replaying a run's records (any iterable
+of :class:`~repro.trace.record.TraceRecord`) through it yields
 reference counts the timing simulator must reconcile with.
 
 Because the timed model's miss accounting is timing-*dependent* (merges
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional
 
 from repro.config import SimConfig
 from repro.errors import IntegrityError
@@ -94,40 +95,19 @@ class GoldenStats:
 
 def run_golden(
     config: SimConfig,
-    trace: Union[str, bytes, Iterable[TraceRecord]],
+    trace: Iterable[TraceRecord],
     max_instructions: Optional[int] = None,
 ) -> GoldenStats:
-    """Replay ``trace`` through the functional model of ``config``.
+    """Replay ``trace``'s records through the functional model of ``config``.
 
-    ``trace`` is either an iterable of :class:`TraceRecord` or a
-    compiled binary trace (a ``.rtb`` path or its ``bytes`` payload, see
-    :mod:`repro.trace.binfmt`), which replays straight off the packed
-    struct array — no record objects, no per-record attribute lookups —
-    at several times record-iteration speed.
+    Stops after ``max_instructions`` records when that is given.  The
+    loop binds its hot attributes to locals.
     """
     l1 = GoldenCache(
         config.l1_data.size_bytes,
         config.l1_data.block_size,
         config.l1_data.associativity,
     )
-    stats = GoldenStats()
-    seen_blocks: set = set()
-    if isinstance(trace, (str, bytes)):
-        _replay_compiled(trace, l1, stats, seen_blocks, max_instructions)
-    else:
-        _replay_records(trace, l1, stats, seen_blocks, max_instructions)
-    stats.distinct_blocks = len(seen_blocks)
-    return stats
-
-
-def _replay_records(
-    trace: Iterable[TraceRecord],
-    l1: GoldenCache,
-    stats: GoldenStats,
-    seen_blocks: set,
-    max_instructions: Optional[int],
-) -> None:
-    """The record-iterable replay loop, hot attributes bound to locals."""
     source = iter(trace)
     if max_instructions is not None:
         source = islice(source, max_instructions)
@@ -136,6 +116,7 @@ def _replay_records(
     BRANCH = InstrKind.BRANCH
     l1_access = l1.access
     l1_block_size = l1.block_size
+    seen_blocks: set = set()
     seen_add = seen_blocks.add
     instructions = loads = stores = branches = 0
     accesses = l1_misses = 0
@@ -155,77 +136,15 @@ def _replay_records(
         seen_add(addr - (addr % l1_block_size))
         if not l1_access(addr):
             l1_misses += 1
-    stats.instructions += instructions
-    stats.loads += loads
-    stats.stores += stores
-    stats.branches += branches
-    stats.accesses += accesses
-    stats.l1_misses += l1_misses
-
-
-def _replay_compiled(
-    trace: Union[str, bytes],
-    l1: GoldenCache,
-    stats: GoldenStats,
-    seen_blocks: set,
-    max_instructions: Optional[int],
-) -> None:
-    """Replay a compiled binary trace from its raw struct tuples.
-
-    Iterates ``struct.iter_unpack`` tuples directly — the dominant cost
-    of the record path is building one ``TraceRecord`` per instruction,
-    which a tag-only functional replay never needs.
-    """
-    from repro.trace.binfmt import HEADER_BYTES, _map_payload, _RECORD
-
-    if isinstance(trace, str):
-        buffer, __ = _map_payload(trace)
-    else:
-        from repro.trace.binfmt import read_header
-
-        buffer = trace
-        read_header(buffer)
-    KIND_LOAD = int(InstrKind.LOAD)
-    KIND_STORE = int(InstrKind.STORE)
-    KIND_BRANCH = int(InstrKind.BRANCH)
-    l1_access = l1.access
-    l1_block_size = l1.block_size
-    seen_add = seen_blocks.add
-    instructions = loads = stores = branches = 0
-    accesses = l1_misses = 0
-    try:
-        for kind, __, __, __, __, addr in _RECORD.iter_unpack(
-            memoryview(buffer)[HEADER_BYTES:]
-        ):
-            if (
-                max_instructions is not None
-                and instructions >= max_instructions
-            ):
-                break
-            instructions += 1
-            if kind == KIND_LOAD:
-                loads += 1
-            elif kind == KIND_STORE:
-                stores += 1
-            else:
-                if kind == KIND_BRANCH:
-                    branches += 1
-                continue
-            accesses += 1
-            seen_add(addr - (addr % l1_block_size))
-            if not l1_access(addr):
-                l1_misses += 1
-    finally:
-        import mmap
-
-        if isinstance(buffer, mmap.mmap):
-            buffer.close()
-    stats.instructions += instructions
-    stats.loads += loads
-    stats.stores += stores
-    stats.branches += branches
-    stats.accesses += accesses
-    stats.l1_misses += l1_misses
+    return GoldenStats(
+        instructions=instructions,
+        loads=loads,
+        stores=stores,
+        branches=branches,
+        accesses=accesses,
+        l1_misses=l1_misses,
+        distinct_blocks=len(seen_blocks),
+    )
 
 
 @dataclass

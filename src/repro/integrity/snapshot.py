@@ -19,13 +19,12 @@ instead of restarting from instruction zero.
 from __future__ import annotations
 
 import itertools
-import os
 import pickle
-import uuid
 import zlib
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import IntegrityError, SimulationError
+from repro.ioutil import atomic_write
 from repro.trace.record import TraceRecord
 
 
@@ -112,21 +111,7 @@ class SimSnapshot:
 
     def save(self, path: str) -> None:
         """Write atomically: a reader never sees a torn snapshot."""
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        tmp_path = f"{path}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
-        try:
-            with open(tmp_path, "wb") as handle:
-                pickle.dump(self, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        finally:
-            if os.path.exists(tmp_path):
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
+        atomic_write(path, pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
 
     @classmethod
     def load(cls, path: str) -> "SimSnapshot":

@@ -1,10 +1,12 @@
 """Durable small-file I/O shared by the persistence layers.
 
-The artifacts that are rewritten in place — the campaign runner's
-``manifest.json`` and the matched-pair manifest of ``compare --sample
---paired-out`` — go through :func:`atomic_write_text`: the bytes land in a uniquely
-named temp file first (flushed and fsync'd), then one ``os.replace``
-makes them visible.  A reader — or a process killed mid-rewrite — can
+Every artifact the package writes whole — the campaign runner's
+``manifest.json``, simulation snapshots, ``run --metrics-out``, event
+traces, rendered reports, bench reports and the matched-pair manifest
+of ``compare --sample --paired-out`` — goes through
+:func:`atomic_write`: the bytes land in a uniquely named temp file
+first (flushed and fsync'd), then one ``os.replace`` makes them
+visible.  A reader — or a process killed mid-rewrite — can
 therefore only ever observe the old complete file or the new complete
 file, never a truncated hybrid.
 
@@ -25,8 +27,8 @@ def crc32_of(data: Union[bytes, bytearray, memoryview]) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Replace ``path``'s contents with ``text`` atomically.
+def atomic_write(path: str, data: Union[str, bytes]) -> None:
+    """Replace ``path``'s contents with ``data`` (text or bytes) atomically.
 
     The temp name is unique per writer so concurrent writers cannot
     interleave into one file; the loser's complete file simply wins the
@@ -37,8 +39,8 @@ def atomic_write_text(path: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     tmp_path = f"{path}.tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
     try:
-        with open(tmp_path, "w") as handle:
-            handle.write(text)
+        with open(tmp_path, "wb" if isinstance(data, bytes) else "w") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

@@ -4,9 +4,10 @@
 predictor accuracy, bus occupancy, priority-counter dynamics — visible
 *over time* instead of only as end-of-run aggregates.  Three pieces:
 
-- :mod:`repro.obs.metrics` — a typed metrics registry.  The simulator's
-  components are wired in *pull* style: probes read the counters each
-  component already maintains, and the registry samples them every
+- :mod:`repro.obs.metrics` — a metrics registry of probes and one
+  miss-latency histogram.  The simulator's components are wired in
+  *pull* style: probes read the counters each component already
+  maintains, and the registry samples them every
   ``SimConfig.metrics_interval`` cycles at cycle boundaries the driver
   already stops at.  Hot paths carry no instrumentation, results are
   bit-identical with metrics on or off, and the disabled path is a
@@ -34,8 +35,6 @@ from typing import Any, Dict, Optional
 from repro.obs.metrics import (
     MISS_LATENCY_BOUNDS,
     NULL_REGISTRY,
-    CounterMetric,
-    GaugeMetric,
     HistogramMetric,
     MetricsRegistry,
 )
@@ -43,9 +42,7 @@ from repro.obs.tracing import CATEGORIES, EventTrace, parse_categories, read_jso
 
 __all__ = [
     "CATEGORIES",
-    "CounterMetric",
     "EventTrace",
-    "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
     "NULL_REGISTRY",

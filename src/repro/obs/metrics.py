@@ -1,30 +1,26 @@
-"""Typed metrics registry with near-zero cost when disabled.
+"""Metrics registry with near-zero cost when disabled.
 
-Three instrument types cover everything the reports need:
+A run records two kinds of metric:
 
-- :class:`CounterMetric` — a monotonically increasing event count;
-- :class:`GaugeMetric` — a point-in-time value (occupancy, priority);
-- :class:`HistogramMetric` — a distribution over fixed bucket bounds
-  (miss latency).
+- **probes** — :meth:`MetricsRegistry.probe` registers a zero-argument
+  callable that reads a counter the component *already maintains* (for
+  example ``MemoryHierarchy.demand_misses``);
+- **histograms** — :class:`HistogramMetric`, a distribution over fixed
+  bucket bounds that its owner pushes observations into (miss latency).
 
-Components may *push* into instruments they create through
-:meth:`MetricsRegistry.counter` / :meth:`~MetricsRegistry.gauge` /
-:meth:`~MetricsRegistry.histogram`, but most of the simulator is wired
-the cheaper way: :meth:`MetricsRegistry.probe` registers a zero-argument
-callable that reads a counter the component *already maintains* (for
-example ``MemoryHierarchy.demand_misses``), and
-:meth:`MetricsRegistry.sample` reads every instrument and probe into a
-time series at fixed cycle boundaries.  The hot paths therefore carry no
-instrumentation at all — sampling is a pure read between core
-``advance`` calls, which is also why results are bit-identical with
-metrics on or off.
+:meth:`MetricsRegistry.sample` reads every histogram total and probe
+into a time series at fixed cycle boundaries.  The hot paths therefore
+carry no instrumentation beyond the histogram's ``observe`` — sampling
+is a pure read between core ``advance`` calls, which is also why
+results are bit-identical with metrics on or off.
 
 **Disabled sink.**  A registry constructed with ``enabled=False`` (the
-module-level :data:`NULL_REGISTRY`) hands out shared no-op instrument
-singletons, ignores probe registrations, and makes ``sample`` a no-op.
-No dict entries, list appends, or instrument objects are allocated on
-that path, so a component can hold an instrument unconditionally and pay
-one dynamic dispatch per event when observability is off.
+module-level :data:`NULL_REGISTRY`) hands out the shared no-op
+:data:`NULL_HISTOGRAM`, ignores probe registrations, and makes
+``sample`` a no-op.  No dict entries, list appends, or instrument
+objects are allocated on that path, so a component can hold its
+histogram unconditionally and pay one dynamic dispatch per observation
+when observability is off.
 
 Registries are excluded from simulation snapshots for the same reason
 :class:`~repro.perf.collector.PerfCollector` is: observation state could
@@ -35,54 +31,12 @@ run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 
 def metric_name(component: str, name: str) -> str:
     """The fully qualified ``component.name`` key a metric is stored under."""
     return f"{component}.{name}"
-
-
-class CounterMetric:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        """Add ``amount`` (default 1) to the counter."""
-        self.value += amount
-
-    def read(self) -> float:
-        """The current count."""
-        return float(self.value)
-
-    def __repr__(self) -> str:
-        return f"CounterMetric({self.name}={self.value})"
-
-
-class GaugeMetric:
-    """A point-in-time value that can move in either direction."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current value of the measured quantity."""
-        self.value = value
-
-    def read(self) -> float:
-        """The most recently set value."""
-        return float(self.value)
-
-    def __repr__(self) -> str:
-        return f"GaugeMetric({self.name}={self.value})"
 
 
 class HistogramMetric:
@@ -157,20 +111,6 @@ class HistogramMetric:
         return f"HistogramMetric({self.name}: n={self.total})"
 
 
-class _NullCounter(CounterMetric):
-    """Shared do-nothing counter handed out by a disabled registry."""
-
-    def increment(self, amount: int = 1) -> None:
-        """Discard the event without touching any state."""
-
-
-class _NullGauge(GaugeMetric):
-    """Shared do-nothing gauge handed out by a disabled registry."""
-
-    def set(self, value: float) -> None:
-        """Discard the value without touching any state."""
-
-
 class _NullHistogram(HistogramMetric):
     """Shared do-nothing histogram handed out by a disabled registry."""
 
@@ -178,52 +118,28 @@ class _NullHistogram(HistogramMetric):
         """Discard the observation without touching any state."""
 
 
-#: The shared no-op instruments.  A disabled registry returns these very
-#: objects — holding one costs nothing and using one allocates nothing.
-NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
+#: The shared no-op histogram.  A disabled registry returns this very
+#: object — holding it costs nothing and using it allocates nothing.
 NULL_HISTOGRAM = _NullHistogram("null", bounds=(1.0,))
 
 
 class MetricsRegistry:
-    """Instruments and probes registered by component, sampled over time.
+    """Histograms and probes registered by component, sampled over time.
 
     One registry serves a whole simulator.  Metrics are namespaced as
     ``component.name`` (``hierarchy.demand_misses``, ``sb3.priority``),
-    and :meth:`sample` appends one row — every instrument and probe
+    and :meth:`sample` appends one row — every histogram total and probe
     value at one cycle — to :attr:`samples`.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._counters: Dict[str, CounterMetric] = {}
-        self._gauges: Dict[str, GaugeMetric] = {}
         self._histograms: Dict[str, HistogramMetric] = {}
         self._probes: Dict[str, Callable[[], float]] = {}
         #: One dict per sampling boundary: ``{"cycle": int, "values": {...}}``.
         self.samples: List[Dict[str, Any]] = []
 
     # -- registration --------------------------------------------------
-
-    def counter(self, component: str, name: str) -> CounterMetric:
-        """Create (or fetch) the counter ``component.name``."""
-        if not self.enabled:
-            return NULL_COUNTER
-        key = metric_name(component, name)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = CounterMetric(key)
-        return instrument
-
-    def gauge(self, component: str, name: str) -> GaugeMetric:
-        """Create (or fetch) the gauge ``component.name``."""
-        if not self.enabled:
-            return NULL_GAUGE
-        key = metric_name(component, name)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = GaugeMetric(key)
-        return instrument
 
     def histogram(
         self, component: str, name: str, bounds: Sequence[float]
@@ -253,14 +169,10 @@ class MetricsRegistry:
     # -- sampling ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, float]:
-        """Current value of every instrument and probe, one flat dict."""
+        """Current value of every histogram and probe, one flat dict."""
         if not self.enabled:
             return {}
         values: Dict[str, float] = {}
-        for key, counter in self._counters.items():
-            values[key] = counter.read()
-        for key, gauge in self._gauges.items():
-            values[key] = gauge.read()
         for key, hist in self._histograms.items():
             values[key] = hist.read()
         for key, read in self._probes.items():
@@ -279,10 +191,6 @@ class MetricsRegistry:
         if self.samples and self.samples[-1]["cycle"] == cycle:
             return
         self.samples.append({"cycle": cycle, "values": self.snapshot()})
-
-    def sample_cycles(self) -> List[int]:
-        """The cycles at which samples were taken, in order."""
-        return [row["cycle"] for row in self.samples]
 
     def series(self, key: str) -> List[Tuple[int, float]]:
         """The ``(cycle, value)`` time series of one metric."""
@@ -326,15 +234,13 @@ class MetricsRegistry:
         if not self.enabled:
             return "MetricsRegistry(disabled)"
         return (
-            f"MetricsRegistry({len(self._counters)} counters, "
-            f"{len(self._gauges)} gauges, {len(self._histograms)} "
-            f"histograms, {len(self._probes)} probes, "
-            f"{len(self.samples)} samples)"
+            f"MetricsRegistry({len(self._histograms)} histograms, "
+            f"{len(self._probes)} probes, {len(self.samples)} samples)"
         )
 
 
-#: The process-wide disabled registry: every instrument request returns
-#: a shared no-op singleton and sampling does nothing.
+#: The process-wide disabled registry: every histogram request returns
+#: :data:`NULL_HISTOGRAM` and sampling does nothing.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 

@@ -27,6 +27,7 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
+from repro.ioutil import atomic_write
 
 #: Format tag stamped into (and required of) every metrics payload.
 PAYLOAD_FORMAT = "repro-obs-metrics-v1"
@@ -786,12 +787,11 @@ def _html_table(rows: List[str]) -> str:
 def write_report(markdown: str, path: str, title: str = "Run report") -> str:
     """Write ``markdown`` to ``path``; ``.html``/``.htm`` renders HTML.
 
-    Returns the kind written (``"html"`` or ``"markdown"``).
+    Returns the kind written (``"html"`` or ``"markdown"``).  The file
+    is replaced atomically.
     """
     if path.lower().endswith((".html", ".htm")):
-        with open(path, "w") as handle:
-            handle.write(markdown_to_html(markdown, title))
+        atomic_write(path, markdown_to_html(markdown, title))
         return "html"
-    with open(path, "w") as handle:
-        handle.write(markdown)
+    atomic_write(path, markdown)
     return "markdown"

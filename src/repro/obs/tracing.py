@@ -26,6 +26,7 @@ from collections import Counter, deque
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigError
+from repro.ioutil import atomic_write
 
 #: Every event category the simulator emits.  ``alloc``: stream-buffer
 #: allocation decisions; ``prefetch``: issue/fill/hit/drop lifecycle;
@@ -122,12 +123,16 @@ class EventTrace:
     def write_jsonl(self, path: str) -> int:
         """Write the buffered events to ``path`` as JSON Lines.
 
-        Returns the number of events written.
+        Returns the number of events written.  The file is replaced
+        atomically: a kill mid-write leaves the previous file intact.
         """
-        with open(path, "w") as handle:
-            for event in self._events:
-                handle.write(json.dumps(event, sort_keys=True))
-                handle.write("\n")
+        atomic_write(
+            path,
+            "".join(
+                json.dumps(event, sort_keys=True) + "\n"
+                for event in self._events
+            ),
+        )
         return len(self._events)
 
     # -- pickling ------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.errors import ReproError
+from repro.ioutil import atomic_write
 from repro.sampling.paired import run_paired
 from repro.sim.presets import baseline_config
 from repro.sim.simulator import Simulator
@@ -580,10 +581,8 @@ def format_sampling_report(report: dict) -> str:
 
 
 def write_report(report: dict, path: str) -> None:
-    """Write a bench report as stable, diff-friendly JSON."""
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write a bench report as stable, diff-friendly JSON, atomically."""
+    atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def load_baseline(path: str) -> dict:

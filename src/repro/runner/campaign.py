@@ -63,9 +63,10 @@ failure-handling machinery that a long unattended sweep needs:
 
 Because specs cross a process boundary, a spec's trace is *declarative*:
 a :class:`WorkloadSpec` (regenerate from the registry), a
-:class:`TraceFileSpec` (reload from disk), or a picklable zero-argument
-callable.  Unpicklable callables (lambdas/closures) automatically fall
-back to inline execution for that point.
+:class:`TraceFileSpec` (reload from disk; a malformed record fails the
+point), or a picklable zero-argument callable.  Unpicklable callables
+(lambdas/closures) automatically fall back to inline execution for that
+point.
 
 This module imports the simulator, the workload registry and the
 integrity layer; none of them imports the runner back.
@@ -149,10 +150,13 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class TraceFileSpec:
-    """A trace reloaded from disk (picklable)."""
+    """A trace reloaded from disk (picklable).
+
+    A malformed record fails the point with
+    :class:`~repro.errors.TraceFormatError`.
+    """
 
     path: str
-    strict: bool = True
 
 
 TraceSource = Union[WorkloadSpec, TraceFileSpec, Callable[[], Iterable[TraceRecord]]]
@@ -265,7 +269,6 @@ def _resolve_trace(
     trace: TraceSource,
     faults: Optional[FaultSpec],
     attempt: int,
-    errors: Optional[List] = None,
     on_corrupt_state: Optional[Callable[[str], None]] = None,
     max_instructions: Optional[int] = None,
 ) -> Iterable[TraceRecord]:
@@ -284,7 +287,7 @@ def _resolve_trace(
                 trace.name, seed=trace.seed, scale=trace.scale
             )
     elif isinstance(trace, TraceFileSpec):
-        records = load_trace(trace.path, strict=trace.strict, errors=errors)
+        records = load_trace(trace.path)
     elif callable(trace):
         records = trace()
     else:
@@ -321,7 +324,6 @@ def execute_spec(
     ``snapshot_path`` as the run progresses, each one atomically
     replacing the last.
     """
-    trace_errors: List = []
     # The live simulator, for the state-corruption fault hook.
     machines: List[Simulator] = []
 
@@ -332,7 +334,6 @@ def execute_spec(
         spec.trace,
         spec.faults,
         attempt,
-        errors=trace_errors,
         on_corrupt_state=on_corrupt_state,
         max_instructions=spec.max_instructions,
     )
@@ -391,8 +392,6 @@ def execute_spec(
         )
     if snapshot_quarantined:
         result.extra["snapshot_quarantined"] = 1.0
-    if trace_errors:
-        result.extra["trace_records_skipped"] = float(len(trace_errors))
     if spec.golden_check:
         _golden_validate(spec, result)
     return result
@@ -632,30 +631,6 @@ class CampaignRunner:
 
     # -- campaign entry points -----------------------------------------
 
-    def run_one(self, spec: RunSpec) -> SimulationResult:
-        """Execute a single point outside any campaign bookkeeping.
-
-        Drives a one-point campaign with no checkpoint store and no
-        progress hooks: isolation, timeout, retry, and the worker
-        watchdog apply, and a failure always raises (so callers keep
-        plain function semantics).
-        """
-        self._stop_requested = False
-        self._chaos_engine = None  # chaos is a campaign-level plan
-        campaign = CampaignResult()
-        scheduler = _Scheduler(self, None, campaign, notify=False)
-        scheduler.add(0, spec, spec.fingerprint())
-        scheduler.drive()
-        outcome = campaign.outcomes.get(spec.run_id)
-        if outcome is None:
-            raise SimulationError(
-                f"run {spec.run_id!r} was stopped before it finished"
-            )
-        if outcome.ok:
-            assert outcome.result is not None
-            return outcome.result
-        raise self._failure_error(outcome)
-
     @staticmethod
     def _failure_error(outcome: RunOutcome) -> ReproError:
         message = outcome.error_message or "unknown failure"
@@ -843,13 +818,6 @@ class CampaignRunner:
             }
             for outcome in campaign.failures.values()
         ]
-        # Surface silently skipped trace records (strict=False loads):
-        # dropped lines must be visible, not invisible.
-        skipped_by_run = {
-            run_id: int(result.extra.get("trace_records_skipped", 0))
-            for run_id, result in campaign.results.items()
-            if result.extra.get("trace_records_skipped")
-        }
         # Per-point headline metrics, so a campaign directory is
         # renderable by 'repro-sim report --campaign' without re-loading
         # every checkpointed result.
@@ -878,10 +846,6 @@ class CampaignRunner:
                 "snapshot_every": self.snapshot_every,
                 "workers": self.workers,
                 "max_worker_kills": self.max_worker_kills,
-            },
-            "trace_records_skipped": {
-                "total": sum(skipped_by_run.values()),
-                "by_run": skipped_by_run,
             },
             "metrics": metrics,
         }
@@ -1009,8 +973,6 @@ class _Scheduler:
 
     Checkpoint entries are appended in completion order; resume is
     keyed by ``run_id``, so the out-of-order file replays identically.
-    ``notify=False`` silences the progress hooks
-    (:meth:`CampaignRunner.run_one` is not a campaign).
     """
 
     def __init__(
@@ -1018,12 +980,11 @@ class _Scheduler:
         runner: CampaignRunner,
         store: Optional[CheckpointStore],
         campaign: CampaignResult,
-        notify: bool = True,
     ) -> None:
         self.runner = runner
         self.store = store
         self.campaign = campaign
-        self.progress = runner._progress if notify else None
+        self.progress = runner._progress
         #: Points ready to launch now, first come first served.
         self.ready: List[_PointState] = []
         #: ``(eligible_time, seq, point)`` min-heap of backing-off retries.

@@ -55,7 +55,7 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_text, crc32_of
+from repro.ioutil import atomic_write, crc32_of
 from repro.runner.chaos import ChaosEngine
 from repro.sim.results import SimulationResult
 
@@ -299,11 +299,5 @@ class CheckpointStore:
             with open(tmp_path, "w") as handle:
                 handle.write(text[: len(text) // 2])
             raise OSError(errno.EIO, "injected: torn manifest write")
-        atomic_write_text(self.manifest_path, text)
+        atomic_write(self.manifest_path, text)
         return manifest
-
-    def read_manifest(self) -> Optional[Dict[str, Any]]:
-        if not os.path.exists(self.manifest_path):
-            return None
-        with open(self.manifest_path) as handle:
-            return json.load(handle)

@@ -75,10 +75,6 @@ class PairedResult:
     #: Per-leg paired statistics (every non-baseline label).
     pairs: Dict[str, PairStats] = field(default_factory=dict)
 
-    @property
-    def labels(self) -> List[str]:
-        return list(self.results)
-
     def to_dict(self) -> dict:
         """JSON-ready form (manifests, report rendering)."""
         return {

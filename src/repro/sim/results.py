@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
@@ -44,10 +44,3 @@ class SimulationResult:
             f"loadlat={self.avg_load_latency:.2f} "
             f"accuracy={self.prefetch_accuracy:.2f}"
         )
-
-
-def best_of(results: Dict[str, SimulationResult]) -> Optional[str]:
-    """Label of the highest-IPC result, or None when empty."""
-    if not results:
-        return None
-    return max(results, key=lambda label: results[label].ipc)

@@ -1,34 +1,16 @@
-"""Statistics primitives shared by the whole simulator.
+"""Statistics primitives: a running mean, an integer histogram, a rate.
 
 The paper reports rates (miss rate, prefetch accuracy, bus utilization)
-and averages (load latency).  ``Counter`` and friends provide those with
-explicit, test-friendly semantics: every statistic in the simulator is a
-named member of some component, never an ad-hoc attribute.
+and averages (load latency).  :class:`Accumulator` keeps the core's
+load-latency mean (Figure 8), :class:`Histogram` the delta bit-widths of
+the Figure 4 analysis, and :func:`ratio` is the zero-safe division every
+rate goes through.  Event counts are plain integer attributes of the
+component that counts them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
-
-
-class Counter:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
 
 
 class Accumulator:
@@ -105,22 +87,3 @@ def ratio(numerator: int, denominator: int) -> float:
     if denominator == 0:
         return 0.0
     return numerator / denominator
-
-
-def percent(numerator: int, denominator: int) -> float:
-    """Like :func:`ratio` but scaled to a percentage."""
-    return 100.0 * ratio(numerator, denominator)
-
-
-@dataclass
-class StatGroup:
-    """A labelled bag of statistics for report rendering."""
-
-    label: str
-    values: Dict[str, float] = field(default_factory=dict)
-
-    def set(self, key: str, value: float) -> None:
-        self.values[key] = value
-
-    def get(self, key: str) -> float:
-        return self.values[key]

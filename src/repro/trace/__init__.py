@@ -1,4 +1,4 @@
-"""Instruction-trace substrate: records, sources, and serialization."""
+"""Instruction-trace substrate: records, profiling, and serialization."""
 
 from repro.trace.binfmt import (
     compile_trace,
@@ -7,21 +7,11 @@ from repro.trace.binfmt import (
     sniff_binary,
 )
 from repro.trace.record import InstrKind, TraceRecord, OP_LATENCY
-from repro.trace.stream import (
-    ListTrace,
-    TraceSource,
-    counted,
-    materialize,
-)
 
 __all__ = [
     "InstrKind",
     "TraceRecord",
     "OP_LATENCY",
-    "ListTrace",
-    "TraceSource",
-    "counted",
-    "materialize",
     "compile_trace",
     "load_binary_trace",
     "load_binary_trace_list",

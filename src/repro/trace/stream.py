@@ -1,48 +1,17 @@
-"""Trace sources: anything iterable over :class:`TraceRecord`.
+"""Trace profiling: the instruction mix of a record stream.
 
-Workload generators yield records lazily; the helpers here let tests and
-analyses cap, materialize, and profile traces without pulling the whole
-stream into memory unless asked.
+Workload generators yield records lazily; :func:`profile` counts a
+finite trace's records per kind without holding it in memory.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, List
+from typing import Iterable
 
 from repro.trace.record import InstrKind, TraceRecord
 
-#: A trace source is simply an iterable of records.
-TraceSource = Iterable[TraceRecord]
 
-
-class ListTrace:
-    """A trace backed by an in-memory list; reusable across runs."""
-
-    def __init__(self, records: List[TraceRecord]) -> None:
-        self._records = records
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __getitem__(self, index: int) -> TraceRecord:
-        return self._records[index]
-
-
-def counted(source: TraceSource, limit: int) -> Iterator[TraceRecord]:
-    """Yield at most ``limit`` records from ``source``."""
-    return itertools.islice(iter(source), limit)
-
-
-def materialize(source: TraceSource, limit: int) -> ListTrace:
-    """Pull up to ``limit`` records into a reusable :class:`ListTrace`."""
-    return ListTrace(list(counted(source, limit)))
-
-
-def profile(source: TraceSource) -> dict:
+def profile(source: Iterable[TraceRecord]) -> dict:
     """Summarize a trace: counts per kind and load/store fractions.
 
     Used to validate that synthetic workloads hit the instruction-mix
@@ -62,10 +31,3 @@ def profile(source: TraceSource) -> dict:
         "store_fraction": stores / total if total else 0.0,
         "branch_fraction": counts[InstrKind.BRANCH] / total if total else 0.0,
     }
-
-
-def load_addresses(source: TraceSource) -> Iterator[int]:
-    """Yield the effective address of every load in ``source``."""
-    for record in source:
-        if record.kind == InstrKind.LOAD:
-            yield record.addr

@@ -17,31 +17,9 @@ def block_address(address: int, block_size: int) -> int:
     return address & ~(block_size - 1)
 
 
-def block_index(address: int, block_size: int) -> int:
-    """Return the cache-block number containing ``address``."""
-    return address // block_size
-
-
 def is_power_of_two(value: int) -> bool:
     """Return True when ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0
-
-
-def log2_int(value: int) -> int:
-    """Return log2 of a power-of-two ``value``; raise otherwise."""
-    if not is_power_of_two(value):
-        raise ValueError(f"{value} is not a positive power of two")
-    return value.bit_length() - 1
-
-
-def sign_extend(value: int, bits: int) -> int:
-    """Interpret the low ``bits`` bits of ``value`` as a signed integer."""
-    mask = (1 << bits) - 1
-    value &= mask
-    sign_bit = 1 << (bits - 1)
-    if value & sign_bit:
-        return value - (1 << bits)
-    return value
 
 
 def fits_signed(value: int, bits: int) -> bool:

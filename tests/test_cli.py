@@ -8,6 +8,7 @@ import pytest
 import repro.cli as cli
 from repro.cli import MACHINES, main
 from repro.trace.io import load_trace_list
+from repro.workloads import WORKLOADS
 
 
 class TestWorkloadsCommand:
@@ -109,6 +110,34 @@ class TestTraceCommand:
         records = load_trace_list(path)
         assert len(records) == 500
         assert "wrote 500 records" in capsys.readouterr().out
+
+
+class TestRecordsGeneratedOnce:
+    """Every run of a ``compare`` or ``check`` replays one record list."""
+
+    @pytest.fixture
+    def generations(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        health = WORKLOADS["health"]
+        generate = health.generate
+        calls = []
+
+        def counting(self):
+            calls.append(self.seed)
+            return generate(self)
+
+        monkeypatch.setattr(health, "generate", counting)
+        return calls
+
+    def test_six_machine_compare(self, generations, capsys):
+        assert main(["compare", "health", "--instructions", "2000",
+                     "--warmup", "500"]) == 0
+        assert "confalloc-rr" in capsys.readouterr().out
+        assert len(generations) == 1
+
+    def test_check(self, generations):
+        assert main(["check", "health", "--instructions", "2000"]) == 0
+        assert len(generations) == 1
 
 
 class TestSweepCommand:
@@ -240,15 +269,24 @@ class TestExitCodes:
             pytest.param(["report", "turb3d"], id="report-workload"),
             pytest.param(["report", "--instructions", "10"],
                          id="report-instructions"),
+            pytest.param(["trace", "health", "--out", "x", "--binary"],
+                         id="trace-binary"),
         ],
     )
     def test_retired_comparison_flags_are_usage_errors(self, argv, capsys):
         # `compare` is the one command that compares machines inline:
-        # `sweep` only runs campaigns and `report` only renders.
+        # `sweep` only runs campaigns and `report` only renders.  And
+        # `trace compile WORKLOAD --out X` is the one way to compile.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["run", "compare", "check", "sweep"])
+    def test_run_length_below_one_exits_one(self, command, count, capsys):
+        assert main([command, "health", "--instructions", count]) == 1
+        assert "--instructions must be >= 1" in capsys.readouterr().err
 
     def test_audit_command_is_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, null sink, and sampling."""
+"""The metrics registry: histograms, probes, null sink, and sampling."""
 
 import pickle
 
@@ -7,12 +7,8 @@ import pytest
 from repro.cli import MACHINES
 from repro.obs.metrics import (
     MISS_LATENCY_BOUNDS,
-    NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_REGISTRY,
-    CounterMetric,
-    GaugeMetric,
     HistogramMetric,
     MetricsRegistry,
     metric_name,
@@ -22,18 +18,6 @@ from repro.workloads import get_workload
 
 
 class TestInstruments:
-    def test_counter_increments(self):
-        counter = CounterMetric("c")
-        counter.increment()
-        counter.increment(5)
-        assert counter.read() == 6.0
-
-    def test_gauge_holds_latest(self):
-        gauge = GaugeMetric("g")
-        gauge.set(3.5)
-        gauge.set(-1.0)
-        assert gauge.read() == -1.0
-
     def test_metric_name(self):
         assert metric_name("sb3", "priority") == "sb3.priority"
 
@@ -87,29 +71,23 @@ class TestHistogramBoundaries:
 class TestDisabledSink:
     def test_disabled_registry_hands_out_shared_singletons(self):
         registry = MetricsRegistry(enabled=False)
-        assert registry.counter("a", "x") is NULL_COUNTER
-        assert registry.gauge("a", "y") is NULL_GAUGE
         assert registry.histogram("a", "z", (1.0,)) is NULL_HISTOGRAM
         # Every request returns the very same object: no allocation.
-        assert registry.counter("b", "other") is NULL_COUNTER
+        assert registry.histogram("b", "other", (2.0,)) is NULL_HISTOGRAM
 
     def test_null_instruments_discard_updates(self):
-        NULL_COUNTER.increment(100)
-        NULL_GAUGE.set(42.0)
         NULL_HISTOGRAM.observe(3.0)
-        assert NULL_COUNTER.read() == 0.0
-        assert NULL_GAUGE.read() == 0.0
         assert NULL_HISTOGRAM.read() == 0.0
 
     def test_disabled_registry_allocates_no_state(self):
         registry = MetricsRegistry(enabled=False)
-        registry.counter("a", "x").increment()
+        registry.histogram("a", "x", (1.0,)).observe(0.5)
         registry.probe("a", "p", lambda: 1.0)
         registry.sample(100)
         registry.sample(200)
         assert registry.samples == []
         assert registry.snapshot() == {}
-        assert registry._counters == {}
+        assert registry._histograms == {}
         assert registry._probes == {}
 
     def test_null_registry_is_disabled(self):
@@ -119,22 +97,23 @@ class TestDisabledSink:
 class TestSampling:
     def test_sample_reads_instruments_and_probes(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c", "events")
+        hist = registry.histogram("h", "latency", (10.0,))
         registry.probe("p", "value", lambda: 7.0)
-        counter.increment(3)
+        for value in (1.0, 2.0, 50.0):
+            hist.observe(value)
         registry.sample(100)
-        counter.increment()
+        hist.observe(4.0)
         registry.sample(200)
-        assert registry.sample_cycles() == [100, 200]
-        assert registry.series("c.events") == [(100, 3.0), (200, 4.0)]
+        assert [row["cycle"] for row in registry.samples] == [100, 200]
+        assert registry.series("h.latency") == [(100, 3.0), (200, 4.0)]
         assert registry.series("p.value") == [(100, 7.0), (200, 7.0)]
 
     def test_same_cycle_sampled_once(self):
         registry = MetricsRegistry()
-        registry.counter("c", "n")
+        registry.probe("c", "n", lambda: 1.0)
         registry.sample(50)
         registry.sample(50)
-        assert registry.sample_cycles() == [50]
+        assert [row["cycle"] for row in registry.samples] == [50]
 
     def test_probe_reregistration_replaces(self):
         registry = MetricsRegistry()
@@ -144,7 +123,7 @@ class TestSampling:
 
     def test_to_payload_shape(self):
         registry = MetricsRegistry()
-        registry.counter("c", "n").increment()
+        registry.probe("c", "n", lambda: 1.0)
         hist = registry.histogram("h", "lat", (10.0,))
         hist.observe(5.0)
         registry.sample(10)
@@ -157,7 +136,7 @@ class TestSampling:
 
     def test_registry_pickles_disabled(self):
         registry = MetricsRegistry()
-        registry.counter("c", "n").increment()
+        registry.probe("c", "n", lambda: 1.0)
         registry.sample(1)
         clone = pickle.loads(pickle.dumps(registry))
         assert not clone.enabled
@@ -176,7 +155,7 @@ class TestSimulatorSampling:
     def test_samples_land_on_interval_boundaries(self):
         config = MACHINES["psb"]().with_metrics(500)
         simulator, result = _run(config)
-        cycles = simulator.obs.metrics.sample_cycles()
+        cycles = [row["cycle"] for row in simulator.obs.metrics.samples]
         assert cycles[0] == 0
         # Every sample except the last (final cycle) is on a boundary.
         assert all(cycle % 500 == 0 for cycle in cycles[:-1])

@@ -56,18 +56,22 @@ def _assert_slept_out(sleeps, backoffs):
 
 
 class TestRunOne:
+    """A one-point campaign behaves like a plain function call."""
+
     def test_matches_direct_simulate(self):
         direct = simulate(
             baseline_config(), get_workload("health", seed=1),
             max_instructions=INSTRUCTIONS, warmup_instructions=WARMUP,
         )
-        via_runner = _inline().run_one(_spec())
+        via_runner = _inline().run([_spec()]).results["point"]
         assert via_runner.ipc == direct.ipc
         assert via_runner.cycles == direct.cycles
 
     def test_raises_on_failure(self):
         with pytest.raises(SimulationError):
-            _inline().run_one(_spec(faults=FaultSpec(crash_at=10)))
+            _inline(on_error="fail").run(
+                [_spec(faults=FaultSpec(crash_at=10))]
+            )
 
 
 class TestRetryPolicy:
@@ -345,7 +349,7 @@ class TestProcessFallback:
         generator = get_workload("health", seed=1)
         spec = _spec("lambda-point", trace=lambda: generator)
         runner = CampaignRunner(isolation="process")  # cannot pickle a lambda
-        result = runner.run_one(spec)
+        result = runner.run([spec]).results["lambda-point"]
         assert result.instructions > 0
 
 

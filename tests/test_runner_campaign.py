@@ -71,8 +71,10 @@ def _campaign_specs(tmp_path):
 
 def test_process_isolation_matches_inline_result(tmp_path):
     spec = _workload_spec("health/base", baseline_config())
-    inline = CampaignRunner(isolation="inline").run_one(spec)
-    isolated = CampaignRunner(isolation="process").run_one(spec)
+    inline, isolated = (
+        CampaignRunner(isolation=isolation).run([spec]).results[spec.run_id]
+        for isolation in ("inline", "process")
+    )
     assert isolated.ipc == inline.ipc
     assert isolated.cycles == inline.cycles
 

@@ -33,7 +33,6 @@ from repro.sampling import FastForwardEngine
 from repro.sim import baseline_config, psb_config
 from repro.sim.presets import demand_markov_config, next_line_config
 from repro.sim.simulator import Simulator
-from repro.trace.binfmt import compile_trace
 from repro.trace.record import InstrKind
 from repro.workloads import cached_workload_trace
 
@@ -552,29 +551,3 @@ class TestFastForward:
         result = Simulator(config).run(records, max_instructions=60_000)
         assert result.extra["windows"] == 3.0
         assert result.ipc > 0
-
-
-# ----------------------------------------------------------------------
-# The golden-model fast path (compiled replay)
-# ----------------------------------------------------------------------
-
-
-def _golden_fields(stats):
-    return {
-        name: getattr(stats, name)
-        for name in dir(stats)
-        if not name.startswith("_")
-        and isinstance(getattr(stats, name), (int, float))
-    }
-
-
-class TestGoldenFastPath:
-    def test_compiled_replay_matches_record_replay(self, tmp_path):
-        records = cached_workload_trace("health", seed=1,
-                                        instructions=5_000)
-        path = str(tmp_path / "health.rtb")
-        compile_trace(path, iter(records), limit=5_000)
-        config = psb_config()
-        from_records = run_golden(config, records, max_instructions=5_000)
-        from_compiled = run_golden(config, path, max_instructions=5_000)
-        assert _golden_fields(from_records) == _golden_fields(from_compiled)

@@ -26,7 +26,6 @@ from repro.sim.presets import (
     PAPER_PREFETCH_LABELS,
     sequential_config,
 )
-from repro.sim.results import best_of
 from repro.workloads import get_workload
 
 RUN = dict(max_instructions=4000, warmup_instructions=1000)
@@ -81,11 +80,6 @@ class TestResults:
         )
         assert better.speedup_over(base) == pytest.approx(25.0)
         assert base.speedup_over(base) == 0.0
-
-    def test_best_of(self):
-        base = simulate(baseline_config(), get_workload("health"), **RUN)
-        assert best_of({"only": base}) == "only"
-        assert best_of({}) is None
 
     def test_summary_readable(self):
         result = simulate(baseline_config(), get_workload("health"), **RUN)

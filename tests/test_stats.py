@@ -1,23 +1,6 @@
 """Unit tests for repro.stats."""
 
-from repro.stats import Accumulator, Counter, Histogram, StatGroup, percent, ratio
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("x").value == 0
-
-    def test_increment(self):
-        counter = Counter("x")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-
-    def test_reset(self):
-        counter = Counter("x")
-        counter.increment(3)
-        counter.reset()
-        assert counter.value == 0
+from repro.stats import Accumulator, Histogram, ratio
 
 
 class TestAccumulator:
@@ -69,13 +52,3 @@ class TestRates:
 
     def test_ratio(self):
         assert ratio(1, 4) == 0.25
-
-    def test_percent(self):
-        assert percent(1, 4) == 25.0
-
-
-class TestStatGroup:
-    def test_set_get(self):
-        group = StatGroup("base")
-        group.set("ipc", 1.5)
-        assert group.get("ipc") == 1.5

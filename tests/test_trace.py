@@ -1,8 +1,8 @@
 """Unit tests for the trace substrate."""
 
-from repro.trace import InstrKind, ListTrace, TraceRecord, counted, materialize
+from repro.trace import InstrKind, TraceRecord
 from repro.trace.record import OP_LATENCY, UNPIPELINED_KINDS
-from repro.trace.stream import load_addresses, profile
+from repro.trace.stream import profile
 
 
 def _toy_trace():
@@ -48,25 +48,9 @@ class TestTraceRecord:
 
 
 class TestStreamHelpers:
-    def test_list_trace_len_and_indexing(self):
-        trace = ListTrace(_toy_trace())
-        assert len(trace) == 4
-        assert trace[0].is_load
-
-    def test_counted_caps(self):
-        records = list(counted(_toy_trace(), 2))
-        assert len(records) == 2
-
-    def test_materialize(self):
-        trace = materialize(iter(_toy_trace()), 10)
-        assert len(trace) == 4
-
     def test_profile_fractions(self):
         stats = profile(_toy_trace())
         assert stats["total"] == 4
         assert stats["load_fraction"] == 0.25
         assert stats["store_fraction"] == 0.25
         assert stats["branch_fraction"] == 0.25
-
-    def test_load_addresses(self):
-        assert list(load_addresses(_toy_trace())) == [0x1000]

@@ -1,15 +1,10 @@
 """Unit tests for repro.utils."""
 
-import pytest
-
 from repro.utils import (
     block_address,
-    block_index,
     fits_signed,
     is_power_of_two,
-    log2_int,
     min_bits_signed,
-    sign_extend,
 )
 
 
@@ -23,11 +18,6 @@ class TestBlockAddress:
     def test_zero(self):
         assert block_address(0, 64) == 0
 
-    def test_block_index(self):
-        assert block_index(0x40, 32) == 2
-        assert block_index(0x5F, 32) == 2
-        assert block_index(0x60, 32) == 3
-
 
 class TestPowerOfTwo:
     def test_powers(self):
@@ -38,27 +28,8 @@ class TestPowerOfTwo:
         for value in (0, -1, 3, 6, 12, 100):
             assert not is_power_of_two(value)
 
-    def test_log2(self):
-        assert log2_int(1) == 0
-        assert log2_int(32) == 5
-        assert log2_int(4096) == 12
-
-    def test_log2_rejects_non_power(self):
-        with pytest.raises(ValueError):
-            log2_int(48)
-
 
 class TestSignedHelpers:
-    def test_sign_extend_positive(self):
-        assert sign_extend(0x7F, 8) == 127
-
-    def test_sign_extend_negative(self):
-        assert sign_extend(0xFF, 8) == -1
-        assert sign_extend(0x80, 8) == -128
-
-    def test_sign_extend_truncates_high_bits(self):
-        assert sign_extend(0x1FF, 8) == -1
-
     def test_fits_signed_bounds(self):
         assert fits_signed(127, 8)
         assert fits_signed(-128, 8)

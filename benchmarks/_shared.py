@@ -14,7 +14,7 @@ records the paper-vs-measured comparison.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.config import SimConfig
 from repro.runner import CampaignRunner, RunSpec, WorkloadSpec
@@ -26,23 +26,13 @@ MAX_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", 60_000))
 WARMUP_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_WARMUP", 25_000))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", 1))
 
-#: Resilience policy for benchmark runs.  Defaults preserve the classic
-#: behaviour (inline, fail-fast, no timeout); long unattended campaigns
-#: can opt into isolation and retries without touching the benchmarks.
-TIMEOUT: Optional[float] = (
-    float(os.environ["REPRO_BENCH_TIMEOUT"])
-    if os.environ.get("REPRO_BENCH_TIMEOUT")
-    else None
-)
-RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", 0))
+#: Worker processes for the evaluation matrix.  The runner is
+#: fail-fast with no timeout, and runs inline unless several workers
+#: share the matrix.
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", 1))
-ISOLATION = os.environ.get(
-    "REPRO_BENCH_ISOLATION",
-    "process" if (TIMEOUT is not None or WORKERS > 1) else "inline",
-)
 
 _runner = CampaignRunner(
-    timeout=TIMEOUT, retries=RETRIES, isolation=ISOLATION,
+    isolation="process" if WORKERS > 1 else "inline",
     workers=WORKERS, on_error="fail",
 )
 

@@ -74,6 +74,12 @@ python -m repro report --metrics "$sample_dir/metrics.json" \
     --out "$sample_dir/sampled.md"
 grep -q '## Sampling' "$sample_dir/sampled.md"
 grep -q '95% CI' "$sample_dir/sampled.md"
+# A sampled run has no metrics timeline, so no whole-run or last-window
+# panel sits beside the stitched estimate.
+if grep -q '## Hit-rate breakdown' "$sample_dir/sampled.md"; then
+    echo "smoke: sampled report renders a hit-rate breakdown" >&2
+    exit 1
+fi
 python - "$sample_dir/metrics.json" <<'EOF'
 import json, sys
 extra = json.load(open(sys.argv[1]))["result"]["extra"]

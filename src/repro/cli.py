@@ -101,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--metrics", action="store_true",
         help="sample per-component metrics over time and write them as "
-             "JSON (see --metrics-out); 'repro-sim report' renders them",
+             "JSON (see --metrics-out); 'repro-sim report' renders them "
+             "(a --sample run writes its result with no timeline)",
     )
     run.add_argument(
         "--metrics-interval", type=int, default=1000, metavar="CYCLES",
@@ -639,11 +640,19 @@ def _command_run(args: argparse.Namespace) -> int:
             field="run.lax",
         )
     _check_instructions(args)
+    if args.metrics and args.metrics_interval < 1:
+        raise ConfigError(
+            f"run: --metrics-interval must be >= 1, "
+            f"got {args.metrics_interval}",
+            field="run.metrics_interval",
+        )
     config = _apply_sample(
         args, _apply_sharing(args, _config_of(args, args.machine))
     )
-    if args.metrics:
-        config = config.with_metrics(args.metrics_interval)
+    # A sampled run writes its result without a metrics timeline.
+    metrics_interval = None
+    if args.metrics and config.sampling is None:
+        metrics_interval = args.metrics_interval
     event_trace = None
     if args.trace_events is not None:
         from repro.obs import EventTrace, parse_categories
@@ -664,7 +673,9 @@ def _command_run(args: argparse.Namespace) -> int:
         source_name = args.workload
     from repro.sim.simulator import Simulator
 
-    simulator = Simulator(config, event_trace=event_trace)
+    simulator = Simulator(
+        config, event_trace=event_trace, metrics_interval=metrics_interval
+    )
     result = simulator.run(
         records,
         max_instructions=args.instructions,
@@ -843,6 +854,8 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    if args.instructions is not None:
+        _check_instructions(args)
     if args.workload == "compile":
         return _command_trace_compile(args)
     if args.workload not in workload_names():

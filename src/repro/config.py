@@ -470,12 +470,6 @@ class SimConfig:
     #: Under ``CHEAP`` checking, hook points fire once every this many
     #: events (cycles, misses, or prefetches respectively).
     invariant_sample_period: int = 64
-    #: When set, the observability layer (:mod:`repro.obs`) samples every
-    #: registered metric into a time series once per this many cycles.
-    #: ``None`` (the default) disables metrics collection entirely —
-    #: components then talk to shared no-op instruments and the run is
-    #: bit-identical to an unobserved one.
-    metrics_interval: Optional[int] = None
     #: When set, runs use SMARTS-style systematic sampling: detailed
     #: measured windows alternating with functional fast-forward
     #: (:mod:`repro.sampling`).  ``None`` (the default) simulates every
@@ -487,10 +481,6 @@ class SimConfig:
         _require(
             self.invariant_sample_period > 0,
             "SimConfig", "invariant_sample_period", "must be positive",
-        )
-        _require(
-            self.metrics_interval is None or self.metrics_interval > 0,
-            "SimConfig", "metrics_interval", "must be positive when set",
         )
 
     def with_invariants(
@@ -506,13 +496,6 @@ class SimConfig:
     def with_event_driven(self, enabled: bool) -> "SimConfig":
         """Return a copy with the core's skip-ahead fast path toggled."""
         return replace(self, event_driven=enabled)
-
-    def with_metrics(self, interval: Optional[int] = 1000) -> "SimConfig":
-        """Return a copy with metrics sampling every ``interval`` cycles.
-
-        Pass ``None`` to turn metrics collection back off.
-        """
-        return replace(self, metrics_interval=interval)
 
     def with_sampling(
         self,

@@ -11,6 +11,14 @@ files), so a resume rebuilds the trace from its source and skips the
 result is bit-identical to an uninterrupted run, which the test suite
 asserts field-for-field.
 
+Observers never ride a snapshot, and this module is the one place that
+keeps them out: :meth:`SimSnapshot.capture` pickles the machine with
+its metrics registry and event trace detached and an empty perf
+collector in place of its own, then re-attaches them, so
+:meth:`SimSnapshot.restore` returns an unobserved machine.  A payload
+is therefore the same bytes however much (or little) observation ran
+around the run.
+
 This extends PR 1's between-runs checkpointing to *within*-run: a
 campaign run killed by a timeout resumes from its last snapshot file
 instead of restarting from instruction zero.
@@ -25,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import IntegrityError, SimulationError
 from repro.ioutil import atomic_write
+from repro.perf.collector import PerfCollector
 from repro.trace.record import TraceRecord
 
 
@@ -64,10 +73,20 @@ class SimSnapshot:
 
     @classmethod
     def capture(cls, simulator, state, label: str = "run") -> "SimSnapshot":
-        """Freeze ``simulator`` + its run ``state`` into a snapshot."""
-        payload = pickle.dumps(
-            (simulator, state), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        """Freeze ``simulator`` + its run ``state`` into a snapshot.
+
+        The simulator's observers are detached (an empty collector,
+        which pickles to the same bytes every time, stands in for its
+        perf collector) while it is pickled, and re-attached afterwards.
+        """
+        observers = (simulator.perf, simulator.metrics, simulator.event_trace)
+        simulator.attach_observers(PerfCollector())
+        try:
+            payload = pickle.dumps(
+                (simulator, state), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        finally:
+            simulator.attach_observers(*observers)
         return cls(
             payload,
             state.cycle,
@@ -94,10 +113,12 @@ class SimSnapshot:
     def restore(self):
         """A fresh ``(simulator, run_state)`` pair from the payload.
 
-        A payload that passes its checksum but does not unpickle into
-        such a pair (state pickled by code whose classes have since
-        changed, or bytes that were never a machine) raises
-        :class:`SimulationError` naming the snapshot.
+        The simulator is unobserved: no metrics registry, no event
+        trace, and an empty perf collector.  A payload that passes its
+        checksum but does not unpickle into such a pair (state pickled
+        by code whose classes have since changed, or bytes that were
+        never a machine) raises :class:`SimulationError` naming the
+        snapshot.
         """
         self.verify()
         try:

@@ -183,7 +183,8 @@ class MemoryHierarchy:
         #: misses emit structured events (category ``demand``).
         self.obs_trace = None
         #: Optional :class:`repro.obs.HistogramMetric` observing every
-        #: demand miss latency; set by :func:`repro.obs.wire_simulator`.
+        #: demand miss latency.  :func:`repro.obs.wire_simulator` sets
+        #: both handles.
         self.obs_latency_hist = None
         # Pending fills: (ready_cycle, block, dirty) min-heaps.
         self._l1_fills: List[Tuple[int, int, bool]] = []

@@ -7,11 +7,10 @@ predictor accuracy, bus occupancy, priority-counter dynamics — visible
 - :mod:`repro.obs.metrics` — a metrics registry of probes and one
   miss-latency histogram.  The simulator's components are wired in
   *pull* style: probes read the counters each component already
-  maintains, and the registry samples them every
-  ``SimConfig.metrics_interval`` cycles at cycle boundaries the driver
-  already stops at.  Hot paths carry no instrumentation, results are
-  bit-identical with metrics on or off, and the disabled path is a
-  shared no-op sink.
+  maintains, and the registry samples them every ``interval`` cycles
+  at cycle boundaries the driver already stops at.  Hot paths carry no
+  instrumentation, and results are bit-identical with metrics on or
+  off.
 - :mod:`repro.obs.tracing` — a ring-buffered structured event log
   (allocations, prefetch issue/fill/hit, priority bumps/agings, demand
   misses, invariant sweeps) with category filters and JSONL output.
@@ -22,10 +21,9 @@ predictor accuracy, bus occupancy, priority-counter dynamics — visible
 The campaign progress tracker lives in :mod:`repro.obs.progress`; only
 campaigns use it, so it is imported from there, not re-exported here.
 
-:class:`Observability` bundles a registry and an optional trace for one
-:class:`~repro.sim.simulator.Simulator`; :func:`build_observability` and
-:func:`wire_simulator` are the only integration points the simulator
-needs.
+A :class:`~repro.sim.simulator.Simulator` holds each observer (its
+``metrics`` registry and ``event_trace``) or ``None`` when it is off;
+:func:`wire_simulator` points the simulator's components at them.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Any, Dict, Optional
 
 from repro.obs.metrics import (
     MISS_LATENCY_BOUNDS,
-    NULL_REGISTRY,
     HistogramMetric,
     MetricsRegistry,
 )
@@ -45,114 +42,33 @@ __all__ = [
     "EventTrace",
     "HistogramMetric",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "Observability",
-    "build_observability",
     "parse_categories",
     "read_jsonl",
     "wire_simulator",
 ]
 
 
-class Observability:
-    """The metrics registry and event trace attached to one simulator.
+def wire_simulator(simulator: Any) -> None:
+    """Point a simulator's components at its observers.
 
-    A default-constructed context is fully off: the registry is the
-    shared :data:`~repro.obs.metrics.NULL_REGISTRY` and the trace is
-    ``None``, so holding one costs nothing.
+    Hands ``simulator.event_trace`` to the hierarchy and prefetch
+    controller (they emit through it).  With ``simulator.metrics`` set,
+    creates the one push-style instrument (the demand miss-latency
+    histogram) and registers pull probes over every counter the
+    components already keep: L1/L2 caches, both buses, both MSHR files,
+    the TLB, the controller, the predictor, the scheduler, and each
+    individual stream buffer.  An observer that is ``None`` leaves its
+    component handles ``None``.
     """
-
-    __slots__ = ("metrics", "trace", "sample_interval")
-
-    def __init__(
-        self,
-        metrics: MetricsRegistry = NULL_REGISTRY,
-        trace: Optional[EventTrace] = None,
-        sample_interval: Optional[int] = None,
-    ) -> None:
-        self.metrics = metrics
-        self.trace = trace
-        self.sample_interval = sample_interval
-
-    @property
-    def metrics_enabled(self) -> bool:
-        """True when periodic sampling should run."""
-        return self.metrics.enabled and self.sample_interval is not None
-
-    @property
-    def active(self) -> bool:
-        """True when any observation (metrics or tracing) is on."""
-        return self.metrics.enabled or self.trace is not None
-
-    def bind_run(self, state: Any) -> None:
-        """(Re-)register the run-scoped core-progress probes.
-
-        ``state`` is the core's ``_RunState``; its fields are synced at
-        every ``advance`` boundary, which is exactly when sampling
-        happens.  Re-binding on every run (including snapshot resumes)
-        simply replaces the probes.
-        """
-        if not self.metrics_enabled:
-            return
-        metrics = self.metrics
-        for name, read in state.observable_state().items():
-            metrics.probe("core", name, read)
-
-    # -- pickling ------------------------------------------------------
-    # Rides simulator snapshots as a disabled context (see the metrics
-    # and tracing modules for the rationale).
-
-    def __getstate__(self):
-        return {}
-
-    def __setstate__(self, state):
-        self.metrics = NULL_REGISTRY
-        self.trace = None
-        self.sample_interval = None
-
-    def __repr__(self) -> str:
-        return (
-            f"Observability(metrics={self.metrics!r}, trace={self.trace!r}, "
-            f"interval={self.sample_interval})"
-        )
-
-
-def build_observability(
-    config: Any, trace: Optional[EventTrace] = None
-) -> Observability:
-    """Build the context ``config`` (a ``SimConfig``) asks for.
-
-    Metrics sampling turns on when ``config.metrics_interval`` is set;
-    ``trace`` attaches event tracing independently of metrics.
-    """
-    interval = getattr(config, "metrics_interval", None)
-    if interval is None and trace is None:
-        return Observability()
-    registry = MetricsRegistry() if interval is not None else NULL_REGISTRY
-    return Observability(registry, trace, interval)
-
-
-def wire_simulator(obs: Observability, simulator: Any) -> None:
-    """Attach ``obs`` to a simulator's components.
-
-    Hands the event trace to the hierarchy and prefetch controller (they
-    emit through it), creates the one push-style instrument (the demand
-    miss-latency histogram), and registers pull probes over every
-    counter the components already keep: core, L1/L2 caches, both buses,
-    both MSHR files, the TLB, the controller, the predictor, the
-    scheduler, and each individual stream buffer.
-    """
-    if not obs.active:
-        return
     hierarchy = simulator.hierarchy
     controller = simulator.controller
-    if obs.trace is not None:
-        hierarchy.obs_trace = obs.trace
-        if controller is not None:
-            controller.obs_trace = obs.trace
-    if not obs.metrics.enabled:
+    metrics = simulator.metrics
+    hierarchy.obs_trace = simulator.event_trace
+    if controller is not None:
+        controller.obs_trace = simulator.event_trace
+    if metrics is None:
+        hierarchy.obs_latency_hist = None
         return
-    metrics = obs.metrics
     hierarchy.obs_latency_hist = metrics.histogram(
         "hierarchy", "miss_latency", MISS_LATENCY_BOUNDS
     )
@@ -258,7 +174,8 @@ def metrics_payload(
     """Assemble the JSON-able artifact ``repro-sim run --metrics`` writes.
 
     Bundles run metadata, the aggregate :class:`SimulationResult`, and
-    the registry's time series into one self-describing document that
+    the registry's interval and time series (when ``simulator.metrics``
+    is set) into one self-describing document that
     :mod:`repro.obs.report` (and ``repro-sim report``) consumes.
     """
     import dataclasses
@@ -267,12 +184,12 @@ def metrics_payload(
 
     payload: Dict[str, Any] = {
         "format": "repro-obs-metrics-v1",
-        "interval": simulator.obs.sample_interval,
         "meta": dict(meta or {}),
         "result": dataclasses.asdict(result),
         # Compiled-trace cache health: ``corrupt_recompiled`` > 0 means
         # checksum validation caught (and healed) damaged cache entries.
         "trace_cache": cache_stats(),
     }
-    payload.update(simulator.obs.metrics.to_payload())
+    if simulator.metrics is not None:
+        payload.update(simulator.metrics.to_payload())
     return payload

@@ -1,4 +1,4 @@
-"""Metrics registry with near-zero cost when disabled.
+"""Metrics registry: probes and histograms sampled every interval.
 
 A run records two kinds of metric:
 
@@ -14,24 +14,17 @@ carry no instrumentation beyond the histogram's ``observe`` — sampling
 is a pure read between core ``advance`` calls, which is also why
 results are bit-identical with metrics on or off.
 
-**Disabled sink.**  A registry constructed with ``enabled=False`` (the
-module-level :data:`NULL_REGISTRY`) hands out the shared no-op
-:data:`NULL_HISTOGRAM`, ignores probe registrations, and makes
-``sample`` a no-op.  No dict entries, list appends, or instrument
-objects are allocated on that path, so a component can hold its
-histogram unconditionally and pay one dynamic dispatch per observation
-when observability is off.
-
-Registries are excluded from simulation snapshots for the same reason
-:class:`~repro.perf.collector.PerfCollector` is: observation state could
-never be replayed meaningfully, and snapshot payloads must stay
-bit-identical however much (or little) observation happened around a
-run.
+A registry exists only while metrics are on: a simulator without one
+holds ``None``, and its components then hold no histogram.  Observers
+never ride a simulation snapshot; :mod:`repro.integrity.snapshot`
+detaches them while it pickles the machine.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Sequence, Tuple
+
+from repro.errors import ConfigError
 
 
 def metric_name(component: str, name: str) -> str:
@@ -111,29 +104,23 @@ class HistogramMetric:
         return f"HistogramMetric({self.name}: n={self.total})"
 
 
-class _NullHistogram(HistogramMetric):
-    """Shared do-nothing histogram handed out by a disabled registry."""
-
-    def observe(self, value: float) -> None:
-        """Discard the observation without touching any state."""
-
-
-#: The shared no-op histogram.  A disabled registry returns this very
-#: object — holding it costs nothing and using it allocates nothing.
-NULL_HISTOGRAM = _NullHistogram("null", bounds=(1.0,))
-
-
 class MetricsRegistry:
     """Histograms and probes registered by component, sampled over time.
 
-    One registry serves a whole simulator.  Metrics are namespaced as
-    ``component.name`` (``hierarchy.demand_misses``, ``sb3.priority``),
-    and :meth:`sample` appends one row — every histogram total and probe
-    value at one cycle — to :attr:`samples`.
+    One registry serves a whole simulator, which samples it every
+    ``interval`` cycles.  Metrics are namespaced as ``component.name``
+    (``hierarchy.demand_misses``, ``sb3.priority``), and :meth:`sample`
+    appends one row — every histogram total and probe value at one
+    cycle — to :attr:`samples`.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self, interval: int) -> None:
+        if interval <= 0:
+            raise ConfigError(
+                f"metrics_interval: must be positive, got {interval}",
+                field="metrics_interval",
+            )
+        self.interval = interval
         self._histograms: Dict[str, HistogramMetric] = {}
         self._probes: Dict[str, Callable[[], float]] = {}
         #: One dict per sampling boundary: ``{"cycle": int, "values": {...}}``.
@@ -145,8 +132,6 @@ class MetricsRegistry:
         self, component: str, name: str, bounds: Sequence[float]
     ) -> HistogramMetric:
         """Create (or fetch) the histogram ``component.name``."""
-        if not self.enabled:
-            return NULL_HISTOGRAM
         key = metric_name(component, name)
         instrument = self._histograms.get(key)
         if instrument is None:
@@ -162,16 +147,12 @@ class MetricsRegistry:
         probes (core progress, bound to one run's state) can simply be
         re-bound at the start of each run.
         """
-        if not self.enabled:
-            return
         self._probes[metric_name(component, name)] = read
 
     # -- sampling ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, float]:
         """Current value of every histogram and probe, one flat dict."""
-        if not self.enabled:
-            return {}
         values: Dict[str, float] = {}
         for key, hist in self._histograms.items():
             values[key] = hist.read()
@@ -186,8 +167,6 @@ class MetricsRegistry:
         on a periodic boundary) is a no-op, so boundary bookkeeping in
         callers stays simple.
         """
-        if not self.enabled:
-            return
         if self.samples and self.samples[-1]["cycle"] == cycle:
             return
         self.samples.append({"cycle": cycle, "values": self.snapshot()})
@@ -203,8 +182,9 @@ class MetricsRegistry:
     # -- persistence ---------------------------------------------------
 
     def to_payload(self) -> Dict[str, Any]:
-        """A JSON-able dump: final values, histograms, and the series."""
+        """A JSON-able dump: interval, final values, histograms, series."""
         return {
+            "interval": self.interval,
             "final": self.snapshot(),
             "histograms": {
                 key: {
@@ -218,30 +198,12 @@ class MetricsRegistry:
             "samples": [dict(row) for row in self.samples],
         }
 
-    # -- pickling ------------------------------------------------------
-    # Snapshots capture the simulator object graph; probes close over
-    # live component state and must not (and could not meaningfully) be
-    # replayed, so a registry always pickles as a fresh disabled one —
-    # exactly the PerfCollector contract.
-
-    def __getstate__(self):
-        return {"enabled": False}
-
-    def __setstate__(self, state):
-        self.__init__(enabled=False)
-
     def __repr__(self) -> str:
-        if not self.enabled:
-            return "MetricsRegistry(disabled)"
         return (
-            f"MetricsRegistry({len(self._histograms)} histograms, "
-            f"{len(self._probes)} probes, {len(self.samples)} samples)"
+            f"MetricsRegistry(every {self.interval} cycles, "
+            f"{len(self._histograms)} histograms, {len(self._probes)} probes, "
+            f"{len(self.samples)} samples)"
         )
-
-
-#: The process-wide disabled registry: every histogram request returns
-#: :data:`NULL_HISTOGRAM` and sampling does nothing.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 
 #: Miss-latency histogram bucket bounds (cycles): L1-ish, L2-ish, and

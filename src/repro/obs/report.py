@@ -190,14 +190,14 @@ def _section_summary(
         ("L1 miss rate", "l1_miss_rate"),
         ("Avg load latency", "avg_load_latency"),
         ("Prefetch accuracy", "prefetch_accuracy"),
-        ("Prefetch coverage", "prefetch_coverage"),
     ):
         if key in result and result[key] is not None:
             value = result[key]
             rows.append((label, _fmt(float(value))))
     interval = payload.get("interval")
-    samples = payload.get("samples", ())
-    rows.append(("Samples", f"{len(samples)} (every {interval} cycles)"))
+    if interval is not None:
+        samples = payload.get("samples", ())
+        rows.append(("Samples", f"{len(samples)} (every {interval} cycles)"))
     lines = ["## Summary", ""]
     lines.extend(_table(("Quantity", "Value"), rows))
     lines.append("")

@@ -135,17 +135,6 @@ class EventTrace:
         )
         return len(self._events)
 
-    # -- pickling ------------------------------------------------------
-    # Like the metrics registry, a trace never rides a simulation
-    # snapshot: the configuration survives, the buffered events do not,
-    # so payload sizes stay independent of how long a run was observed.
-
-    def __getstate__(self):
-        return {"capacity": self.capacity, "categories": self.categories}
-
-    def __setstate__(self, state):
-        self.__init__(state["capacity"], state["categories"])
-
     def __repr__(self) -> str:
         return (
             f"EventTrace({len(self._events)}/{self.capacity} buffered, "

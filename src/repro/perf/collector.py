@@ -8,10 +8,12 @@ through while the core was idle).  It is deliberately cheap — a dict update
 per event bucket, a ``perf_counter`` pair per timed section — so it can
 stay attached even when nobody reads it.
 
-Collectors are **excluded from simulation snapshots**: pickling one
-yields an empty collector.  This keeps snapshot/replay bit-identical
-regardless of how much (or little) profiling happened around a run —
-wall-clock measurements could never be replayed meaningfully anyway.
+Collectors are **excluded from simulation snapshots**:
+:mod:`repro.integrity.snapshot` detaches the simulator's collector
+while it pickles the machine, and a restored machine starts with a
+fresh one.  This keeps snapshot/replay bit-identical regardless of how
+much (or little) profiling happened around a run — wall-clock
+measurements could never be replayed meaningfully anyway.
 """
 
 from __future__ import annotations
@@ -51,18 +53,6 @@ class PerfCollector:
 
     def elapsed(self, name: str, default: float = 0.0) -> float:
         return self.timers.get(name, default)
-
-    # -- pickling ------------------------------------------------------
-    # Snapshots capture the whole simulator object graph; the collector
-    # deliberately contributes nothing so fast-path and stepped runs
-    # (and profiled and unprofiled ones) produce bit-identical payloads.
-
-    def __getstate__(self):
-        return {}
-
-    def __setstate__(self, state):
-        self.counters = {}
-        self.timers = {}
 
     def __repr__(self) -> str:
         return (

@@ -19,9 +19,9 @@ cycle boundaries without touching the core's hot loop:
 - **snapshotting** (``snapshot_every``): a resumable
   :class:`~repro.integrity.snapshot.SimSnapshot` is handed to
   ``snapshot_sink`` at fixed cycle boundaries;
-- **metrics sampling** (``config.metrics_interval``): the
-  :mod:`repro.obs` registry reads every probe into a time series at
-  fixed cycle boundaries.
+- **metrics sampling** (``metrics_interval``): the :mod:`repro.obs`
+  registry reads every probe into a time series at fixed cycle
+  boundaries.
 
 With all off the run is a single uninterrupted call into the core —
 the fast path is unchanged.  Because sampling happens at driver stop
@@ -33,8 +33,9 @@ A sampled config (``config.sampling``) runs through the same driver:
 :meth:`Simulator.run` builds the sampling driver's state instead of a
 ``_RunState``, and each measured window runs through the same chunk
 loop (invariant checks only: sampled runs snapshot at period
-boundaries and take no metrics).  Both kinds of run end in one result
-builder, fed one counter row per detailed run or measured window.
+boundaries, and a sampled machine refuses a metrics registry).  Both
+kinds of run end in one result builder, fed one counter row per
+detailed run or measured window.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.config import SimConfig
 from repro.cpu.core import CoreStats, OutOfOrderCore, _RunState
-from repro.errors import ReproError, SimulationError
+from repro.errors import ConfigError, ReproError, SimulationError
 from repro.integrity.invariants import build_checker
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.obs import EventTrace, build_observability, wire_simulator
+from repro.obs import EventTrace, MetricsRegistry, wire_simulator
 from repro.perf.collector import PerfCollector
 from repro.sim.results import SimulationResult
 from repro.stats import ratio
@@ -58,12 +59,16 @@ class Simulator:
     """One fully wired machine: reusable across runs of the same config.
 
     ``event_trace`` optionally attaches a :class:`repro.obs.EventTrace`
-    that components emit structured events into; metrics sampling is
-    controlled by ``config.metrics_interval``.  Both default off.
+    that components emit structured events into; ``metrics_interval``
+    attaches a :class:`repro.obs.MetricsRegistry` sampled every that
+    many cycles.  Both default off.
     """
 
     def __init__(
-        self, config: SimConfig, event_trace: Optional[EventTrace] = None
+        self,
+        config: SimConfig,
+        event_trace: Optional[EventTrace] = None,
+        metrics_interval: Optional[int] = None,
     ) -> None:
         self.config = config
         self.hierarchy = MemoryHierarchy(config)
@@ -81,16 +86,41 @@ class Simulator:
         # hierarchy so per-miss/per-prefetch hooks fire from inside it.
         self.checker = build_checker(config, self.hierarchy, self.controller)
         self.hierarchy.integrity = self.checker
-        # Wall-clock timers + fast-path counters.  The collector pickles
-        # empty, so snapshots stay bit-identical whether or not (and
-        # however long) a run was measured.
-        self.perf = PerfCollector()
-        self.core.perf = self.perf
-        # Metrics + event tracing (repro.obs).  Like the perf collector,
-        # the context pickles disabled so observation never leaks into
-        # snapshot payloads.
-        self.obs = build_observability(config, event_trace)
-        wire_simulator(self.obs, self)
+        metrics = (
+            None if metrics_interval is None
+            else MetricsRegistry(metrics_interval)
+        )
+        self.attach_observers(PerfCollector(), metrics, event_trace)
+
+    def attach_observers(
+        self,
+        perf: PerfCollector,
+        metrics: Optional[MetricsRegistry] = None,
+        event_trace: Optional[EventTrace] = None,
+    ) -> None:
+        """Set the observers; ``None`` turns metrics or tracing off.
+
+        ``perf`` times the simulation loop and counts the cycles the
+        fast path skipped, ``metrics`` is sampled every
+        ``metrics.interval`` cycles, and ``event_trace`` receives
+        structured events.  This is the one place observers attach: the
+        constructor and :meth:`SimSnapshot.capture
+        <repro.integrity.snapshot.SimSnapshot.capture>` (which detaches
+        them, leaving an empty collector, while it pickles the machine)
+        call it.  A sampled machine refuses a registry: a timeline over
+        its discontinuous clock would mislead more than inform.
+        """
+        if metrics is not None and self.config.sampling is not None:
+            raise ConfigError(
+                "metrics_interval: a sampled run takes no metrics "
+                "registry (its clock skips the fast-forwarded stretches)",
+                field="metrics_interval",
+            )
+        self.perf = perf
+        self.core.perf = perf
+        self.metrics = metrics
+        self.event_trace = event_trace
+        wire_simulator(self)
 
     def run(
         self,
@@ -162,17 +192,14 @@ class Simulator:
         sampled = self.config.sampling is not None
         if sampled:
             from repro.sampling import driver as sampling_driver
-        obs = self.obs
-        # Metrics sampling stays off in sampled mode: a timeline over a
-        # discontinuous clock would mislead more than inform.
-        metrics_stride = (
-            obs.sample_interval
-            if obs.metrics_enabled and not sampled
-            else None
-        )
-        if metrics_stride is not None:
-            obs.bind_run(state)
-            obs.metrics.sample(state.cycle)
+        metrics = self.metrics
+        if metrics is not None:
+            # Core-progress probes over this run's state (re-bound on
+            # every run, resumes included); its fields are synced at
+            # every ``advance`` boundary, which is when sampling happens.
+            for name, read in state.observable_state().items():
+                metrics.probe("core", name, read)
+            metrics.sample(state.cycle)
 
         try:
             with self.perf.time("simulate"):
@@ -183,12 +210,7 @@ class Simulator:
                     )
                 else:
                     self._advance_loop(
-                        state,
-                        source,
-                        snapshot_every,
-                        snapshot_sink,
-                        label,
-                        metrics_stride,
+                        state, source, snapshot_every, snapshot_sink, label
                     )
         except ReproError:
             # Already classified (e.g. a TraceFormatError surfacing from a
@@ -203,10 +225,10 @@ class Simulator:
         if sampled:
             result = sampling_driver.stitch(self, state, label, window_sink)
         else:
-            if metrics_stride is not None:
+            if metrics is not None:
                 # Final row: sample() dedups if the run ended exactly on
                 # a periodic boundary already sampled inside the loop.
-                obs.metrics.sample(state.cycle)
+                metrics.sample(state.cycle)
             stats = self.core.finish_run(state)
             result = self._result(label, [self._harvest(stats)])
         return result
@@ -319,7 +341,6 @@ class Simulator:
         snapshot_every: Optional[int] = None,
         snapshot_sink: Optional[Callable] = None,
         label: str = "run",
-        metrics_stride: Optional[int] = None,
     ) -> None:
         """Advance ``state`` to completion, stopping at chunk boundaries.
 
@@ -327,6 +348,8 @@ class Simulator:
         """
         checker = self.checker
         check_stride = checker.stride if checker is not None else None
+        metrics = self.metrics
+        metrics_stride = metrics.interval if metrics is not None else None
         on_warmup_end = self._reset_stats
         if (
             check_stride is None
@@ -336,8 +359,7 @@ class Simulator:
             # Fast path: one uninterrupted call into the core.
             self.core.advance(source, state, on_warmup_end=on_warmup_end)
         else:
-            obs = self.obs
-            trace = obs.trace
+            trace = self.event_trace
             emit_integrity = (
                 trace is not None
                 and checker is not None
@@ -378,7 +400,7 @@ class Simulator:
                     metrics_stride is not None
                     and state.cycle % metrics_stride == 0
                 ):
-                    obs.metrics.sample(state.cycle)
+                    metrics.sample(state.cycle)
                 if finished:
                     break
                 if (
@@ -404,8 +426,9 @@ def simulate(
     """Build a fresh machine for ``config`` and run ``trace`` through it.
 
     ``event_trace`` attaches structured event tracing (see
-    :mod:`repro.obs.tracing`); metrics sampling follows
-    ``config.metrics_interval``.
+    :mod:`repro.obs.tracing`).  For a metrics timeline build a
+    :class:`Simulator` with ``metrics_interval`` and read its
+    ``metrics`` after the run.
     """
     return Simulator(config, event_trace=event_trace).run(
         trace,

@@ -283,10 +283,49 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-5"])
-    @pytest.mark.parametrize("command", ["run", "compare", "check", "sweep"])
-    def test_run_length_below_one_exits_one(self, command, count, capsys):
-        assert main([command, "health", "--instructions", count]) == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["run", "health"], id="run"),
+            pytest.param(["compare", "health"], id="compare"),
+            pytest.param(["check", "health"], id="check"),
+            pytest.param(["sweep", "health"], id="sweep"),
+            pytest.param(["trace", "health", "--out", "x.trace"], id="trace"),
+            pytest.param(
+                ["trace", "compile", "health", "--out", "x.rtb"],
+                id="trace-compile",
+            ),
+        ],
+    )
+    def test_run_length_below_one_exits_one(
+        self, argv, count, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--instructions", count]) == 1
         assert "--instructions must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("interval", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param([], id="detailed"),
+            pytest.param(["--sample", "40000:1000:500"], id="sampled"),
+        ],
+    )
+    def test_metrics_interval_below_one_exits_one(
+        self, argv, interval, capsys, tmp_path, monkeypatch
+    ):
+        # Checked whenever --metrics is given, also where a sampled run
+        # then attaches no registry.
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["run", "health", "--instructions", "100", "--metrics",
+             "--metrics-interval", interval] + argv
+        )
+        assert code == 1
+        assert "--metrics-interval must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_audit_command_is_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -25,6 +25,7 @@ from repro.integrity import (
     resume_run,
     run_golden,
 )
+from repro.obs import EventTrace
 from repro.runner import (
     CORRUPT_STATE_TARGETS,
     CampaignRunner,
@@ -330,6 +331,78 @@ class TestSnapshotReplay:
         assert outcome.ok, outcome.error_message
         assert outcome.attempts == 2
         assert outcome.result.extra["resumed_from_cycle"] > 0
+
+
+def _snapshotted_run(metrics_interval=None, event_trace=None):
+    """A 4,000-record health run snapshotted every 2,000 cycles."""
+    snapshots = []
+    simulator = Simulator(
+        psb_config(),
+        event_trace=event_trace,
+        metrics_interval=metrics_interval,
+    )
+    result = simulator.run(
+        _trace(),
+        max_instructions=4_000,
+        snapshot_every=2_000,
+        snapshot_sink=snapshots.append,
+    )
+    return simulator, snapshots, result
+
+
+@pytest.fixture(scope="module")
+def unobserved_run():
+    return _snapshotted_run()
+
+
+class TestSnapshotsCarryNoObservers:
+    @pytest.mark.parametrize(
+        "metrics,traced",
+        [(True, False), (False, True), (True, True)],
+        ids=["metrics", "trace", "both"],
+    )
+    def test_payloads_match_the_unobserved_run(
+        self, unobserved_run, metrics, traced
+    ):
+        __, plain, plain_result = unobserved_run
+        simulator, observed, result = _snapshotted_run(
+            metrics_interval=500 if metrics else None,
+            event_trace=EventTrace() if traced else None,
+        )
+        assert len(plain) == 29
+        assert [s.payload for s in observed] == [s.payload for s in plain]
+        assert dataclasses.asdict(result) == dataclasses.asdict(plain_result)
+        # Capture re-attaches the observers: they record the whole run,
+        # exactly as in a run that takes no snapshots.
+        unsnapped = Simulator(
+            psb_config(),
+            event_trace=EventTrace() if traced else None,
+            metrics_interval=500 if metrics else None,
+        )
+        unsnapped.run(_trace(), max_instructions=4_000)
+        if metrics:
+            assert (
+                simulator.metrics.to_payload()
+                == unsnapped.metrics.to_payload()
+            )
+        if traced:
+            assert simulator.event_trace.events() == (
+                unsnapped.event_trace.events()
+            )
+
+    def test_restored_machine_is_unobserved(self):
+        __, snapshots, __ = _snapshotted_run(
+            metrics_interval=500, event_trace=EventTrace()
+        )
+        simulator, __ = snapshots[-1].restore()
+        assert simulator.metrics is None
+        assert simulator.event_trace is None
+        assert simulator.hierarchy.obs_trace is None
+        assert simulator.hierarchy.obs_latency_hist is None
+        assert simulator.controller.obs_trace is None
+        assert simulator.perf.counters == {}
+        assert simulator.perf.timers == {}
+        assert simulator.core.perf is simulator.perf
 
 
 # ----------------------------------------------------------------------

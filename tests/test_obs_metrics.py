@@ -1,14 +1,11 @@
-"""The metrics registry: histograms, probes, null sink, and sampling."""
-
-import pickle
+"""The metrics registry: histograms, probes, and sampling."""
 
 import pytest
 
 from repro.cli import MACHINES
+from repro.errors import ConfigError
 from repro.obs.metrics import (
     MISS_LATENCY_BOUNDS,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
     HistogramMetric,
     MetricsRegistry,
     metric_name,
@@ -68,35 +65,9 @@ class TestHistogramBoundaries:
         assert list(MISS_LATENCY_BOUNDS) == sorted(set(MISS_LATENCY_BOUNDS))
 
 
-class TestDisabledSink:
-    def test_disabled_registry_hands_out_shared_singletons(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.histogram("a", "z", (1.0,)) is NULL_HISTOGRAM
-        # Every request returns the very same object: no allocation.
-        assert registry.histogram("b", "other", (2.0,)) is NULL_HISTOGRAM
-
-    def test_null_instruments_discard_updates(self):
-        NULL_HISTOGRAM.observe(3.0)
-        assert NULL_HISTOGRAM.read() == 0.0
-
-    def test_disabled_registry_allocates_no_state(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.histogram("a", "x", (1.0,)).observe(0.5)
-        registry.probe("a", "p", lambda: 1.0)
-        registry.sample(100)
-        registry.sample(200)
-        assert registry.samples == []
-        assert registry.snapshot() == {}
-        assert registry._histograms == {}
-        assert registry._probes == {}
-
-    def test_null_registry_is_disabled(self):
-        assert not NULL_REGISTRY.enabled
-
-
 class TestSampling:
     def test_sample_reads_instruments_and_probes(self):
-        registry = MetricsRegistry()
+        registry = MetricsRegistry(100)
         hist = registry.histogram("h", "latency", (10.0,))
         registry.probe("p", "value", lambda: 7.0)
         for value in (1.0, 2.0, 50.0):
@@ -109,20 +80,20 @@ class TestSampling:
         assert registry.series("p.value") == [(100, 7.0), (200, 7.0)]
 
     def test_same_cycle_sampled_once(self):
-        registry = MetricsRegistry()
+        registry = MetricsRegistry(100)
         registry.probe("c", "n", lambda: 1.0)
         registry.sample(50)
         registry.sample(50)
         assert [row["cycle"] for row in registry.samples] == [50]
 
     def test_probe_reregistration_replaces(self):
-        registry = MetricsRegistry()
+        registry = MetricsRegistry(100)
         registry.probe("core", "retired", lambda: 1.0)
         registry.probe("core", "retired", lambda: 2.0)
         assert registry.snapshot() == {"core.retired": 2.0}
 
     def test_to_payload_shape(self):
-        registry = MetricsRegistry()
+        registry = MetricsRegistry(100)
         registry.probe("c", "n", lambda: 1.0)
         hist = registry.histogram("h", "lat", (10.0,))
         hist.observe(5.0)
@@ -134,17 +105,9 @@ class TestSampling:
         }
         assert payload["samples"][0]["cycle"] == 10
 
-    def test_registry_pickles_disabled(self):
-        registry = MetricsRegistry()
-        registry.probe("c", "n", lambda: 1.0)
-        registry.sample(1)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert not clone.enabled
-        assert clone.samples == []
 
-
-def _run(config, instructions=4_000):
-    simulator = Simulator(config)
+def _run(config, instructions=4_000, metrics_interval=None):
+    simulator = Simulator(config, metrics_interval=metrics_interval)
     result = simulator.run(
         get_workload("health", seed=1), max_instructions=instructions
     )
@@ -153,9 +116,8 @@ def _run(config, instructions=4_000):
 
 class TestSimulatorSampling:
     def test_samples_land_on_interval_boundaries(self):
-        config = MACHINES["psb"]().with_metrics(500)
-        simulator, result = _run(config)
-        cycles = [row["cycle"] for row in simulator.obs.metrics.samples]
+        simulator, result = _run(MACHINES["psb"](), metrics_interval=500)
+        cycles = [row["cycle"] for row in simulator.metrics.samples]
         assert cycles[0] == 0
         # Every sample except the last (final cycle) is on a boundary.
         assert all(cycle % 500 == 0 for cycle in cycles[:-1])
@@ -166,12 +128,16 @@ class TestSimulatorSampling:
         """The acceptance property: the skip-ahead fast path must stop
         at metric boundaries, putting samples on the same cycles as the
         cycle-stepped loop — with identical values."""
-        base = MACHINES["psb"]().with_metrics(750)
-        fast_sim, fast = _run(base.with_event_driven(True))
-        slow_sim, slow = _run(base.with_event_driven(False))
+        base = MACHINES["psb"]()
+        fast_sim, fast = _run(
+            base.with_event_driven(True), metrics_interval=750
+        )
+        slow_sim, slow = _run(
+            base.with_event_driven(False), metrics_interval=750
+        )
         assert fast.cycles == slow.cycles
-        fast_rows = fast_sim.obs.metrics.samples
-        slow_rows = slow_sim.obs.metrics.samples
+        fast_rows = fast_sim.metrics.samples
+        slow_rows = slow_sim.metrics.samples
         assert [r["cycle"] for r in fast_rows] == [
             r["cycle"] for r in slow_rows
         ]
@@ -180,7 +146,7 @@ class TestSimulatorSampling:
     def test_results_bit_identical_with_metrics_on(self):
         config = MACHINES["psb"]()
         __, plain = _run(config)
-        __, observed = _run(config.with_metrics(250))
+        __, observed = _run(config, metrics_interval=250)
         assert plain.cycles == observed.cycles
         assert plain.ipc == observed.ipc
         assert plain.l1_miss_rate == observed.l1_miss_rate
@@ -188,16 +154,30 @@ class TestSimulatorSampling:
         assert plain.extra == observed.extra
 
     def test_disabled_config_builds_null_context(self):
+        """With no observer asked for, the simulator holds none."""
         simulator = Simulator(MACHINES["psb"]())
-        assert not simulator.obs.active
-        assert simulator.obs.metrics is NULL_REGISTRY
+        assert simulator.metrics is None
+        assert simulator.event_trace is None
         assert simulator.hierarchy.obs_trace is None
         assert simulator.hierarchy.obs_latency_hist is None
+        assert simulator.controller.obs_trace is None
+
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_interval_below_one_is_a_config_error(self, interval):
+        with pytest.raises(ConfigError, match="metrics_interval"):
+            Simulator(MACHINES["psb"](), metrics_interval=interval)
+
+    @pytest.mark.parametrize("interval", [1, 500])
+    def test_sampled_machine_refuses_a_registry(self, interval):
+        config = MACHINES["psb"]().with_sampling(
+            period=4_000, window=1_000, warmup=500
+        )
+        with pytest.raises(ConfigError, match="metrics_interval"):
+            Simulator(config, metrics_interval=interval)
 
     def test_component_metrics_present(self):
-        config = MACHINES["psb"]().with_metrics(1000)
-        simulator, __ = _run(config)
-        final = simulator.obs.metrics.snapshot()
+        simulator, __ = _run(MACHINES["psb"](), metrics_interval=1000)
+        final = simulator.metrics.snapshot()
         for key in (
             "core.retired", "hierarchy.demand_misses", "l1.accesses",
             "bus_l1_l2.busy_cycles", "mshr_l1.allocations", "tlb.misses",
@@ -208,9 +188,8 @@ class TestSimulatorSampling:
             assert key in final, key
 
     def test_latency_histogram_counts_misses(self):
-        config = MACHINES["base"]().with_metrics(1000)
-        simulator, result = _run(config)
-        hist = simulator.obs.metrics.to_payload()["histograms"][
+        simulator, result = _run(MACHINES["base"](), metrics_interval=1000)
+        hist = simulator.metrics.to_payload()["histograms"][
             "hierarchy.miss_latency"
         ]
         assert hist["total"] > 0

@@ -26,7 +26,7 @@ _METRICS = json.dumps({"format": "repro-obs-metrics-v1"})
 def _observed_run(tmp_path, machine="psb", instructions=6_000):
     trace = EventTrace()
     simulator = Simulator(
-        MACHINES[machine]().with_metrics(500), event_trace=trace
+        MACHINES[machine](), event_trace=trace, metrics_interval=500
     )
     result = simulator.run(
         get_workload("health", seed=1), max_instructions=instructions
@@ -189,6 +189,25 @@ class TestCliRoundTrip:
         document = (tmp_path / "report.md").read_text()
         assert "## Stream buffers" in document
         assert "## Event trace" in document
+
+    def test_sampled_run_reports_one_scope(self, tmp_path, monkeypatch):
+        # A sampled run has no metrics timeline: its payload holds the
+        # stitched result only, so no panel mixes the last window's or
+        # the whole run's counters into the sampled estimate.
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "run", "health", "--instructions", "120000",
+            "--sample", "40000:1000:500", "--metrics",
+        ]) == 0
+        payload = json.loads((tmp_path / "metrics.json").read_text())
+        assert set(payload) == {"format", "meta", "result", "trace_cache"}
+        assert main(["report"]) == 0
+        document = (tmp_path / "report.md").read_text()
+        headings = [
+            line for line in document.splitlines() if line.startswith("## ")
+        ]
+        assert headings == ["## Summary", "## Sampling"]
+        assert "| Samples |" not in document
 
     def test_report_html_output(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,7 +1,6 @@
 """Event tracing: ring buffer, category filters, and JSONL IO."""
 
 import dataclasses
-import pickle
 
 import pytest
 
@@ -69,14 +68,6 @@ class TestEventTrace:
         with pytest.raises(ConfigError) as excinfo:
             EventTrace(categories=["alloc", "nonsense"])
         assert "nonsense" in str(excinfo.value)
-
-    def test_pickles_config_only(self):
-        trace = EventTrace(capacity=16, categories=["prefetch"])
-        trace.emit(1, "prefetch", "issue")
-        clone = pickle.loads(pickle.dumps(trace))
-        assert clone.capacity == 16
-        assert clone.categories == frozenset({"prefetch"})
-        assert len(clone) == 0
 
 
 class TestJsonl:

@@ -102,6 +102,23 @@ print("smoke: demand-markov sampled run warmed", int(extra["ff_l1_misses"]),
       "fast-forwarded misses under", int(extra["invariant_checks"]),
       "invariant checks")
 EOF
+# The psb controller's detuned warming (the tuned shape the sampling
+# bench gates): one bulk predictor call and closed-form priority aging
+# per fast-forward stretch.
+python -m repro run health --machine psb --instructions 120000 \
+    --sample 40000:1000:500 --sample-strata 4 --warm-confidence \
+    --invariants full --metrics --metrics-out "$sample_dir/tuned.json"
+python - "$sample_dir/tuned.json" <<'EOF'
+import json, sys
+extra = json.load(open(sys.argv[1]))["result"]["extra"]
+assert extra["windows"] == 12.0, extra
+assert extra["measured_instructions"] == 3000.0, extra
+assert extra["ff_l1_misses"] > 0, extra
+assert extra["invariant_checks"] > 0, extra
+print("smoke: tuned psb sampled run measured", int(extra["windows"]),
+      "windows after warming", int(extra["ff_l1_misses"]),
+      "fast-forwarded misses at the detuned rate")
+EOF
 rm -rf "$sample_dir"
 
 echo

@@ -11,11 +11,11 @@ run that changed the answer.
 Reports are plain JSON (see :func:`write_report`); the checked-in
 baseline lives at ``benchmarks/BENCH_core.json`` and
 :func:`check_against_baseline` gates CI on it: the regression signal
-is the stepped/event *speedup ratio*, not absolute wall time — both
-modes run back-to-back under the same machine load, so their ratio
-survives runner-class and background-load differences that make
-absolute-throughput gates flaky.  Absolute rates are still recorded in
-every report for human eyes.
+is the stepped/event *speedup ratio*, not absolute wall time — the two
+modes take turns, repeat by repeat, under the same machine load, so
+their ratio survives runner-class and background-load differences that
+make absolute-throughput gates flaky.  Absolute rates are still
+recorded in every report for human eyes.
 
 A second suite, :func:`run_sampling_bench` (``repro-sim bench
 --sampling``, baseline ``benchmarks/BENCH_sampling.json``), runs each
@@ -102,37 +102,39 @@ def _timed_run(
 
 def _best_of(
     repeats: int,
-    config: SimConfig,
+    legs: Sequence[tuple],
     records: list,
     instructions: int,
     warmup: int,
-    label: str,
-    profile_path: Optional[str] = None,
-):
-    """:func:`_timed_run` ``repeats`` times: the result, the best wall
-    time, and the last run's perf counters.
+) -> list:
+    """:func:`_timed_run` of each ``(config, label, profile_path)`` leg
+    ``repeats`` times, the legs taking turns: per leg, the result, the
+    best wall time, and the last run's perf counters.
 
     Simulations are deterministic, so repeat variance is pure scheduler
     and cache noise, and the minimum is the honest estimate of the
-    code's cost.  Raises :class:`BenchmarkError` if two repeats' results
-    differ.
+    code's cost.  Taking turns puts a change in the host's speed on
+    every leg a ratio divides, not on one of them.  Raises
+    :class:`BenchmarkError` if two repeats of a leg disagree.
     """
-    result = best_wall = perf = None
+    best: list = [None] * len(legs)
     for __ in range(repeats):
-        again, wall, perf = _timed_run(
-            config, records, instructions, warmup, label,
-            profile_path=profile_path,
-        )
-        if result is not None and again != result:
-            raise BenchmarkError(
-                f"repeated runs of {label!r} disagree: cycles "
-                f"{again.cycles} vs {result.cycles}, IPC {again.ipc:.6f} "
-                f"vs {result.ipc:.6f}"
+        for index, (config, label, profile_path) in enumerate(legs):
+            again, wall, perf = _timed_run(
+                config, records, instructions, warmup, label,
+                profile_path=profile_path,
             )
-        result = again
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-    return result, best_wall, perf
+            if best[index] is not None:
+                result, best_wall, _ = best[index]
+                if again != result:
+                    raise BenchmarkError(
+                        f"repeated runs of {label!r} disagree: cycles "
+                        f"{again.cycles} vs {result.cycles}, IPC "
+                        f"{again.ipc:.6f} vs {result.ipc:.6f}"
+                    )
+                wall = min(wall, best_wall)
+            best[index] = (again, wall, perf)
+    return best
 
 
 #: Runs of each leg the sampling bench's effective speedup divides: the
@@ -152,11 +154,12 @@ def run_bench(
 ) -> dict:
     """Benchmark ``workloads`` on ``config``; return a report dict.
 
-    Each mode runs ``repeats`` times and reports its best wall time
-    (:func:`_best_of`).  Raises :class:`BenchmarkError` if any workload
-    name is unknown, if repeats disagree, or if the event-driven run
-    disagrees with the cycle-stepped one (a fast path that changes the
-    answer is a bug, not a speedup).  With ``profile_dir``, each run
+    Each mode runs ``repeats`` times, the two taking turns, and reports
+    its best wall time (:func:`_best_of`).  Raises
+    :class:`BenchmarkError` if any workload name is unknown, if repeats
+    disagree, or if the event-driven run disagrees with the
+    cycle-stepped one (a fast path that changes the answer is a bug,
+    not a speedup).  With ``profile_dir``, each run
     also dumps cProfile stats to
     ``<profile_dir>/<workload>-{stepped,event}.prof``.
     """
@@ -189,13 +192,15 @@ def run_bench(
         records = cached_workload_trace(name, seed=seed,
                                         instructions=instructions * 2)
 
-        stepped, stepped_wall, _ = _best_of(
-            repeats, config.with_event_driven(False), records, instructions,
-            warmup, f"{name}:stepped", _profile_path(name, "stepped"),
-        )
-        event, event_wall, event_perf = _best_of(
-            repeats, config.with_event_driven(True), records, instructions,
-            warmup, f"{name}:event", _profile_path(name, "event"),
+        (stepped, stepped_wall, _), (event, event_wall, event_perf) = _best_of(
+            repeats,
+            [
+                (config.with_event_driven(False), f"{name}:stepped",
+                 _profile_path(name, "stepped")),
+                (config.with_event_driven(True), f"{name}:event",
+                 _profile_path(name, "event")),
+            ],
+            records, instructions, warmup,
         )
         if (stepped.cycles, stepped.instructions, stepped.ipc) != (
             event.cycles, event.instructions, event.ipc
@@ -286,7 +291,9 @@ def run_sampling_bench(
 
     The effective speedup divides the best of three detailed runs by
     the best of three sampled runs (:func:`_best_of`), so one slow run
-    does not set it; the other legs run once.
+    does not set it; the tuned leg's speedup (reported, not gated)
+    divides by the best of three tuned runs, which take turns with the
+    sampled ones.  The baseline-machine and paired legs run once.
 
     The bounds and floor are stamped into the report;
     :func:`check_sampling_baseline` enforces the *baseline's* stated
@@ -322,21 +329,23 @@ def run_sampling_bench(
     for name in workloads:
         records = cached_workload_trace(name, seed=seed,
                                         instructions=instructions)
-        detailed, detailed_wall, _ = _best_of(
-            _SPEEDUP_REPEATS, config, records, instructions, 0,
-            f"{name}:detailed", _profile_path(name, "detailed"),
+        ((detailed, detailed_wall, _),) = _best_of(
+            _SPEEDUP_REPEATS,
+            [(config, f"{name}:detailed", _profile_path(name, "detailed"))],
+            records, instructions, 0,
         )
         base_detailed, base_wall, _ = _timed_run(
             base_config, records, instructions, 0, f"{name}:base-detailed",
             profile_path=_profile_path(name, "base-detailed"),
         )
-        sampled, sampled_wall, _ = _best_of(
-            _SPEEDUP_REPEATS, sampled_config, records, instructions, 0,
-            f"{name}:sampled", _profile_path(name, "sampled"),
-        )
-        tuned, tuned_wall, _ = _timed_run(
-            tuned_config, records, instructions, 0, f"{name}:tuned",
-            profile_path=_profile_path(name, "tuned"),
+        (sampled, sampled_wall, _), (tuned, tuned_wall, _) = _best_of(
+            _SPEEDUP_REPEATS,
+            [
+                (sampled_config, f"{name}:sampled",
+                 _profile_path(name, "sampled")),
+                (tuned_config, f"{name}:tuned", _profile_path(name, "tuned")),
+            ],
+            records, instructions, 0,
         )
         if detailed.ipc <= 0.0 or base_detailed.ipc <= 0.0:
             raise BenchmarkError(
@@ -390,6 +399,9 @@ def run_sampling_bench(
                 "ipc_ci95": round(tuned.extra.get("ipc_ci95", 0.0), 6),
                 "ipc_error": round(tuned_error, 6),
                 "wall_s": round(tuned_wall, 4),
+                "speedup": round(
+                    detailed_wall / tuned_wall if tuned_wall > 0 else 0.0, 2
+                ),
             },
             "paired": {
                 "rel_ipc": round(stats.rel_ipc, 6),
@@ -558,7 +570,8 @@ def format_sampling_report(report: dict) -> str:
         f"period={sample['period']} window={sample['window']} "
         f"warmup={sample['warmup']} rev={report['git_rev']}",
         f"{'workload':<12} {'det IPC':>9} {'samp IPC':>9} {'err':>7} "
-        f"{'tuned err':>9} {'pair err':>8} {'speedup':>8} {'windows':>8}",
+        f"{'tuned err':>9} {'pair err':>8} {'speedup':>8} {'tuned x':>8} "
+        f"{'windows':>8}",
     ]
     for name, entry in sorted(report["results"].items()):
         lines.append(
@@ -569,13 +582,14 @@ def format_sampling_report(report: dict) -> str:
             f"{entry['tuned']['ipc_error'] * 100:>8.2f}% "
             f"{entry['paired']['rel_err'] * 100:>7.2f}% "
             f"{entry['speedup']:>7.2f}x "
+            f"{entry['tuned']['speedup']:>7.2f}x "
             f"{entry['sampled']['windows']:>8}"
         )
     lines.append(
         f"stated contract: tuned |IPC error| <= "
         f"{report['ipc_error_bound'] * 100:.1f}%, paired |rel-IPC error| "
         f"<= {report['paired_error_bound'] * 100:.1f}%, speedup >= "
-        f"{report['speedup_floor']}x"
+        f"{report['speedup_floor']}x (tuned x is reported, not gated)"
     )
     return "\n".join(lines)
 

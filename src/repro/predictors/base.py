@@ -71,18 +71,32 @@ class AddressPredictor(ABC):
         Returns None when the predictor has nothing useful to say.
         """
 
-    def train_all(self, misses: Iterable[Tuple[int, int]], align: int) -> None:
-        """:meth:`train` on each ``(pc, address & align)`` of ``misses``,
-        in order.
+    def train_all(
+        self,
+        misses: Iterable[Tuple[int, int]],
+        align: int,
+        parity: Optional[int] = None,
+    ) -> None:
+        """Warm on a fast-forward stretch's misses, in order, each as
+        ``(pc, address & align)``.
 
-        Full-rate fast-forward warming trains a whole stretch's misses
-        in one call.  An implementation may override this with a loop
-        that keeps its tables in locals, provided the tables and
-        counters end exactly as the per-miss calls leave them.
+        With ``parity`` ``None`` (full-rate warming) every miss is a
+        :meth:`train`.  Detuned warming passes the parity of the misses
+        warmed before the stretch: miss *i* (1-based) is a :meth:`train`
+        when ``parity + i`` is even and a ``warm(pc, address,
+        full=False)`` otherwise.  An implementation may override this
+        with a loop that keeps its tables in locals, provided the tables
+        and counters end exactly as these per-miss calls leave them.
         """
-        train = self.train
+        train, warm = self.train, self.warm
+        # Full rate steps two at a time, so every miss lands on even.
+        calls, step = (0, 2) if parity is None else (parity, 1)
         for pc, address in misses:
-            train(pc, address & align)
+            calls += step
+            if calls & 1:
+                warm(pc, address & align, False)
+            else:
+                train(pc, address & align)
 
     def warm(self, pc: int, address: int, full: bool = True) -> bool:
         """Observe one *fast-forwarded* miss (sampling warm-up).

@@ -82,15 +82,23 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
             self.markov_table.train(last_address, address)
         return correct
 
-    def train_all(self, misses: Iterable[Tuple[int, int]], align: int) -> None:
-        """:meth:`train` over a fast-forward stretch's misses, inlined.
+    def train_all(
+        self,
+        misses: Iterable[Tuple[int, int]],
+        align: int,
+        parity: Optional[int] = None,
+    ) -> None:
+        """The per-miss :meth:`train` and ``warm(full=False)`` calls of
+        :meth:`AddressPredictor.train_all`, inlined.
 
-        The same updates in the same order as one :meth:`train` per
-        miss — the stride entry's confidence, streaks and two-delta
-        state, the Markov lookup and filtered transition, and every
-        statistics counter — with the table sets, the hash and the
-        counters held in locals.  The test suite pins the tables and
-        counters to the per-miss calls for both Markov variants.
+        The same updates in the same order as those calls — the stride
+        entry's confidence, streaks and two-delta state, the Markov
+        lookup and filtered transition, and every statistics counter —
+        with the table sets, the hash and the counters held in locals.
+        A detuned miss skips the Markov lookup, the confidence and the
+        correct-miss streak, as :meth:`warm` does.  The test suite pins
+        the tables and counters to the per-miss calls for both Markov
+        variants and both rates.
         """
         stride_table = self.stride_table
         stride_sets = stride_table._sets
@@ -106,11 +114,14 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
         if differential:
             delta_low = -(1 << (markov.delta_bits - 1))
             delta_high = (1 << (markov.delta_bits - 1)) - 1
-        trains = correct_trains = lookups = hits = 0
+        # Full rate steps two at a time, so every miss lands on even.
+        first, step = (0, 2) if parity is None else (parity, 1)
+        calls = first
+        correct_trains = lookups = hits = 0
         markov_trains = out_of_range = 0
         for pc, address in misses:
             address &= align
-            trains += 1
+            calls += step
             stride_set = stride_sets[pc % stride_nsets]
             entry = stride_set.get(pc)
             if entry is None:
@@ -120,28 +131,33 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
                 continue
             stride_set.move_to_end(pc)
             last_address = entry.last_address
-            # Markov lookup (mirrors _AssociativeStore._set_for/get);
-            # the filtered transition below trains the same key.
-            lookups += 1
+            new_stride = address - last_address
+            # The set of the Markov key (mirrors _AssociativeStore._set_for):
+            # a full miss looks it up, and the filtered transition below
+            # trains it at either rate.
             hashed = (last_address >> 5) * 0x9E3779B1 & 0xFFFFFFFF
             markov_set = markov_sets[(hashed >> 16) % markov_nsets]
-            successor = markov_set.get(last_address)
-            if successor is not None:
-                markov_set.move_to_end(last_address)
-                hits += 1
-                if differential:
-                    successor += last_address
-            new_stride = address - last_address
-            counter = entry.confidence
-            if new_stride == entry.two_delta_stride or address == successor:
-                if counter.value < counter.maximum:
-                    counter.value += 1
-                entry.consecutive_correct += 1
-                correct_trains += 1
-            else:
-                if counter.value > counter.minimum:
-                    counter.value -= 1
-                entry.consecutive_correct = 0
+            if not calls & 1:
+                # A full miss: the Markov lookup, then the confidence
+                # and the correct-miss streak.
+                lookups += 1
+                successor = markov_set.get(last_address)
+                if successor is not None:
+                    markov_set.move_to_end(last_address)
+                    hits += 1
+                    if differential:
+                        successor += last_address
+                counter = entry.confidence
+                if (new_stride == entry.two_delta_stride
+                        or address == successor):
+                    if counter.value < counter.maximum:
+                        counter.value += 1
+                    entry.consecutive_correct += 1
+                    correct_trains += 1
+                else:
+                    if counter.value > counter.minimum:
+                        counter.value -= 1
+                    entry.consecutive_correct = 0
             # StrideEntry.observe, then the filter.
             stride_covered = (
                 new_stride == entry.last_stride
@@ -169,7 +185,8 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
             elif len(markov_set) >= markov_ways:
                 markov_set.popitem(last=False)
             markov_set[last_address] = successor
-        self.trains += trains
+        # The full misses are the even counts in (first, calls].
+        self.trains += calls // 2 - first // 2
         self.correct_trains += correct_trains
         markov.lookups += lookups
         markov.hits += hits

@@ -128,6 +128,8 @@ class StreamBufferController(PrefetcherPort):
         self.hierarchy: Optional[MemoryHierarchy] = None
         self._training_epoch = 0
         self._misses_since_aging = 0
+        #: Fast-forwarded misses warmed so far; detuned warming
+        #: continues its alternation from this count's parity.
         self._warm_calls = 0
         self._any_allocated = False
         #: The standing predictor-port decision: :data:`ARBITRATE`,
@@ -240,16 +242,25 @@ class StreamBufferController(PrefetcherPort):
                 )
         self._try_allocate(pc, block, cycle)
 
-    def _age_priorities(self) -> bool:
-        """Count one allocation request; age every buffer's priority once
-        per ``priority_age_period`` of them.  Returns whether it aged."""
-        self._misses_since_aging += 1
-        if self._misses_since_aging < self.config.priority_age_period:
-            return False
-        self._misses_since_aging = 0
+    def _age_priorities(self, misses: int = 1) -> int:
+        """Count ``misses`` allocation requests; age every buffer's
+        priority once per ``priority_age_period`` of them.  Returns how
+        many agings fell due.
+
+        The agings land as one decrement per buffer: clamped decrements
+        compose, so ``k`` agings of ``a`` are one decrement of ``k * a``.
+        """
+        config = self.config
+        self._misses_since_aging += misses
+        if self._misses_since_aging < config.priority_age_period:
+            return 0
+        agings, self._misses_since_aging = divmod(
+            self._misses_since_aging, config.priority_age_period
+        )
+        amount = agings * config.priority_age_amount
         for buffer in self.buffers:
-            buffer.priority.decrement(self.config.priority_age_amount)
-        return True
+            buffer.priority.decrement(amount)
+        return agings
 
     def warm(self, misses: List[Tuple[int, int]], detuned: bool) -> None:
         """Fast-forward warming: train the predictor, skip allocation.
@@ -258,29 +269,31 @@ class StreamBufferController(PrefetcherPort):
         gap (each measured window's warm-up rebuilds them from the warm
         predictor tables), so only learned state observes the
         fast-forwarded misses.  Full rate trains the predictor on every
-        miss, in one :meth:`~repro.predictors.base.AddressPredictor.train_all`
-        call.  Detuned (timing-aware) warming reflects that in detailed
+        miss.  Detuned (timing-aware) warming reflects that in detailed
         execution a working stream buffer absorbs many of those misses,
         so accuracy confidence and allocation streaks climb more slowly:
         the address/history tables still observe every miss, but
         confidence moves on alternate misses only, and buffer priorities
         age on the schedule the detailed miss stream would drive.
+
+        Either rate is one
+        :meth:`~repro.predictors.base.AddressPredictor.train_all` call;
+        the alternation continues across stretches from the count of
+        misses warmed before, and detuned priorities age once for the
+        whole stretch.
         """
         if not misses:
             return
-        align = ~(self.block_size - 1)
+        count = len(misses)
+        self.predictor.train_all(
+            misses,
+            ~(self.block_size - 1),
+            self._warm_calls & 1 if detuned else None,
+        )
+        self._warm_calls += count
         if detuned:
-            warm = self.predictor.warm
-            age = self._age_priorities
-            calls = self._warm_calls
-            for pc, addr in misses:
-                calls += 1
-                warm(pc, addr & align, (calls & 1) == 0)
-                age()
-            self._warm_calls = calls
-        else:
-            self.predictor.train_all(misses, align)
-        self._training_epoch += len(misses)
+            self._age_priorities(count)
+        self._training_epoch += count
         self.predictor_port = ARBITRATE
 
     def _try_allocate(self, pc: int, block: int, cycle: int) -> None:

@@ -12,6 +12,7 @@ from repro.perf.bench import (
     check_against_baseline,
     check_sampling_baseline,
     format_report,
+    format_sampling_report,
     load_baseline,
     run_bench,
     run_sampling_bench,
@@ -27,6 +28,24 @@ def _isolated_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv(
         "REPRO_TRACE_CACHE", str(tmp_path_factory.mktemp("traces"))
     )
+
+
+def _record_labels(monkeypatch):
+    """Wrap the bench's ``_timed_run`` (stubbed or not) and return the
+    labels of the runs it makes, in order."""
+    import repro.perf.bench as perf
+
+    labels = []
+    timed_run = perf._timed_run
+
+    def recording(config, records, instructions, warmup, label,
+                  profile_path=None):
+        labels.append(label)
+        return timed_run(config, records, instructions, warmup, label,
+                         profile_path)
+
+    monkeypatch.setattr(perf, "_timed_run", recording)
+    return labels
 
 
 def _small_report(**kwargs):
@@ -63,6 +82,13 @@ class TestRunBench:
         _small_report(profile_dir=str(tmp_path / "prof"))
         assert (tmp_path / "prof" / "health-event.prof").exists()
         assert (tmp_path / "prof" / "health-stepped.prof").exists()
+
+    def test_modes_take_turns(self, monkeypatch):
+        # A change in host speed lands on both modes of the ratio.
+        labels = _record_labels(monkeypatch)
+        run_bench(["health"], baseline_config(), machine="base",
+                  instructions=2_000, repeats=3)
+        assert labels == ["health:stepped", "health:event"] * 3
 
 
 class TestBaseline:
@@ -309,6 +335,25 @@ class TestSamplingSpeedup:
         leg_script["sampled"][2] = (0.4, 1_001)
         with pytest.raises(BenchmarkError, match="repeated runs"):
             run_sampling_bench(["health"], baseline_config())
+
+    def test_tuned_speedup_is_best_detailed_over_best_tuned(
+        self, leg_script
+    ):
+        leg_script["tuned"] = [(0.6, 1_000), (0.3, 1_000), (0.5, 1_000)]
+        report = run_sampling_bench(["health"], baseline_config())
+        tuned = report["results"]["health"]["tuned"]
+        assert tuned["wall_s"] == 0.3
+        assert tuned["speedup"] == 10.0
+        assert leg_script["tuned"] == []
+        assert " 10.00x" in format_sampling_report(report)
+
+    def test_sampled_and_tuned_runs_take_turns(self, leg_script,
+                                               monkeypatch):
+        labels = _record_labels(monkeypatch)
+        run_sampling_bench(["health"], baseline_config())
+        assert [label.split(":")[1] for label in labels] == (
+            ["detailed"] * 3 + ["base-detailed"] + ["sampled", "tuned"] * 3
+        )
 
 
 class TestBenchCommand:

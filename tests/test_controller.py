@@ -1,5 +1,7 @@
 """Unit tests for the stream-buffer controller (Section 4.1)."""
 
+import pytest
+
 from repro.config import (
     AllocationPolicy,
     PrefetchConfig,
@@ -194,3 +196,81 @@ class TestBuildPrefetcher:
         controller.reset_stats()
         assert controller.allocations == 0
         assert controller.buffers[0].allocated
+
+
+class TestWarm:
+    """Fast-forward warming: one bulk predictor call per stretch at
+    either rate, and buffer priorities aged in closed form."""
+
+    @pytest.mark.parametrize("detuned", [False, True], ids=["full", "detuned"])
+    def test_one_bulk_call_per_stretch(self, detuned, monkeypatch):
+        controller = StreamBufferController(
+            StreamBufferConfig(), StrideFilteredMarkovPredictor(), BLOCK
+        )
+        predictor = controller.predictor
+        train_all, age = predictor.train_all, controller._age_priorities
+        bulk_calls, agings = [], []
+
+        def recording_train_all(misses, align, parity=None):
+            bulk_calls.append((len(misses), parity))
+            train_all(misses, align, parity)
+
+        def recording_age(misses=1):
+            agings.append(misses)
+            return age(misses)
+
+        def per_miss(*args):
+            raise AssertionError("a per-miss predictor call while warming")
+
+        monkeypatch.setattr(predictor, "train_all", recording_train_all)
+        monkeypatch.setattr(predictor, "train", per_miss)
+        monkeypatch.setattr(predictor, "warm", per_miss)
+        monkeypatch.setattr(controller, "_age_priorities", recording_age)
+        stretch = [(0x100 + i % 3, i * 3 * BLOCK) for i in range(25)]
+        controller.warm(stretch, detuned)
+        controller.warm(stretch, detuned)
+        controller.warm([], detuned)
+        # The second stretch starts at the parity the first left.
+        if detuned:
+            assert bulk_calls == [(25, 0), (25, 1)]
+            assert agings == [25, 25]
+        else:
+            assert bulk_calls == [(25, None)] * 2
+            assert agings == []
+        assert controller._warm_calls == 50
+        assert predictor.stride_table.lookup(0x100) is not None
+
+    @pytest.mark.parametrize(
+        "start,count,amount,priorities,aged,remainder",
+        [
+            (7, 5, 1, [12, 5, 3], [11, 4, 2], 2),
+            (4, 37, 2, [12, 9, 6], [4, 1, 0], 1),
+            (0, 200, 3, [12, 4, 1], [0, 0, 0], 0),
+            (6, 0, 1, [12, 5, 3], [12, 5, 3], 6),
+        ],
+        ids=["mid-period", "several-periods", "to-floor", "empty"],
+    )
+    def test_closed_form_aging_matches_per_miss_aging(
+        self, start, count, amount, priorities, aged, remainder
+    ):
+        def make():
+            controller = StreamBufferController(
+                StreamBufferConfig(
+                    num_buffers=len(priorities), priority_age_amount=amount
+                ),
+                SequentialPredictor(BLOCK),
+                BLOCK,
+            )
+            controller._misses_since_aging = start
+            for buffer, value in zip(controller.buffers, priorities):
+                buffer.priority.set(value)
+            return controller
+
+        bulk, single = make(), make()
+        misses = [(0x100, i * BLOCK) for i in range(count)]
+        bulk.warm(misses, detuned=True)
+        for __ in misses:
+            single._age_priorities()
+        for controller in (bulk, single):
+            assert [int(b.priority) for b in controller.buffers] == aged
+            assert controller._misses_since_aging == remainder

@@ -123,12 +123,23 @@ class TestGuards:
 # ----------------------------------------------------------------------
 
 
+#: The two sampling shapes: the classic single grid with full-rate
+#: warming, and the tuned one (``bench --sampling``'s gated leg), whose
+#: detuned warming carries a miss-count parity and a priority-aging
+#: phase across fast-forward stretches and snapshot seams.
+_SHAPES = {
+    "classic": {},
+    "tuned": {"strata": 4, "warm_confidence": True},
+}
+
+
 class TestDeterminism:
-    def test_event_and_stepped_loops_agree_bitwise(self):
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_event_and_stepped_loops_agree_bitwise(self, shape):
         records = cached_workload_trace("health", seed=1,
                                         instructions=120_000)
         config = psb_config().with_sampling(period=40_000, window=1_000,
-                                            warmup=500)
+                                            warmup=500, **_SHAPES[shape])
         event = Simulator(config).run(records, max_instructions=120_000)
         stepped = Simulator(config.with_event_driven(False)).run(
             records, max_instructions=120_000
@@ -290,20 +301,31 @@ class TestSampledSnapshots:
         with pytest.raises(IntegrityError, match="runs in 'detailed' mode"):
             resume_run(detailed_snaps[0], records)
 
-    def test_resume_is_bit_identical(self):
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_resume_is_bit_identical(self, shape):
         records = cached_workload_trace("health", seed=1,
                                         instructions=100_000)
         config = psb_config().with_sampling(period=20_000, window=1_000,
-                                            warmup=500)
+                                            warmup=500, **_SHAPES[shape])
         snapshots = []
         whole = self._sampled_run(records, config, snapshots.append)
         assert snapshots
-        for snapshot in (snapshots[0], snapshots[-1]):
+        seams = (snapshots[0], snapshots[-1])
+        for snapshot in seams:
             resumed = resume_run(snapshot, records)
             assert resumed.extra["resumed_from_cycle"] == float(
                 snapshot.cycle
             )
             assert _result_key(resumed) == _result_key(whole)
+        if shape == "tuned":
+            # The seams fall at both parities of the warmed-miss count
+            # and part-way through an aging period.
+            controllers = [
+                snapshot.restore()[0].hierarchy.prefetcher
+                for snapshot in seams
+            ]
+            assert {c._warm_calls & 1 for c in controllers} == {0, 1}
+            assert all(c._misses_since_aging for c in controllers)
 
 
 # ----------------------------------------------------------------------

@@ -162,20 +162,50 @@ def _miss_stream(seed, length=4_000):
     return misses[:length]
 
 
+def _small_sfm(differential):
+    """An SFM small enough that the miss streams below evict from both
+    tables."""
+    return StrideFilteredMarkovPredictor(
+        StridePredictorConfig(entries=16, associativity=2),
+        MarkovPredictorConfig(entries=64, associativity=4,
+                              differential=differential),
+    )
+
+
+def _warm_per_miss(sfm, stretch, align, calls):
+    """The per-miss calls one detuned stretch stands for: the run's
+    ``calls``-th warmed miss trains fully when ``calls`` is even.
+    Returns the count after the stretch."""
+    for pc, address in stretch:
+        calls += 1
+        sfm.warm(pc, address & align, calls % 2 == 0)
+    return calls
+
+
+def _fast_forward_stretches(workload, counts):
+    """The load-miss stretches fast-forward hands the psb controller,
+    one per ``replay`` of ``counts[i]`` records."""
+    records = cached_workload_trace(workload, seed=1,
+                                    instructions=sum(counts))
+    recorder = Simulator(psb_config())
+    stretches = []
+    recorder.hierarchy.prefetcher.warm = (
+        lambda stretch, detuned: stretches.append(stretch)
+    )
+    engine = FastForwardEngine(recorder)
+    source = iter(records)
+    for count in counts:
+        engine.replay(source, count)
+    return stretches
+
+
 class TestTrainAll:
     @pytest.mark.parametrize("differential", [True, False])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_one_train_per_miss(self, differential, seed):
-        def make():
-            return StrideFilteredMarkovPredictor(
-                StridePredictorConfig(entries=16, associativity=2),
-                MarkovPredictorConfig(entries=64, associativity=4,
-                                      differential=differential),
-            )
-
         misses = _miss_stream(seed)
         align = ~31
-        bulk, single = make(), make()
+        bulk, single = _small_sfm(differential), _small_sfm(differential)
         # One call per stretch, as fast-forward makes them.
         for first in range(0, len(misses), 500):
             stretch = misses[first:first + 500]
@@ -196,18 +226,44 @@ class TestTrainAll:
         if differential:
             assert markov.trains_out_of_range > 0
 
+    @pytest.mark.parametrize("differential", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("start", [0, 1], ids=["even", "odd"])
+    def test_detuned_matches_alternating_warm_calls(
+        self, differential, seed, start
+    ):
+        misses = _miss_stream(seed)
+        align = ~31
+        bulk, single = _small_sfm(differential), _small_sfm(differential)
+        calls = start
+        # Odd-length stretches, so each starts at the other parity.
+        for first in range(0, len(misses), 499):
+            stretch = misses[first:first + 499]
+            bulk.train_all(stretch, align, calls & 1)
+            calls = _warm_per_miss(single, stretch, align, calls)
+            assert _tables(bulk) == _tables(single)
+        # Every other miss trained fully; the rest skipped the Markov
+        # lookup and the confidence, yet still trained the tables.
+        markov = single.markov_table
+        assert single.trains == len(misses) // 2
+        assert 0 < markov.hits < markov.lookups
+        assert 0 < single.correct_trains < single.trains
+        assert any(
+            int(entry.confidence) > 0
+            for table_set in single.stride_table._sets
+            for entry in table_set.values()
+        )
+        if differential:
+            assert markov.trains_out_of_range > 0
+        full = _small_sfm(differential)
+        full.train_all(misses, align)
+        assert _tables(full) != _tables(single)
+
     @pytest.mark.parametrize("workload", ["health", "gs", "deltablue"])
     def test_matches_one_train_per_miss_on_workload_misses(self, workload):
         # The load misses fast-forward hands the psb controller, which
         # hit the Markov table on stride-covered misses too.
-        records = cached_workload_trace(workload, seed=1,
-                                        instructions=30_000)
-        recorder = Simulator(psb_config())
-        misses = []
-        recorder.hierarchy.prefetcher.warm = (
-            lambda stretch, detuned: misses.extend(stretch)
-        )
-        FastForwardEngine(recorder).replay(iter(records), 30_000)
+        (misses,) = _fast_forward_stretches(workload, [30_000])
         align = ~(psb_config().l1_data.block_size - 1)
         bulk = Simulator(psb_config()).hierarchy.prefetcher.predictor
         single = Simulator(psb_config()).hierarchy.prefetcher.predictor
@@ -215,3 +271,22 @@ class TestTrainAll:
         for pc, address in misses:
             single.train(pc, address & align)
         assert _tables(bulk) == _tables(single)
+
+    @pytest.mark.parametrize("workload", ["health", "gs", "deltablue"])
+    def test_detuned_matches_alternating_warm_calls_on_workload_misses(
+        self, workload
+    ):
+        stretches = _fast_forward_stretches(
+            workload, [7_001, 9_999, 5_000, 8_000]
+        )
+        # Some stretch leaves an odd count, so a later one starts odd.
+        assert any(len(stretch) % 2 for stretch in stretches[:-1])
+        align = ~(psb_config().l1_data.block_size - 1)
+        bulk = Simulator(psb_config()).hierarchy.prefetcher.predictor
+        single = Simulator(psb_config()).hierarchy.prefetcher.predictor
+        calls = 0
+        for stretch in stretches:
+            bulk.train_all(stretch, align, calls & 1)
+            calls = _warm_per_miss(single, stretch, align, calls)
+            assert _tables(bulk) == _tables(single)
+        assert single.trains == calls // 2

@@ -1,5 +1,9 @@
 """Unit tests for the two-delta stride predictor."""
 
+import random
+
+import pytest
+
 from repro.config import StridePredictorConfig
 from repro.predictors.stride import StrideEntry, TwoDeltaStrideTable
 
@@ -106,3 +110,48 @@ class TestTwoDeltaStrideTable:
         for i in range(10):
             table.train(0x100, i * 32)
         assert 0.0 < table.accuracy < 1.0
+
+
+def _stride_state(table):
+    """Every entry field and counter training touches, in LRU order."""
+    entries = [
+        [
+            (pc, entry.last_address, entry.last_stride,
+             entry.two_delta_stride, entry.confidence.value,
+             entry.consecutive_correct, entry.consecutive_same_stride)
+            for pc, entry in table_set.items()
+        ]
+        for table_set in table._sets
+    ]
+    return entries, table.trains, table.correct_trains
+
+
+class TestTrainAll:
+    """The default bulk contract, which the stride table inherits."""
+
+    @pytest.mark.parametrize("parity", [None, 0, 1],
+                             ids=["full", "even", "odd"])
+    def test_matches_the_per_miss_calls(self, parity):
+        rng = random.Random(5)
+        steps = {}
+        misses = []
+        for __ in range(2_000):
+            pc = 0x400 + 4 * rng.randrange(12)
+            steps[pc] = steps.get(pc, 0) + 1
+            jitter = rng.choice((0, 0, 0, 200))
+            misses.append((pc, (pc << 12) + 64 * steps[pc] + jitter))
+        align = ~31
+        config = StridePredictorConfig(entries=16, associativity=2)
+        bulk, single = TwoDeltaStrideTable(config), TwoDeltaStrideTable(config)
+        bulk.train_all(misses, align, parity)
+        calls = parity
+        for pc, address in misses:
+            if parity is None:
+                single.train(pc, address & align)
+            else:
+                calls += 1
+                single.warm(pc, address & align, calls % 2 == 0)
+        assert _stride_state(bulk) == _stride_state(single)
+        assert 0 < single.correct_trains < single.trains
+        expected = len(misses) if parity is None else len(misses) // 2
+        assert single.trains == expected

@@ -183,9 +183,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the perf micro-suite; write BENCH_core.json",
         description=(
             "Benchmark the event-driven fast path against the "
-            "cycle-stepped loop over a pinned workload suite.  Writes a "
-            "JSON report and, with --check, fails when event-mode "
-            "throughput regresses against a checked-in baseline."
+            "cycle-stepped loop on the base machine over a pinned "
+            "workload suite.  Writes a JSON report and, with --check, "
+            "fails when event-mode throughput regresses against a "
+            "checked-in baseline.  Each suite's machines, seed, warm-up "
+            "and sampling shapes are fixed in repro.perf.bench."
         ),
     )
     bench.add_argument(
@@ -193,18 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload names (default: all six)",
     )
     bench.add_argument(
-        "--machine", choices=sorted(MACHINES), default=None,
-        help="machine config to benchmark (default: base; psb with "
-             "--sampling, which refuses base: its paired leg compares "
-             "against base)",
-    )
-    bench.add_argument(
         "--instructions", type=int, default=None,
         help="default: 50000; 10000 with --quick; 1000000 with --sampling",
     )
-    bench.add_argument("--warmup", type=int, default=None,
-                       help="default: instructions // 3 (core suite only)")
-    bench.add_argument("--seed", type=int, default=1)
     bench.add_argument(
         "--repeats", type=int, default=None,
         help="runs per mode; best wall time wins (core suite only; "
@@ -230,37 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: 0.25)",
     )
     bench.add_argument(
-        "--profile", default=None, metavar="DIR",
-        help="dump per-run cProfile stats into DIR",
-    )
-    bench.add_argument(
         "--sampling", action="store_true",
-        help="run the sampling suite instead: each workload detailed vs "
-             "SMARTS-sampled (classic, tuned, and matched-pair legs), "
-             "gating on detailed bit-identity, tuned IPC error, paired "
-             "relative-IPC error, and effective speedup (defaults: "
-             "machine psb, 1000000 instructions, out BENCH_sampling.json)",
-    )
-    bench.add_argument(
-        "--sample", default=None, metavar="PERIOD:WINDOW:WARMUP",
-        help="with --sampling: the classic leg's sampling shape "
-             "(default: 50000:1000:500)",
-    )
-    bench.add_argument(
-        "--error-bound", type=float, default=None, metavar="FRACTION",
-        help="with --sampling: stated |IPC error| bound for the tuned "
-             "(stratified + warm-confidence) leg stamped into the report "
-             "(default: 0.10)",
-    )
-    bench.add_argument(
-        "--paired-bound", type=float, default=None, metavar="FRACTION",
-        help="with --sampling: stated |relative-IPC error| bound for the "
-             "matched-pair leg stamped into the report (default: 0.05)",
-    )
-    bench.add_argument(
-        "--speedup-floor", type=float, default=None, metavar="X",
-        help="with --sampling: stated effective-speedup floor stamped "
-             "into the report (default: 10.0)",
+        help="run the sampling suite instead: psb detailed vs "
+             "SMARTS-sampled (classic, tuned, and matched-pair-vs-base "
+             "legs), gating on detailed bit-identity, tuned IPC error, "
+             "paired relative-IPC error, and effective speedup; its "
+             "shapes and stated contract are fixed in repro.perf.bench "
+             "(defaults: 1000000 instructions, out BENCH_sampling.json)",
     )
 
     report = commands.add_parser(
@@ -898,16 +867,10 @@ def _command_trace_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Options only one ``bench`` suite reads, as (option, argparse dest);
-#: each defaults to None.  The other suite rejects them instead of
-#: silently ignoring them.
-_BENCH_SUITE_OPTIONS = {
-    "core": (("--quick", "quick"), ("--warmup", "warmup"),
-             ("--repeats", "repeats")),
-    "sampling": (("--sample", "sample"), ("--error-bound", "error_bound"),
-                 ("--paired-bound", "paired_bound"),
-                 ("--speedup-floor", "speedup_floor")),
-}
+#: Core-suite options, as (option, argparse dest); each defaults to
+#: None, and ``--sampling`` rejects them instead of silently ignoring
+#: them.
+_BENCH_CORE_OPTIONS = (("--quick", "quick"), ("--repeats", "repeats"))
 
 
 def _default(value: Any, default: Any) -> Any:
@@ -928,20 +891,20 @@ def _command_bench(args: argparse.Namespace) -> int:
     )
     from repro.workloads import PAPER_WORKLOADS, POINTER_WORKLOADS
 
-    suite, other = (
-        ("sampling", "core") if args.sampling else ("core", "sampling")
-    )
-    foreign = [
-        option
-        for option, dest in _BENCH_SUITE_OPTIONS[other]
-        if getattr(args, dest) is not None
-    ]
-    if foreign:
-        raise ConfigError(
-            f"bench: {', '.join(foreign)} only applies to the {other} "
-            f"suite, not the {suite} suite",
-            field="bench",
-        )
+    if args.instructions is not None:
+        _check_instructions(args)
+    if args.sampling:
+        foreign = [
+            option
+            for option, dest in _BENCH_CORE_OPTIONS
+            if getattr(args, dest) is not None
+        ]
+        if foreign:
+            raise ConfigError(
+                f"bench: {', '.join(foreign)} only applies to the core "
+                "suite, not the sampling suite",
+                field="bench",
+            )
     if args.workloads is not None:
         workloads = [
             name.strip() for name in args.workloads.split(",") if name.strip()
@@ -958,53 +921,24 @@ def _command_bench(args: argparse.Namespace) -> int:
         workloads = list(PAPER_WORKLOADS)
 
     if args.sampling:
-        # The suite's own defaults: the regression target is the paper
-        # machine at acceptance scale, not the core suite's quick shape.
-        machine = _default(args.machine, "psb")
-        if machine == "base":
-            raise ConfigError(
-                "bench: --sampling cannot benchmark --machine base; its "
-                "paired leg compares every machine against base",
-                field="bench.machine",
-            )
         report = run_sampling_bench(
-            workloads,
-            MACHINES[machine](),
-            machine=machine,
-            instructions=_default(args.instructions, 1_000_000),
-            seed=args.seed,
-            sample=(
-                _parse_sample(args.sample) if args.sample is not None
-                else (50_000, 1_000, 500)
-            ),
-            ipc_error_bound=_default(args.error_bound, 0.10),
-            paired_error_bound=_default(args.paired_bound, 0.05),
-            speedup_floor=_default(args.speedup_floor, 10.0),
-            profile_dir=args.profile,
+            workloads, instructions=_default(args.instructions, 1_000_000)
         )
         out = _default(args.out, "BENCH_sampling.json")
         check, describe = check_sampling_baseline, format_sampling_report
     else:
-        machine = _default(args.machine, "base")
         report = run_bench(
             workloads,
-            MACHINES[machine](),
-            machine=machine,
             instructions=_default(
                 args.instructions, 10_000 if args.quick else 50_000
             ),
-            warmup=args.warmup,
-            seed=args.seed,
             repeats=_default(args.repeats, 3),
-            profile_dir=args.profile,
         )
         out = _default(args.out, "BENCH_core.json")
         check, describe = check_against_baseline, format_report
     write_report(report, out)
     print(describe(report))
     print(f"wrote {out}")
-    if args.profile:
-        print(f"cProfile dumps in {args.profile}/")
 
     if args.check is not None:
         baseline = load_baseline(args.check)

@@ -317,8 +317,16 @@ class StreamBufferConfig:
             self.priority_max > 0, owner, "priority_max", "must be positive"
         )
         _require(
+            self.priority_hit_bonus >= 0,
+            owner, "priority_hit_bonus", "must be >= 0",
+        )
+        _require(
             self.priority_age_period > 0,
             owner, "priority_age_period", "must be positive",
+        )
+        _require(
+            self.priority_age_amount >= 0,
+            owner, "priority_age_amount", "must be >= 0",
         )
 
     @property

@@ -2,9 +2,9 @@
 
 Each benchmarked workload is generated once, materialised into a list
 (so trace generation is excluded from the timings and both runs see
-the exact same records), then simulated twice on the same machine
-config: once cycle-stepped (``event_driven=False``) and once through
-the event-driven fast path.  Both runs must produce identical
+the exact same records), then simulated twice on the baseline machine
+(``base``): once cycle-stepped (``event_driven=False``) and once
+through the event-driven fast path.  Both runs must produce identical
 architectural results — the bench refuses to report a speedup for a
 run that changed the answer.
 
@@ -23,27 +23,65 @@ workload detailed and under SMARTS-style sampling and gates on three
 things: the detailed reference staying bit-identical, the sampled IPC
 error staying inside the baseline's stated bound, and the effective
 speedup clearing the stated floor.
+
+Each suite's machines, seed, warm-up and sampling shapes, and the
+sampling suite's stated contract, are constants of this module: both
+baselines pin them, so changing one is a reviewed code change plus a
+regenerated baseline, never a command-line flag.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import subprocess
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.config import SimConfig
 from repro.errors import ReproError
 from repro.ioutil import atomic_write
 from repro.sampling.paired import run_paired
-from repro.sim.presets import baseline_config
+from repro.sim.presets import baseline_config, psb_config
 from repro.sim.simulator import Simulator
 from repro.workloads import cached_workload_trace, workload_names
 
 #: Schema version of the report / baseline JSON.
 REPORT_VERSION = 1
+
+#: The trace seed both suites run.
+_SEED = 1
+
+#: The machine the core suite times (:func:`baseline_config`); its
+#: warm-up is a third of the run.
+_CORE_MACHINE = "base"
+
+#: The sampling suite's machines: it samples ``psb``
+#: (:func:`psb_config`), and its paired leg compares it against ``base``.
+_SAMPLING_MACHINE = "psb"
+_SAMPLING_BASELINE_MACHINE = "base"
+
+#: The sampling suite's legs: the classic shape, what the tuned leg adds
+#: to it, and the matched-pair shape (:meth:`SimConfig.with_sampling`
+#: keywords, stamped into every report as they stand).
+_SAMPLE = {"period": 50_000, "window": 1_000, "warmup": 500}
+_TUNED_SAMPLE = {"strata": 4, "warm_confidence": True}
+_PAIRED_SAMPLE = {"period": 50_000, "window": 4_000, "warmup": 1_000}
+
+#: The sampling suite's stated contract, stamped into every report:
+#: :func:`check_sampling_baseline` enforces the *baseline's* copy, so the
+#: checked-in values are the gate.
+_SAMPLING_CONTRACT = {
+    "ipc_error_bound": 0.10,
+    "paired_error_bound": 0.05,
+    "speedup_floor": 10.0,
+}
+
+#: Report keys that must match for a sampling baseline to be comparable.
+_SAMPLING_SHAPE = (
+    "machine", "instructions", "seed", "sample", "tuned_sample",
+    "paired_sample", "baseline_machine",
+)
 
 
 class BenchmarkError(ReproError):
@@ -63,39 +101,32 @@ def _git_rev() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+def _check_workloads(workloads: Sequence[str]) -> None:
+    """Raise :class:`BenchmarkError` naming any unknown workload."""
+    known = set(workload_names())
+    unknown = [name for name in workloads if name not in known]
+    if unknown:
+        raise BenchmarkError(
+            f"unknown workload(s): {', '.join(sorted(unknown))}; "
+            f"known: {', '.join(sorted(known))}"
+        )
+
+
 def _timed_run(
     config: SimConfig,
     records: list,
     instructions: int,
     warmup: int,
     label: str,
-    profile_path: Optional[str] = None,
 ):
-    """One simulation plus its wall time and perf counters.
-
-    With ``profile_path``, the run executes under :mod:`cProfile` and
-    the stats dump lands there (readable via ``pstats`` or snakeviz).
-    Profiled wall times are inflated by instrumentation — compare them
-    only against other profiled runs.
-    """
+    """One simulation plus its wall time and perf counters."""
     simulator = Simulator(config)
-    profiler = None
-    if profile_path is not None:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        result = simulator.run(
-            iter(records),
-            max_instructions=instructions,
-            warmup_instructions=warmup,
-            label=label,
-        )
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(profile_path)
+    result = simulator.run(
+        iter(records),
+        max_instructions=instructions,
+        warmup_instructions=warmup,
+        label=label,
+    )
     wall = simulator.perf.elapsed("simulate")
     return result, wall, simulator.perf
 
@@ -107,9 +138,9 @@ def _best_of(
     instructions: int,
     warmup: int,
 ) -> list:
-    """:func:`_timed_run` of each ``(config, label, profile_path)`` leg
-    ``repeats`` times, the legs taking turns: per leg, the result, the
-    best wall time, and the last run's perf counters.
+    """:func:`_timed_run` of each ``(config, label)`` leg ``repeats``
+    times, the legs taking turns: per leg, the result, the best wall
+    time, and the last run's perf counters.
 
     Simulations are deterministic, so repeat variance is pure scheduler
     and cache noise, and the minimum is the honest estimate of the
@@ -119,10 +150,9 @@ def _best_of(
     """
     best: list = [None] * len(legs)
     for __ in range(repeats):
-        for index, (config, label, profile_path) in enumerate(legs):
+        for index, (config, label) in enumerate(legs):
             again, wall, perf = _timed_run(
-                config, records, instructions, warmup, label,
-                profile_path=profile_path,
+                config, records, instructions, warmup, label
             )
             if best[index] is not None:
                 result, best_wall, _ = best[index]
@@ -144,43 +174,23 @@ _SPEEDUP_REPEATS = 3
 
 def run_bench(
     workloads: Sequence[str],
-    config: SimConfig,
-    machine: str = "psb",
     instructions: int = 50_000,
-    warmup: Optional[int] = None,
-    seed: int = 1,
     repeats: int = 3,
-    profile_dir: Optional[str] = None,
 ) -> dict:
-    """Benchmark ``workloads`` on ``config``; return a report dict.
+    """Benchmark ``workloads`` on ``base``; return a report dict.
 
     Each mode runs ``repeats`` times, the two taking turns, and reports
-    its best wall time (:func:`_best_of`).  Raises
-    :class:`BenchmarkError` if any workload name is unknown, if repeats
-    disagree, or if the event-driven run disagrees with the
-    cycle-stepped one (a fast path that changes the answer is a bug,
-    not a speedup).  With ``profile_dir``, each run
-    also dumps cProfile stats to
-    ``<profile_dir>/<workload>-{stepped,event}.prof``.
+    its best wall time (:func:`_best_of`), after a warm-up of a third of
+    ``instructions``.  Raises :class:`BenchmarkError` if any workload
+    name is unknown, if repeats disagree, or if the event-driven run
+    disagrees with the cycle-stepped one (a fast path that changes the
+    answer is a bug, not a speedup).
     """
-    known = set(workload_names())
-    unknown = [name for name in workloads if name not in known]
-    if unknown:
-        raise BenchmarkError(
-            f"unknown workload(s): {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(sorted(known))}"
-        )
-    if warmup is None:
-        warmup = instructions // 3
+    _check_workloads(workloads)
     if repeats < 1:
         raise BenchmarkError(f"repeats must be >= 1, got {repeats}")
-    if profile_dir is not None:
-        os.makedirs(profile_dir, exist_ok=True)
-
-    def _profile_path(name: str, mode: str) -> Optional[str]:
-        if profile_dir is None:
-            return None
-        return os.path.join(profile_dir, f"{name}-{mode}.prof")
+    config = baseline_config()
+    warmup = instructions // 3
 
     results: Dict[str, dict] = {}
     for name in workloads:
@@ -189,16 +199,14 @@ def run_bench(
         # once (through the compiled-trace cache, the same path sweeps
         # use) so generation cost and generator state never differ
         # between the two runs.
-        records = cached_workload_trace(name, seed=seed,
+        records = cached_workload_trace(name, seed=_SEED,
                                         instructions=instructions * 2)
 
         (stepped, stepped_wall, _), (event, event_wall, event_perf) = _best_of(
             repeats,
             [
-                (config.with_event_driven(False), f"{name}:stepped",
-                 _profile_path(name, "stepped")),
-                (config.with_event_driven(True), f"{name}:event",
-                 _profile_path(name, "event")),
+                (config.with_event_driven(False), f"{name}:stepped"),
+                (config.with_event_driven(True), f"{name}:event"),
             ],
             records, instructions, warmup,
         )
@@ -238,10 +246,10 @@ def run_bench(
     return {
         "version": REPORT_VERSION,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "machine": machine,
+        "machine": _CORE_MACHINE,
         "instructions": instructions,
         "warmup": warmup,
-        "seed": seed,
+        "seed": _SEED,
         "git_rev": _git_rev(),
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -251,43 +259,30 @@ def run_bench(
 
 def run_sampling_bench(
     workloads: Sequence[str],
-    config: SimConfig,
-    machine: str = "psb",
     instructions: int = 1_000_000,
-    seed: int = 1,
-    sample: Sequence[int] = (50_000, 1_000, 500),
-    tuned_strata: int = 4,
-    tuned_warm_confidence: bool = True,
-    paired_sample: Sequence[int] = (50_000, 4_000, 1_000),
-    baseline_machine: str = "base",
-    base_config: Optional[SimConfig] = None,
-    ipc_error_bound: float = 0.10,
-    paired_error_bound: float = 0.05,
-    speedup_floor: float = 10.0,
-    profile_dir: Optional[str] = None,
 ) -> dict:
     """Benchmark SMARTS-style sampling against detailed simulation.
 
     Four legs per workload, all over the same cached trace:
 
-    - **detailed** on ``config`` — the reference; the baseline gate
+    - **detailed** on ``psb`` — the reference; the baseline gate
       requires its ``cycles``/``ipc`` to stay *bit-identical* (the
       sampling subsystem must never perturb the detailed path);
-    - **sampled** under the classic ``config.with_sampling(*sample)``
-      shape with default knobs — pinned bit-identical so historical
-      sampled numbers never drift, and timed for the effective-speedup
-      floor; its absolute error is recorded but *not* bounded (window
-      placement makes it workload-phase-sensitive by nature);
-    - **tuned** under the same shape plus stratified placement
-      (``tuned_strata``) and timing-aware predictor warm-up — the
-      cold-start-corrected absolute estimate, gated at
+    - **sampled** under the classic ``_SAMPLE`` shape with default
+      knobs — pinned bit-identical so historical sampled numbers never
+      drift, and timed for the effective-speedup floor; its absolute
+      error is recorded but *not* bounded (window placement makes it
+      workload-phase-sensitive by nature);
+    - **tuned** under the same shape plus ``_TUNED_SAMPLE`` (stratified
+      placement and timing-aware predictor warm-up) — the
+      cold-start-corrected absolute estimate, gated at the stated
       ``ipc_error_bound``;
-    - **paired** — a matched-pair ``run_paired`` of
-      ``baseline_machine`` vs ``machine`` over one shared
-      ``paired_sample`` window grid, gated at ``paired_error_bound`` on
-      the relative-IPC error against the detailed machine ratio (the
-      Figure 5 speedup estimator; pairing cancels the fast-forward
-      cold-start bias that the absolute legs can only damp).
+    - **paired** — a matched-pair ``run_paired`` of ``base`` vs ``psb``
+      over one shared ``_PAIRED_SAMPLE`` window grid, gated at the
+      stated ``paired_error_bound`` on the relative-IPC error against
+      the detailed machine ratio (the Figure 5 speedup estimator;
+      pairing cancels the fast-forward cold-start bias that the
+      absolute legs can only damp).
 
     The effective speedup divides the best of three detailed runs by
     the best of three sampled runs (:func:`_best_of`), so one slow run
@@ -295,56 +290,37 @@ def run_sampling_bench(
     divides by the best of three tuned runs, which take turns with the
     sampled ones.  The baseline-machine and paired legs run once.
 
-    The bounds and floor are stamped into the report;
+    The report stamps ``_SAMPLING_CONTRACT``;
     :func:`check_sampling_baseline` enforces the *baseline's* stated
     values, so the checked-in bound is the contract.
     """
-    known = set(workload_names())
-    unknown = [name for name in workloads if name not in known]
-    if unknown:
-        raise BenchmarkError(
-            f"unknown workload(s): {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(sorted(known))}"
-        )
-    period, window, warmup = (int(value) for value in sample)
-    sampled_config = config.with_sampling(
-        period=period, window=window, warmup=warmup
-    )
-    tuned_config = config.with_sampling(
-        period=period, window=window, warmup=warmup,
-        strata=tuned_strata, warm_confidence=tuned_warm_confidence,
-    )
-    p_period, p_window, p_warmup = (int(value) for value in paired_sample)
-    if base_config is None:
-        base_config = baseline_config()
-    if profile_dir is not None:
-        os.makedirs(profile_dir, exist_ok=True)
-
-    def _profile_path(name: str, mode: str) -> Optional[str]:
-        if profile_dir is None:
-            return None
-        return os.path.join(profile_dir, f"{name}-{mode}.prof")
+    _check_workloads(workloads)
+    config = psb_config()
+    base_config = baseline_config()
+    sampled_config = config.with_sampling(**_SAMPLE)
+    tuned_config = config.with_sampling(**_SAMPLE, **_TUNED_SAMPLE)
+    paired_configs = {
+        _SAMPLING_BASELINE_MACHINE: base_config.with_sampling(
+            **_PAIRED_SAMPLE
+        ),
+        _SAMPLING_MACHINE: config.with_sampling(**_PAIRED_SAMPLE),
+    }
 
     results: Dict[str, dict] = {}
     for name in workloads:
-        records = cached_workload_trace(name, seed=seed,
+        records = cached_workload_trace(name, seed=_SEED,
                                         instructions=instructions)
         ((detailed, detailed_wall, _),) = _best_of(
-            _SPEEDUP_REPEATS,
-            [(config, f"{name}:detailed", _profile_path(name, "detailed"))],
+            _SPEEDUP_REPEATS, [(config, f"{name}:detailed")],
             records, instructions, 0,
         )
         base_detailed, base_wall, _ = _timed_run(
-            base_config, records, instructions, 0, f"{name}:base-detailed",
-            profile_path=_profile_path(name, "base-detailed"),
+            base_config, records, instructions, 0, f"{name}:base-detailed"
         )
         (sampled, sampled_wall, _), (tuned, tuned_wall, _) = _best_of(
             _SPEEDUP_REPEATS,
-            [
-                (sampled_config, f"{name}:sampled",
-                 _profile_path(name, "sampled")),
-                (tuned_config, f"{name}:tuned", _profile_path(name, "tuned")),
-            ],
+            [(sampled_config, f"{name}:sampled"),
+             (tuned_config, f"{name}:tuned")],
             records, instructions, 0,
         )
         if detailed.ipc <= 0.0 or base_detailed.ipc <= 0.0:
@@ -354,20 +330,13 @@ def run_sampling_bench(
             )
         paired_wall = time.perf_counter()
         paired = run_paired(
-            {
-                baseline_machine: base_config.with_sampling(
-                    period=p_period, window=p_window, warmup=p_warmup
-                ),
-                machine: config.with_sampling(
-                    period=p_period, window=p_window, warmup=p_warmup
-                ),
-            },
+            paired_configs,
             records,
             max_instructions=instructions,
-            baseline=baseline_machine,
+            baseline=_SAMPLING_BASELINE_MACHINE,
         )
         paired_wall = time.perf_counter() - paired_wall
-        stats = paired.pairs[machine]
+        stats = paired.pairs[_SAMPLING_MACHINE]
         detailed_rel = detailed.ipc / base_detailed.ipc
         rel_err = abs(stats.rel_ipc - detailed_rel) / detailed_rel
         ipc_error = abs(sampled.ipc - detailed.ipc) / detailed.ipc
@@ -422,36 +391,20 @@ def run_sampling_bench(
         "version": REPORT_VERSION,
         "suite": "sampling",
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "machine": machine,
+        "machine": _SAMPLING_MACHINE,
         "instructions": instructions,
-        "seed": seed,
-        "sample": {"period": period, "window": window, "warmup": warmup},
-        "tuned_sample": {
-            "strata": tuned_strata,
-            "warm_confidence": bool(tuned_warm_confidence),
-        },
-        "paired_sample": {
-            "period": p_period, "window": p_window, "warmup": p_warmup,
-        },
-        "baseline_machine": baseline_machine,
-        "ipc_error_bound": ipc_error_bound,
-        "paired_error_bound": paired_error_bound,
-        "speedup_floor": speedup_floor,
+        "seed": _SEED,
+        "sample": dict(_SAMPLE),
+        "tuned_sample": dict(_TUNED_SAMPLE),
+        "paired_sample": dict(_PAIRED_SAMPLE),
+        "baseline_machine": _SAMPLING_BASELINE_MACHINE,
+        **_SAMPLING_CONTRACT,
         "git_rev": _git_rev(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "results": results,
     }
 
-
-#: Report keys that must match for a sampling baseline to be comparable.
-_SAMPLING_SHAPE = (
-    "machine", "instructions", "seed", "sample", "tuned_sample",
-    "paired_sample", "baseline_machine",
-)
-
-#: The stated contract a sampling baseline must carry.
-_SAMPLING_CONTRACT = ("ipc_error_bound", "paired_error_bound", "speedup_floor")
 
 #: Each leg of a sampling-bench entry: what the gate calls it, and the
 #: fields that must be bit-identical to the baseline's.

@@ -1,10 +1,15 @@
 """Order-k context prediction (Section 2.2).
 
-An order-k context predictor hashes the last k addresses into a table
-holding the observed successor.  The paper simulated higher-order Markov
-predictors and found "little to no improvement in prediction accuracy and
-coverage over first order" for its benchmarks; this module exists so that
-ablation (``benchmarks/bench_ablation_markov_order.py``) can be rerun.
+An order-k context predictor hashes the last k addresses of the global
+miss stream into a table holding the observed successor.  The paper
+simulated higher-order Markov predictors and found "little to no
+improvement in prediction accuracy and coverage over first order" for
+its benchmarks.  This module is a library :class:`AddressPredictor`
+(exported as ``repro.predictors.ContextPredictor``) that no preset
+machine uses.  The order-k ablation
+(``benchmarks/bench_ablation_markov_order.py``) does not use it either:
+it builds its own per-load order-k table, because the paper's Markov
+table learns each load's own miss sequence.
 """
 
 from __future__ import annotations

@@ -90,11 +90,6 @@ ARBITRATE = PortDecision.ARBITRATE
 class StreamBufferController(PrefetcherPort):
     """Arbitrates 8 stream buffers over one predictor port and one bus."""
 
-    #: Class default for a snapshot pickled before the standing decision
-    #: existed (its controller holds ``_predict_skip`` instead): arbitrating
-    #: afresh is always exact, so such a run resumes unchanged.
-    predictor_port = ARBITRATE
-
     def __init__(
         self,
         config: StreamBufferConfig,

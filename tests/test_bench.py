@@ -6,8 +6,10 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import MACHINES, main
+from repro.config import SamplingConfig
 from repro.perf.bench import (
+    _SAMPLING_SHAPE,
     BenchmarkError,
     check_against_baseline,
     check_sampling_baseline,
@@ -19,7 +21,6 @@ from repro.perf.bench import (
     write_report,
 )
 from repro.sampling.paired import PairedResult, PairStats
-from repro.sim import baseline_config
 from repro.sim.results import SimulationResult
 
 
@@ -30,29 +31,24 @@ def _isolated_cache(tmp_path_factory, monkeypatch):
     )
 
 
-def _record_labels(monkeypatch):
+def _record_runs(monkeypatch):
     """Wrap the bench's ``_timed_run`` (stubbed or not) and return the
-    labels of the runs it makes, in order."""
+    ``(label, config)`` of each run it makes, in order."""
     import repro.perf.bench as perf
 
-    labels = []
+    runs = []
     timed_run = perf._timed_run
 
-    def recording(config, records, instructions, warmup, label,
-                  profile_path=None):
-        labels.append(label)
-        return timed_run(config, records, instructions, warmup, label,
-                         profile_path)
+    def recording(config, records, instructions, warmup, label):
+        runs.append((label, config))
+        return timed_run(config, records, instructions, warmup, label)
 
     monkeypatch.setattr(perf, "_timed_run", recording)
-    return labels
+    return runs
 
 
-def _small_report(**kwargs):
-    return run_bench(
-        ["health"], baseline_config(), machine="base",
-        instructions=2_000, repeats=1, **kwargs
-    )
+def _small_report():
+    return run_bench(["health"], instructions=2_000, repeats=1)
 
 
 class TestRunBench:
@@ -70,25 +66,21 @@ class TestRunBench:
 
     def test_unknown_workload(self):
         with pytest.raises(BenchmarkError, match="unknown workload"):
-            run_bench(["quake"], baseline_config())
+            run_bench(["quake"])
+        with pytest.raises(BenchmarkError, match="unknown workload"):
+            run_sampling_bench(["quake"])
 
     def test_bad_repeats(self):
         with pytest.raises(BenchmarkError, match="repeats"):
-            run_bench(
-                ["health"], baseline_config(), instructions=500, repeats=0
-            )
-
-    def test_profile_dump(self, tmp_path):
-        _small_report(profile_dir=str(tmp_path / "prof"))
-        assert (tmp_path / "prof" / "health-event.prof").exists()
-        assert (tmp_path / "prof" / "health-stepped.prof").exists()
+            run_bench(["health"], instructions=500, repeats=0)
 
     def test_modes_take_turns(self, monkeypatch):
         # A change in host speed lands on both modes of the ratio.
-        labels = _record_labels(monkeypatch)
-        run_bench(["health"], baseline_config(), machine="base",
-                  instructions=2_000, repeats=3)
-        assert labels == ["health:stepped", "health:event"] * 3
+        runs = _record_runs(monkeypatch)
+        run_bench(["health"], instructions=2_000, repeats=3)
+        assert [label for label, _ in runs] == (
+            ["health:stepped", "health:event"] * 3
+        )
 
 
 class TestBaseline:
@@ -137,8 +129,9 @@ class TestBaseline:
             load_baseline(str(versionless))
 
 
-SAMPLING_BASELINE = os.path.join(
-    os.path.dirname(__file__), os.pardir, "benchmarks", "BENCH_sampling.json"
+CORE_BASELINE, SAMPLING_BASELINE = (
+    os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", name)
+    for name in ("BENCH_core.json", "BENCH_sampling.json")
 )
 
 
@@ -299,8 +292,7 @@ def leg_script(monkeypatch):
         "sampled": [(0.5, 1_000), (0.2, 1_000), (0.4, 1_000)],
     }
 
-    def timed_run(config, records, instructions, warmup, label,
-                  profile_path=None):
+    def timed_run(config, records, instructions, warmup, label):
         runs = script.get(label.split(":")[1])
         wall, cycles = runs.pop(0) if runs else (1.0, 1_000)
         return _leg_result(label, cycles), wall, None
@@ -324,7 +316,7 @@ def leg_script(monkeypatch):
 
 class TestSamplingSpeedup:
     def test_speedup_is_best_detailed_over_best_sampled(self, leg_script):
-        report = run_sampling_bench(["health"], baseline_config())
+        report = run_sampling_bench(["health"])
         entry = report["results"]["health"]
         assert entry["detailed"]["wall_s"] == 3.0
         assert entry["sampled"]["wall_s"] == 0.2
@@ -334,13 +326,13 @@ class TestSamplingSpeedup:
     def test_repeats_that_disagree_are_refused(self, leg_script):
         leg_script["sampled"][2] = (0.4, 1_001)
         with pytest.raises(BenchmarkError, match="repeated runs"):
-            run_sampling_bench(["health"], baseline_config())
+            run_sampling_bench(["health"])
 
     def test_tuned_speedup_is_best_detailed_over_best_tuned(
         self, leg_script
     ):
         leg_script["tuned"] = [(0.6, 1_000), (0.3, 1_000), (0.5, 1_000)]
-        report = run_sampling_bench(["health"], baseline_config())
+        report = run_sampling_bench(["health"])
         tuned = report["results"]["health"]["tuned"]
         assert tuned["wall_s"] == 0.3
         assert tuned["speedup"] == 10.0
@@ -349,11 +341,53 @@ class TestSamplingSpeedup:
 
     def test_sampled_and_tuned_runs_take_turns(self, leg_script,
                                                monkeypatch):
-        labels = _record_labels(monkeypatch)
-        run_sampling_bench(["health"], baseline_config())
-        assert [label.split(":")[1] for label in labels] == (
+        runs = _record_runs(monkeypatch)
+        run_sampling_bench(["health"])
+        assert [label.split(":")[1] for label, _ in runs] == (
             ["detailed"] * 3 + ["base-detailed"] + ["sampled", "tuned"] * 3
         )
+
+
+class TestFixedShapes:
+    """Each suite runs one fixed shape and stamps what its checked-in
+    baseline pins, so ``--check`` against that baseline is comparable."""
+
+    def test_sampling_suite_stamps_the_baselines_shape_and_contract(
+        self, leg_script, monkeypatch
+    ):
+        recorded = _record_runs(monkeypatch)
+        report = run_sampling_bench(["health"])
+        runs = dict(recorded)
+        baseline = load_baseline(SAMPLING_BASELINE)
+        keys = _SAMPLING_SHAPE + (
+            "ipc_error_bound", "paired_error_bound", "speedup_floor"
+        )
+        assert {key: report[key] for key in keys} == {
+            key: baseline[key] for key in keys
+        }
+        # The stamped names and shapes are the ones that ran.
+        machine = MACHINES[report["machine"]]()
+        assert runs["health:detailed"] == machine
+        assert runs["health:base-detailed"] == (
+            MACHINES[report["baseline_machine"]]()
+        )
+        assert runs["health:sampled"] == machine.with_sampling(
+            **report["sample"]
+        )
+        assert runs["health:tuned"].sampling == SamplingConfig(
+            **report["sample"], **report["tuned_sample"]
+        )
+
+    def test_core_suite_stamps_the_baselines_shape(self, monkeypatch):
+        recorded = _record_runs(monkeypatch)
+        report = run_bench(["health"], instructions=10_000, repeats=1)
+        runs = dict(recorded)
+        baseline = load_baseline(CORE_BASELINE)
+        keys = ("machine", "instructions", "warmup", "seed")
+        assert {key: report[key] for key in keys} == {
+            key: baseline[key] for key in keys
+        }
+        assert runs["health:event"] == MACHINES[report["machine"]]()
 
 
 class TestBenchCommand:
@@ -393,8 +427,8 @@ def bench_calls(monkeypatch):
     calls = {}
 
     def suite(name):
-        def run(workloads, config, **kwargs):
-            calls[name] = kwargs
+        def run(workloads, **kwargs):
+            calls[name] = dict(kwargs, workloads=workloads)
             return {}
 
         return run
@@ -417,28 +451,26 @@ class TestBenchFlags:
         [
             (
                 ["--quick", "--instructions", "50000"], "core",
-                {"instructions": 50_000, "machine": "base",
-                 "out": "BENCH_core.json"},
+                {"instructions": 50_000, "out": "BENCH_core.json"},
             ),
             (["--quick"], "core", {"instructions": 10_000, "repeats": 3}),
             (
                 ["--sampling", "--instructions", "50000",
                  "--out", "BENCH_core.json"], "sampling",
-                {"instructions": 50_000, "machine": "psb",
-                 "out": "BENCH_core.json"},
+                {"instructions": 50_000, "out": "BENCH_core.json"},
             ),
             (
                 ["--sampling"], "sampling",
-                {"instructions": 1_000_000, "out": "BENCH_sampling.json",
-                 "sample": (50_000, 1_000, 500), "ipc_error_bound": 0.10,
-                 "paired_error_bound": 0.05, "speedup_floor": 10.0},
+                {"instructions": 1_000_000, "out": "BENCH_sampling.json"},
             ),
             (
-                ["--sampling", "--machine", "stride",
-                 "--sample", "20000:1000:500", "--speedup-floor", "5"],
-                "sampling",
-                {"machine": "stride", "sample": (20_000, 1_000, 500),
-                 "speedup_floor": 5.0},
+                ["--sampling", "--workloads", "health, sis"], "sampling",
+                {"workloads": ["health", "sis"], "instructions": 1_000_000},
+            ),
+            (
+                ["--workloads", "burg", "--repeats", "1"], "core",
+                {"workloads": ["burg"], "instructions": 50_000,
+                 "repeats": 1},
             ),
         ],
     )
@@ -453,14 +485,12 @@ class TestBenchFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--sampling", "--machine", "base"],
+            # Both core-only flags, named in one error line.
+            ["--sampling", "--quick", "--repeats", "1"],
             ["--sampling", "--quick"],
-            ["--sampling", "--warmup", "0"],
+            # Giving the flag is refused, even at the core suite's default.
+            ["--sampling", "--repeats", "3"],
             ["--sampling", "--repeats", "1"],
-            ["--sample", "50000:1000:500"],
-            ["--error-bound", "0.2"],
-            ["--paired-bound", "0.1"],
-            ["--speedup-floor", "5"],
         ],
     )
     def test_refuses_a_flag_the_suite_does_not_read(
@@ -473,7 +503,31 @@ class TestBenchFlags:
         assert bench_calls == {}  # no suite ran
 
     @pytest.mark.parametrize(
-        "flag", [["--sample-strata", "2"], ["--warm-confidence"]]
+        "argv",
+        [["--instructions", "0"], ["--sampling", "--instructions", "-5"]],
+    )
+    def test_rejects_instructions_below_one(self, bench_calls, capsys, argv):
+        assert main(["bench", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sim: error: bench: --instructions")
+        assert err.count("\n") == 1
+        assert bench_calls == {}
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--sample-strata", "2"],
+            ["--warm-confidence"],
+            # Retired: each suite's shape and contract are constants.
+            ["--machine", "psb"],
+            ["--warmup", "0"],
+            ["--seed", "2"],
+            ["--profile", "prof"],
+            ["--sample", "50000:1000:500"],
+            ["--error-bound", "0.2"],
+            ["--paired-bound", "0.1"],
+            ["--speedup-floor", "5"],
+        ],
     )
     def test_sampling_shape_flags_are_not_registered(
         self, bench_calls, capsys, flag

@@ -182,6 +182,24 @@ class TestConstructionValidation:
         with pytest.raises(ConfigError):
             StreamBufferConfig(num_buffers=0)
 
+    @pytest.mark.parametrize(
+        "field", ["priority_hit_bonus", "priority_age_amount"]
+    )
+    def test_negative_priority_amount(self, field):
+        # A negative amount would push a priority past its saturating
+        # counter's unclamped side.
+        with pytest.raises(ConfigError) as excinfo:
+            StreamBufferConfig(**{field: -2})
+        assert excinfo.value.field == f"StreamBufferConfig.{field}"
+
+    def test_zero_priority_amounts_are_allowed(self):
+        config = StreamBufferConfig(
+            priority_hit_bonus=0, priority_age_amount=0
+        )
+        assert (config.priority_hit_bonus, config.priority_age_amount) == (
+            0, 0
+        )
+
     def test_confidence_threshold_outside_counter_range(self):
         with pytest.raises(ConfigError) as excinfo:
             PrefetchConfig(

@@ -4,35 +4,25 @@ After a buffer's prediction is dropped as a duplicate, nothing the
 priority pick reads has changed, so the controller keeps that buffer on
 the predictor port for the next tick instead of re-arbitrating.
 ``check_stream_buffers`` compares a standing decision against a fresh
-pick under the rule ``streambuf.port``.  A snapshot pickled before the
-decision existed resumes through the class default, ``ARBITRATE``.
+pick under the rule ``streambuf.port``.
 """
-
-import dataclasses
-import itertools
-import pickle
 
 import pytest
 
-from repro.cli import MACHINES
 from repro.config import (
     AllocationPolicy,
-    InvariantLevel,
     SchedulingPolicy,
     SimConfig,
     StreamBufferConfig,
 )
 from repro.errors import IntegrityError
 from repro.integrity.invariants import check_stream_buffers
-from repro.integrity.snapshot import SimSnapshot, resume_run
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim import Simulator
 from repro.streambuf.controller import (
     ARBITRATE,
     SequentialPredictor,
     StreamBufferController,
 )
-from repro.workloads import get_workload
 
 BLOCK = 32
 
@@ -120,46 +110,3 @@ class TestPortInvariant:
         controller, _, _ = _duplicate_streak()
         controller.predictor_port = None
         assert _port_violation(controller, 6) == "streambuf.port"
-
-
-def _without_port_decision(snapshot):
-    """``snapshot`` as code from before the standing decision pickled
-    it: the controller holds ``_predict_skip`` and no ``predictor_port``.
-    Returns the rewritten snapshot and whether its port was idle."""
-    simulator, state = snapshot.restore()
-    controller = simulator.hierarchy.prefetcher
-    idle = controller.predictor_port is None
-    del controller.predictor_port
-    controller._predict_skip = idle
-    payload = pickle.dumps((simulator, state), protocol=pickle.HIGHEST_PROTOCOL)
-    rewritten = SimSnapshot(
-        payload, snapshot.cycle, snapshot.records_consumed, snapshot.label,
-        mode=snapshot.mode,
-    )
-    return rewritten, idle
-
-
-class TestSnapshotWithoutPortDecision:
-    def test_resumes_to_the_uninterrupted_result(self):
-        count = 2_000
-        records = list(itertools.islice(get_workload("sis", seed=1), count))
-        # Full invariants: streambuf.port sweeps the resumed controller.
-        config = MACHINES["psb"]().with_invariants(InvariantLevel.FULL)
-
-        def run(**kwargs):
-            return Simulator(config).run(
-                iter(records), max_instructions=count, **kwargs
-            )
-
-        snapshots = []
-        full = run(snapshot_every=600, snapshot_sink=snapshots.append)
-        idle = 0
-        for snapshot in snapshots:
-            rewritten, was_idle = _without_port_decision(snapshot)
-            idle += was_idle
-            resumed = resume_run(rewritten, iter(records))
-            resumed.extra.pop("resumed_from_cycle")
-            assert dataclasses.asdict(resumed) == dataclasses.asdict(full)
-        # An idle port was pickled as ``_predict_skip = True``: the
-        # resumed controller re-arbitrates to the same idle port.
-        assert idle > 0

@@ -61,7 +61,7 @@ echo
 echo "== bench fast path vs baseline (25% tolerance) =="
 bench_out="$(mktemp -d)"
 python -m repro bench --quick --out "$bench_out/BENCH_core.json" \
-    --check benchmarks/BENCH_core.json --tolerance 0.25
+    --check benchmarks/BENCH_core.json
 rm -rf "$bench_out"
 
 echo

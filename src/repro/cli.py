@@ -218,11 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare against a baseline report; exit 1 on regression",
     )
     bench.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional throughput drop vs baseline "
-             "(default: 0.25)",
-    )
-    bench.add_argument(
         "--sampling", action="store_true",
         help="run the sampling suite instead: psb detailed vs "
              "SMARTS-sampled (classic, tuned, and matched-pair-vs-base "
@@ -370,21 +365,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "check",
         help="validate a machine against the golden functional model",
         description=(
-            "Run one machine with full invariant checking and no warm-up, "
-            "replay the same trace through the obviously-correct "
-            "functional cache model, and diff the two through the "
-            "conservation laws.  Exit status 1 if any law is violated."
+            "Run one machine with no warm-up (at the --invariants level "
+            "given, off by default), replay the same trace through the "
+            "obviously-correct functional cache model, and diff the two "
+            "through the conservation laws and the 5-point primary "
+            "miss-rate bound.  Exit status 1 if any law is violated."
         ),
     )
     _add_run_arguments(check)
     check.add_argument(
         "--machine", choices=sorted(MACHINES), default="psb",
         help="which machine to validate (default: psb)",
-    )
-    check.add_argument(
-        "--tolerance", type=float, default=None, metavar="RATE",
-        help="allowed |timed - golden| primary miss-rate gap "
-             "(default: 0.05)",
     )
     return parser
 
@@ -880,6 +871,7 @@ def _default(value: Any, default: Any) -> Any:
 
 def _command_bench(args: argparse.Namespace) -> int:
     from repro.perf.bench import (
+        TOLERANCE,
         check_against_baseline,
         check_sampling_baseline,
         format_report,
@@ -919,6 +911,13 @@ def _command_bench(args: argparse.Namespace) -> int:
         # six Table 1 stand-ins, and extension workloads must not widen
         # the gate's scope implicitly.
         workloads = list(PAPER_WORKLOADS)
+    # Read the baseline before any suite runs: one that cannot gate
+    # this suite would otherwise throw the whole run away.
+    baseline = None
+    if args.check is not None:
+        baseline = load_baseline(
+            args.check, suite="sampling" if args.sampling else "core"
+        )
 
     if args.sampling:
         report = run_sampling_bench(
@@ -940,15 +939,14 @@ def _command_bench(args: argparse.Namespace) -> int:
     print(describe(report))
     print(f"wrote {out}")
 
-    if args.check is not None:
-        baseline = load_baseline(args.check)
-        failures = check(report, baseline, tolerance=args.tolerance)
+    if baseline is not None:
+        failures = check(report, baseline)
         if failures:
             for failure in failures:
                 print(f"bench regression: {failure}", file=sys.stderr)
             return 1
         print(f"no regressions vs {args.check} "
-              f"(tolerance {args.tolerance * 100:.0f}%)")
+              f"(tolerance {TOLERANCE * 100:.0f}%)")
     return 0
 
 
@@ -973,10 +971,7 @@ def _command_check(args: argparse.Namespace) -> int:
         label=label,
     )
     golden = run_golden(config, records, max_instructions=args.instructions)
-    if args.tolerance is not None:
-        report = golden_check(result, golden, miss_rate_tolerance=args.tolerance)
-    else:
-        report = golden_check(result, golden)
+    report = golden_check(result, golden)
     print(report.summary())
     for violation in report.violations:
         print(f"  violated: {violation}", file=sys.stderr)

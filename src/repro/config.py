@@ -51,8 +51,8 @@ class InvariantLevel(Enum):
     """How aggressively the integrity layer checks runtime invariants.
 
     ``OFF`` disables checking entirely (zero overhead).  ``CHEAP``
-    samples the hook points every ``SimConfig.invariant_sample_period``
-    events, catching persistent corruption at a few percent overhead.
+    samples the hook points every 64th cycle, miss or prefetch,
+    catching persistent corruption at a few percent overhead.
     ``FULL`` checks every hook invocation — the validation mode used by
     the smoke suite and the acceptance tests.
     """
@@ -251,7 +251,6 @@ class MarkovPredictorConfig:
 
     entries: int = 2048
     delta_bits: int = 16
-    differential: bool = True
     associativity: int = 4
 
     def __post_init__(self) -> None:
@@ -475,9 +474,6 @@ class SimConfig:
     event_driven: bool = True
     #: Runtime invariant checking level (see :class:`InvariantLevel`).
     invariants: InvariantLevel = InvariantLevel.OFF
-    #: Under ``CHEAP`` checking, hook points fire once every this many
-    #: events (cycles, misses, or prefetches respectively).
-    invariant_sample_period: int = 64
     #: When set, runs use SMARTS-style systematic sampling: detailed
     #: measured windows alternating with functional fast-forward
     #: (:mod:`repro.sampling`).  ``None`` (the default) simulates every
@@ -485,21 +481,9 @@ class SimConfig:
     #: sampling machinery, so results stay bit-identical.
     sampling: Optional[SamplingConfig] = None
 
-    def __post_init__(self) -> None:
-        _require(
-            self.invariant_sample_period > 0,
-            "SimConfig", "invariant_sample_period", "must be positive",
-        )
-
-    def with_invariants(
-        self, level: InvariantLevel, sample_period: Optional[int] = None
-    ) -> "SimConfig":
+    def with_invariants(self, level: InvariantLevel) -> "SimConfig":
         """Return a copy of this config with invariant checking ``level``."""
-        if sample_period is None:
-            return replace(self, invariants=level)
-        return replace(
-            self, invariants=level, invariant_sample_period=sample_period
-        )
+        return replace(self, invariants=level)
 
     def with_event_driven(self, enabled: bool) -> "SimConfig":
         """Return a copy with the core's skip-ahead fast path toggled."""

@@ -21,8 +21,8 @@ that hold exactly, plus one soft miss-rate tolerance:
 - ``prefetches_used <= prefetches_issued``, exactly;
 - the *primary* L1 miss rate — demand misses minus MSHR merges, i.e.
   counting each block fetch once the way the functional model does —
-  agrees with the golden miss rate within a small tolerance (default 5
-  percentage points).  Without prefetching the two match to four
+  agrees with the golden miss rate within :data:`MISS_RATE_TOLERANCE`
+  (5 percentage points).  Without prefetching the two match to four
   decimal places on every registered workload; the slack only covers
   prefetch-perturbed LRU ordering.
 
@@ -43,7 +43,7 @@ from repro.sim.results import SimulationResult
 from repro.trace.record import InstrKind, TraceRecord
 
 #: Allowed absolute difference between the timed and golden miss rates.
-DEFAULT_MISS_RATE_TOLERANCE = 0.05
+MISS_RATE_TOLERANCE = 0.05
 
 
 class GoldenCache:
@@ -154,7 +154,6 @@ class GoldenReport:
     label: str
     timed_miss_rate: float
     golden_miss_rate: float
-    miss_rate_tolerance: float
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -182,7 +181,7 @@ class GoldenReport:
             f"golden check [{status}] {self.label}: "
             f"timed missrate={self.timed_miss_rate:.4f} "
             f"golden={self.golden_miss_rate:.4f} "
-            f"(tolerance {self.miss_rate_tolerance:.3f})"
+            f"(tolerance {MISS_RATE_TOLERANCE:.3f})"
         )
 
 
@@ -190,7 +189,6 @@ def golden_check(
     result: SimulationResult,
     golden: GoldenStats,
     warmup_instructions: int = 0,
-    miss_rate_tolerance: float = DEFAULT_MISS_RATE_TOLERANCE,
 ) -> GoldenReport:
     """Diff a timed :class:`SimulationResult` against golden counts.
 
@@ -222,7 +220,6 @@ def golden_check(
         label=result.label,
         timed_miss_rate=timed_rate,
         golden_miss_rate=golden.l1_miss_rate,
-        miss_rate_tolerance=miss_rate_tolerance,
     )
     flaws = report.violations
 
@@ -254,10 +251,10 @@ def golden_check(
             f"prefetches_used ({result.prefetches_used}) exceeds "
             f"prefetches_issued ({result.prefetches_issued})"
         )
-    if abs(timed_rate - golden.l1_miss_rate) > miss_rate_tolerance:
+    if abs(timed_rate - golden.l1_miss_rate) > MISS_RATE_TOLERANCE:
         flaws.append(
             f"miss rate diverged: timed primary {timed_rate:.4f} vs "
             f"golden {golden.l1_miss_rate:.4f} "
-            f"(tolerance {miss_rate_tolerance:.3f})"
+            f"(tolerance {MISS_RATE_TOLERANCE:.3f})"
         )
     return report

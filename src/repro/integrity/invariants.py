@@ -49,6 +49,10 @@ from repro.streambuf.controller import ARBITRATE
 #: dominate runtime if run every cycle even at ``full`` level.
 _CACHE_SCAN_PERIOD = 1024
 
+#: At ``cheap`` level each hook point fires once every this many events
+#: (cycles, misses, or prefetches respectively).
+_SAMPLE_PERIOD = 64
+
 
 def _fail(
     invariant: str, message: str, cycle: Optional[int], dump: Dict
@@ -378,12 +382,12 @@ class InvariantChecker:
 
     - :meth:`on_cycle` — the simulator calls this at cycle boundaries;
       at ``full`` level that is every cycle, at ``cheap`` level every
-      ``invariant_sample_period`` cycles (the simulator's stepping
-      stride already matches :attr:`stride`).
+      :data:`_SAMPLE_PERIOD` cycles (the simulator's stepping stride
+      already matches :attr:`stride`).
     - :meth:`on_miss` / :meth:`on_prefetch` — fired from inside the
       memory hierarchy on every demand miss / launched prefetch at
-      ``full`` level, and on every ``invariant_sample_period``-th event
-      at ``cheap`` level.
+      ``full`` level, and on every :data:`_SAMPLE_PERIOD`-th event at
+      ``cheap`` level.
 
     The checker holds only plain references and dicts, so it snapshots
     along with the machine (monotonicity baselines survive a resume).
@@ -391,7 +395,6 @@ class InvariantChecker:
 
     def __init__(self, config: SimConfig, hierarchy, controller=None) -> None:
         self.level = config.invariants
-        self.sample_period = config.invariant_sample_period
         self.hierarchy = hierarchy
         self.controller = controller
         self.checks_run = 0
@@ -405,7 +408,7 @@ class InvariantChecker:
         """Cycle stride the simulator should step at for :meth:`on_cycle`."""
         if self.level is InvariantLevel.FULL:
             return 1
-        return self.sample_period
+        return _SAMPLE_PERIOD
 
     # -- hook points ---------------------------------------------------
 
@@ -431,7 +434,7 @@ class InvariantChecker:
         self._misses_seen += 1
         if (
             self.level is not InvariantLevel.FULL
-            and self._misses_seen % self.sample_period
+            and self._misses_seen % _SAMPLE_PERIOD
         ):
             return
         self.checks_run += 1
@@ -444,7 +447,7 @@ class InvariantChecker:
         self._prefetches_seen += 1
         if (
             self.level is not InvariantLevel.FULL
-            and self._prefetches_seen % self.sample_period
+            and self._prefetches_seen % _SAMPLE_PERIOD
         ):
             return
         self.checks_run += 1

@@ -77,6 +77,11 @@ _SAMPLING_CONTRACT = {
     "speedup_floor": 10.0,
 }
 
+#: Slack both gates allow for host noise: the core suite's speedup may
+#: fall this fraction below the baseline's, and the sampling suite's
+#: ``speedup_floor`` is scaled by one minus it.
+TOLERANCE = 0.25
+
 #: Report keys that must match for a sampling baseline to be comparable.
 _SAMPLING_SHAPE = (
     "machine", "instructions", "seed", "sample", "tuned_sample",
@@ -417,9 +422,7 @@ _SAMPLING_LEGS = {
 }
 
 
-def check_sampling_baseline(
-    report: dict, baseline: dict, tolerance: float = 0.25
-) -> List[str]:
+def check_sampling_baseline(report: dict, baseline: dict) -> List[str]:
     """Gate a sampling-bench report against its checked-in baseline.
 
     Per-workload checks, all against the *baseline's* stated contract:
@@ -438,7 +441,7 @@ def check_sampling_baseline(
       error against the detailed machine ratio must stay within the
       baseline's ``paired_error_bound``;
     - the effective speedup of the classic leg must reach the
-      baseline's ``speedup_floor`` scaled by ``1 - tolerance``
+      baseline's ``speedup_floor`` scaled by ``1 -`` :data:`TOLERANCE`
       (wall-clock ratios survive machine differences; the slack covers
       load noise).
 
@@ -446,10 +449,6 @@ def check_sampling_baseline(
     a workload is refused by name: a leg it does not carry would
     otherwise go ungated.
     """
-    if not 0.0 <= tolerance < 1.0:
-        raise BenchmarkError(
-            f"tolerance must be in [0, 1), got {tolerance}"
-        )
     if baseline.get("suite") != "sampling":
         return [
             "baseline not comparable: it is not a sampling-suite report "
@@ -470,7 +469,7 @@ def check_sampling_baseline(
         return failures
     error_bound = float(baseline["ipc_error_bound"])
     paired_bound = float(baseline["paired_error_bound"])
-    floor = float(baseline["speedup_floor"]) * (1.0 - tolerance)
+    floor = float(baseline["speedup_floor"]) * (1.0 - TOLERANCE)
     for name, entry in sorted(report.get("results", {}).items()):
         base_entry = baseline.get("results", {}).get(name)
         if base_entry is None:
@@ -509,7 +508,7 @@ def check_sampling_baseline(
             failures.append(
                 f"{name}: effective speedup {speedup:.2f}x is below the "
                 f"stated floor {baseline['speedup_floor']}x "
-                f"(tolerance {tolerance * 100:.0f}% -> gate {floor:.2f}x)"
+                f"(tolerance {TOLERANCE * 100:.0f}% -> gate {floor:.2f}x)"
             )
     return failures
 
@@ -552,8 +551,12 @@ def write_report(report: dict, path: str) -> None:
     atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def load_baseline(path: str) -> dict:
-    """Load and validate a baseline report written by :func:`write_report`."""
+def load_baseline(path: str, suite: str = "core") -> dict:
+    """Load and validate a baseline report written by :func:`write_report`.
+
+    ``suite`` is the suite the baseline must come from: ``"core"`` (a
+    report without a ``suite`` stamp) or ``"sampling"``.
+    """
     try:
         with open(path) as handle:
             baseline = json.load(handle)
@@ -568,24 +571,24 @@ def load_baseline(path: str) -> dict:
             f"baseline {path!r} has version {baseline.get('version')!r}, "
             f"expected {REPORT_VERSION} (re-generate with 'repro-sim bench')"
         )
+    found = baseline.get("suite", "core")
+    if found != suite:
+        raise BenchmarkError(
+            f"baseline {path!r} is a {found}-suite report, not a "
+            f"{suite}-suite one"
+        )
     return baseline
 
 
-def check_against_baseline(
-    report: dict, baseline: dict, tolerance: float = 0.25
-) -> List[str]:
+def check_against_baseline(report: dict, baseline: dict) -> List[str]:
     """Compare a fresh report against a baseline; return failure messages.
 
     A workload regresses when its event-vs-stepped speedup drops more
-    than ``tolerance`` below the baseline's — a load-independent signal
+    than :data:`TOLERANCE` below the baseline's — a load-independent signal
     (both modes share whatever machine the check runs on).  Workloads
     present in only one of the two reports are ignored (the suite may
     grow), as are baseline entries without a positive speedup.
     """
-    if not 0.0 <= tolerance < 1.0:
-        raise BenchmarkError(
-            f"tolerance must be in [0, 1), got {tolerance}"
-        )
     failures: List[str] = []
     # Throughput only compares like-for-like: a baseline recorded at a
     # different run shape would make the gate silently meaningless.
@@ -605,12 +608,12 @@ def check_against_baseline(
         if base_speedup <= 0.0:
             continue
         speedup = entry.get("speedup", 0.0)
-        floor = base_speedup * (1.0 - tolerance)
+        floor = base_speedup * (1.0 - TOLERANCE)
         if speedup < floor:
             failures.append(
                 f"{name}: speedup {speedup:.2f}x is "
                 f"{(1.0 - speedup / base_speedup) * 100:.0f}% below baseline "
-                f"{base_speedup:.2f}x (tolerance {tolerance * 100:.0f}%)"
+                f"{base_speedup:.2f}x (tolerance {TOLERANCE * 100:.0f}%)"
             )
     return failures
 

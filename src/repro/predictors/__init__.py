@@ -10,7 +10,7 @@ from repro.predictors.base import AddressPredictor, StreamState
 from repro.predictors.context import ContextPredictor
 from repro.predictors.correlated import CorrelatedAddressPredictor
 from repro.predictors.mindelta import MinimumDeltaPredictor
-from repro.predictors.markov import DifferentialMarkovTable, MarkovTable
+from repro.predictors.markov import DifferentialMarkovTable
 from repro.predictors.saturating import SaturatingCounter
 from repro.predictors.sfm import StrideFilteredMarkovPredictor
 from repro.predictors.stride import StrideEntry, TwoDeltaStrideTable
@@ -22,7 +22,6 @@ __all__ = [
     "CorrelatedAddressPredictor",
     "MinimumDeltaPredictor",
     "DifferentialMarkovTable",
-    "MarkovTable",
     "SaturatingCounter",
     "StrideFilteredMarkovPredictor",
     "StrideEntry",

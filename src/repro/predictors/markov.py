@@ -1,14 +1,11 @@
-"""First-order Markov address prediction (Sections 2.2 and 4.2).
+"""First-order differential Markov address prediction (Section 4.2).
 
-Two variants are provided:
-
-- :class:`MarkovTable` stores absolute next addresses, as in Joseph and
-  Grunwald's Markov prefetcher.
-- :class:`DifferentialMarkovTable` is the paper's space optimization: it
-  stores only the *signed difference* between consecutive miss addresses,
-  clamped to a configurable bit-width (16 bits captures almost all
-  transitions — Figure 4).  With 2 K entries of 16 bits the data store is
-  4 KB, the size the paper reports.
+The paper's space optimization over Joseph and Grunwald's Markov
+prefetcher (modelled on its own as the ``demand-markov`` machine): the
+table stores only the *signed difference* between consecutive miss
+addresses, clamped to a configurable bit-width (16 bits captures almost
+all transitions — Figure 4).  With 2 K entries of 16 bits the data
+store is 4 KB, the size the paper reports.
 
 The paper does not state the table's organization beyond "2K entries";
 we model it set-associative (4-way LRU by default, like the stride
@@ -26,79 +23,6 @@ from repro.config import MarkovPredictorConfig
 from repro.utils import fits_signed
 
 
-class _AssociativeStore:
-    """Shared machinery: hashed, set-associative, LRU-replaced store."""
-
-    def __init__(self, entries: int, associativity: int) -> None:
-        if entries < 1:
-            raise ValueError("Markov table needs at least one entry")
-        if associativity < 1 or entries % associativity != 0:
-            raise ValueError("entries must divide evenly into ways")
-        self.entries = entries
-        self.associativity = associativity
-        self.num_sets = entries // associativity
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-
-    def _set_for(self, address: int) -> OrderedDict:
-        # Multiplicative hashing, taking the product's *high* bits: block
-        # addresses share low-order alignment, and multiplication by an
-        # odd constant leaves low bits unmixed, so the top half is what
-        # spreads evenly over the sets.
-        hashed = (address >> 5) * 0x9E3779B1 & 0xFFFFFFFF
-        return self._sets[(hashed >> 16) % self.num_sets]
-
-    def get(self, address: int):
-        """Stored value for ``address`` (LRU refresh), or None."""
-        table_set = self._set_for(address)
-        value = table_set.get(address)
-        if value is not None:
-            table_set.move_to_end(address)
-        return value
-
-    def put(self, address: int, value) -> None:
-        table_set = self._set_for(address)
-        if address in table_set:
-            table_set.move_to_end(address)
-        elif len(table_set) >= self.associativity:
-            table_set.popitem(last=False)
-        table_set[address] = value
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(table_set) for table_set in self._sets)
-
-
-class MarkovTable:
-    """Associative table mapping a miss address to its observed successor."""
-
-    def __init__(self, entries: int, associativity: int = 4) -> None:
-        self._store = _AssociativeStore(entries, associativity)
-        self.entries = entries
-        self.trains = 0
-        self.lookups = 0
-        self.hits = 0
-
-    def train(self, from_address: int, to_address: int) -> None:
-        """Record that ``from_address`` was followed by ``to_address``."""
-        self.trains += 1
-        self._store.put(from_address, to_address)
-
-    def lookup(self, address: int) -> Optional[int]:
-        """Predicted successor of ``address``, or None on a table miss."""
-        self.lookups += 1
-        successor = self._store.get(address)
-        if successor is None:
-            return None
-        self.hits += 1
-        return successor
-
-    @property
-    def hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-
 class DifferentialMarkovTable:
     """The paper's differential Markov table: stores signed deltas only.
 
@@ -110,12 +34,26 @@ class DifferentialMarkovTable:
     def __init__(self, config: Optional[MarkovPredictorConfig] = None) -> None:
         self.config = config or MarkovPredictorConfig()
         self.entries = self.config.entries
+        self.associativity = self.config.associativity
+        if self.entries % self.associativity != 0:
+            raise ValueError("entries must divide evenly into ways")
         self.delta_bits = self.config.delta_bits
-        self._store = _AssociativeStore(self.entries, self.config.associativity)
+        self.num_sets = self.entries // self.associativity
+        self._sets: List[OrderedDict] = [
+            OrderedDict() for _ in range(self.num_sets)
+        ]
         self.trains = 0
         self.trains_out_of_range = 0
         self.lookups = 0
         self.hits = 0
+
+    def _set_for(self, address: int) -> OrderedDict:
+        # Multiplicative hashing, taking the product's *high* bits: block
+        # addresses share low-order alignment, and multiplication by an
+        # odd constant leaves low bits unmixed, so the top half is what
+        # spreads evenly over the sets.
+        hashed = (address >> 5) * 0x9E3779B1 & 0xFFFFFFFF
+        return self._sets[(hashed >> 16) % self.num_sets]
 
     def train(self, from_address: int, to_address: int) -> None:
         """Record a transition, if its delta fits in ``delta_bits`` bits."""
@@ -124,14 +62,22 @@ class DifferentialMarkovTable:
         if not fits_signed(delta, self.delta_bits):
             self.trains_out_of_range += 1
             return
-        self._store.put(from_address, delta)
+        table_set = self._set_for(from_address)
+        if from_address in table_set:
+            table_set.move_to_end(from_address)
+        elif len(table_set) >= self.associativity:
+            table_set.popitem(last=False)
+        table_set[from_address] = delta
 
     def lookup(self, address: int) -> Optional[int]:
-        """Predicted successor of ``address``, or None on a table miss."""
+        """Predicted successor of ``address`` (LRU refresh), or None on a
+        table miss."""
         self.lookups += 1
-        delta = self._store.get(address)
+        table_set = self._set_for(address)
+        delta = table_set.get(address)
         if delta is None:
             return None
+        table_set.move_to_end(address)
         self.hits += 1
         return address + delta
 

@@ -22,12 +22,12 @@ from typing import Iterable, Optional, Tuple
 
 from repro.config import MarkovPredictorConfig, StridePredictorConfig
 from repro.predictors.base import AddressPredictor, StreamState
-from repro.predictors.markov import DifferentialMarkovTable, MarkovTable
+from repro.predictors.markov import DifferentialMarkovTable
 from repro.predictors.stride import StrideEntry, TwoDeltaStrideTable
 
 
 class StrideFilteredMarkovPredictor(AddressPredictor):
-    """Two-delta stride filter in front of a (differential) Markov table."""
+    """Two-delta stride filter in front of a differential Markov table."""
 
     def __init__(
         self,
@@ -35,11 +35,7 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
         markov_config: Optional[MarkovPredictorConfig] = None,
     ) -> None:
         self.stride_table = TwoDeltaStrideTable(stride_config)
-        markov_config = markov_config or MarkovPredictorConfig()
-        if markov_config.differential:
-            self.markov_table = DifferentialMarkovTable(markov_config)
-        else:
-            self.markov_table = MarkovTable(markov_config.entries)
+        self.markov_table = DifferentialMarkovTable(markov_config)
         self.trains = 0
         self.correct_trains = 0
         self.markov_predictions = 0
@@ -97,8 +93,7 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
         with the table sets, the hash and the counters held in locals.
         A detuned miss skips the Markov lookup, the confidence and the
         correct-miss streak, as :meth:`warm` does.  The test suite pins
-        the tables and counters to the per-miss calls for both Markov
-        variants and both rates.
+        the tables and counters to the per-miss calls at both rates.
         """
         stride_table = self.stride_table
         stride_sets = stride_table._sets
@@ -106,14 +101,11 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
         stride_ways = stride_table.config.associativity
         confidence_max = stride_table.config.confidence_max
         markov = self.markov_table
-        store = markov._store
-        markov_sets = store._sets
-        markov_nsets = store.num_sets
-        markov_ways = store.associativity
-        differential = isinstance(markov, DifferentialMarkovTable)
-        if differential:
-            delta_low = -(1 << (markov.delta_bits - 1))
-            delta_high = (1 << (markov.delta_bits - 1)) - 1
+        markov_sets = markov._sets
+        markov_nsets = markov.num_sets
+        markov_ways = markov.associativity
+        delta_low = -(1 << (markov.delta_bits - 1))
+        delta_high = (1 << (markov.delta_bits - 1)) - 1
         # Full rate steps two at a time, so every miss lands on even.
         first, step = (0, 2) if parity is None else (parity, 1)
         calls = first
@@ -132,7 +124,7 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
             stride_set.move_to_end(pc)
             last_address = entry.last_address
             new_stride = address - last_address
-            # The set of the Markov key (mirrors _AssociativeStore._set_for):
+            # The set of the Markov key (mirrors the table's _set_for):
             # a full miss looks it up, and the filtered transition below
             # trains it at either rate.
             hashed = (last_address >> 5) * 0x9E3779B1 & 0xFFFFFFFF
@@ -145,8 +137,7 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
                 if successor is not None:
                     markov_set.move_to_end(last_address)
                     hits += 1
-                    if differential:
-                        successor += last_address
+                    successor += last_address
                 counter = entry.confidence
                 if (new_stride == entry.two_delta_stride
                         or address == successor):
@@ -173,26 +164,21 @@ class StrideFilteredMarkovPredictor(AddressPredictor):
             if stride_covered:
                 continue
             markov_trains += 1
-            if differential:
-                if not delta_low <= new_stride <= delta_high:
-                    out_of_range += 1
-                    continue
-                successor = new_stride
-            else:
-                successor = address
+            if not delta_low <= new_stride <= delta_high:
+                out_of_range += 1
+                continue
             if last_address in markov_set:
                 markov_set.move_to_end(last_address)
             elif len(markov_set) >= markov_ways:
                 markov_set.popitem(last=False)
-            markov_set[last_address] = successor
+            markov_set[last_address] = new_stride
         # The full misses are the even counts in (first, calls].
         self.trains += calls // 2 - first // 2
         self.correct_trains += correct_trains
         markov.lookups += lookups
         markov.hits += hits
         markov.trains += markov_trains
-        if differential:
-            markov.trains_out_of_range += out_of_range
+        markov.trains_out_of_range += out_of_range
 
     def warm(self, pc: int, address: int, full: bool = True) -> bool:
         """Fast-forward observation; ``full=False`` detunes confidence.

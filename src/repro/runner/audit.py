@@ -136,7 +136,7 @@ def _audit_checkpoint(report: AuditReport) -> Dict[str, Dict[str, Any]]:
             corrupt += 1
             detail = {
                 "json": "does not parse (torn write)",
-                "crc": "CRC32 mismatch (bit rot)",
+                "crc": "CRC32 missing or mismatched (bit rot)",
                 "shape": "not a run-keyed object",
             }[problem]
             report._add(

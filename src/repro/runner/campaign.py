@@ -145,7 +145,6 @@ class WorkloadSpec:
 
     name: str
     seed: int = 1
-    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -255,11 +254,10 @@ def _cacheable(trace: TraceSource, max_instructions: Optional[int]) -> bool:
     """True when the point's trace can come from the compiled cache.
 
     The cache is keyed ``(name, seed, count)``, so it only applies to
-    unscaled workload specs with a bounded run length.
+    workload specs with a bounded run length.
     """
     return (
         isinstance(trace, WorkloadSpec)
-        and trace.scale == 1.0
         and max_instructions is not None
         and max_instructions > 0
     )
@@ -283,9 +281,7 @@ def _resolve_trace(
                 trace.name, seed=trace.seed, instructions=max_instructions
             )
         else:
-            records = get_workload(
-                trace.name, seed=trace.seed, scale=trace.scale
-            )
+            records = get_workload(trace.name, seed=trace.seed)
     elif isinstance(trace, TraceFileSpec):
         records = load_trace(trace.path)
     elif callable(trace):

@@ -114,10 +114,9 @@ def decode_entry(
     """Parse one checkpoint line; ``(entry, problem)``.
 
     ``problem`` is ``None`` for a valid line, else ``"json"`` (does not
-    parse — a torn write), ``"crc"`` (parses but the embedded CRC32
-    disagrees — bit rot), or ``"shape"`` (valid JSON that is not a
-    ``run_id``-keyed object).  Legacy lines without a ``crc32`` field
-    are accepted unverified.
+    parse — a torn write), ``"crc"`` (parses but the embedded CRC32 is
+    missing or disagrees — bit rot), or ``"shape"`` (valid JSON that is
+    not a ``run_id``-keyed object).
     """
     try:
         entry = json.loads(line)
@@ -126,10 +125,9 @@ def decode_entry(
     if not isinstance(entry, dict) or "run_id" not in entry:
         return None, "shape"
     stored = entry.pop("crc32", None)
-    if stored is not None:
-        body = json.dumps(entry, sort_keys=True)
-        if f"{crc32_of(body.encode()):08x}" != stored:
-            return None, "crc"
+    body = json.dumps(entry, sort_keys=True)
+    if f"{crc32_of(body.encode()):08x}" != stored:
+        return None, "crc"
     return entry, None
 
 

@@ -14,8 +14,7 @@ cycle boundaries without touching the core's hot loop:
 
 - **invariant checking** (``config.invariants``): an
   :class:`~repro.integrity.invariants.InvariantChecker` sweeps the
-  machine every cycle (``full``) or every ``invariant_sample_period``
-  cycles (``cheap``);
+  machine every cycle (``full``) or every 64 cycles (``cheap``);
 - **snapshotting** (``snapshot_every``): a resumable
   :class:`~repro.integrity.snapshot.SimSnapshot` is handed to
   ``snapshot_sink`` at fixed cycle boundaries;

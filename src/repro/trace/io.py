@@ -43,7 +43,6 @@ __all__ = [
     "TraceFormatError",
     "save_trace",
     "load_trace",
-    "load_trace_list",
 ]
 
 
@@ -164,12 +163,3 @@ def load_trace(
             yield from _read(handle)
     else:
         yield from _read(source)
-
-
-def load_trace_list(
-    source: Union[str, IO[str]],
-    strict: bool = True,
-    errors: Optional[List[TraceFormatError]] = None,
-) -> List[TraceRecord]:
-    """Eagerly load a whole trace file (same options as :func:`load_trace`)."""
-    return list(load_trace(source, strict=strict, errors=errors))

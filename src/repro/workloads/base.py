@@ -93,11 +93,8 @@ class WorkloadGenerator(ABC):
     #: One-line description mirroring Table 1.
     description: str = ""
 
-    def __init__(self, seed: int = 1, scale: float = 1.0) -> None:
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+    def __init__(self, seed: int = 1) -> None:
         self.seed = seed
-        self.scale = scale
 
     @abstractmethod
     def generate(self) -> Iterator[TraceRecord]:
@@ -108,9 +105,6 @@ class WorkloadGenerator(ABC):
 
     def _rng(self) -> random.Random:
         return random.Random(self.seed)
-
-    def _scaled(self, value: int, minimum: int = 1) -> int:
-        return max(minimum, int(value * self.scale))
 
 
 class Emitter:

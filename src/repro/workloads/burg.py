@@ -31,14 +31,13 @@ class BurgWorkload(WorkloadGenerator):
     def __init__(
         self,
         seed: int = 1,
-        scale: float = 1.0,
         tree_nodes: int = 6000,
         num_rules: int = 300,
         walk_depth: int = 12,
     ) -> None:
-        super().__init__(seed, scale)
-        self.tree_nodes = self._scaled(tree_nodes, minimum=15)
-        self.num_rules = self._scaled(num_rules, minimum=2)
+        super().__init__(seed)
+        self.tree_nodes = tree_nodes
+        self.num_rules = num_rules
         self.walk_depth = walk_depth
         self.table_base = 0x4000_0000
         self.table_entries = 512

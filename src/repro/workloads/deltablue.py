@@ -32,16 +32,15 @@ class DeltaBlueWorkload(WorkloadGenerator):
     def __init__(
         self,
         seed: int = 1,
-        scale: float = 1.0,
         num_chains: int = 16,
         chain_length: int = 80,
         arena_kib: int = 160,
         churn_chance: float = 0.03,
     ) -> None:
-        super().__init__(seed, scale)
-        self.num_chains = self._scaled(num_chains, minimum=2)
-        self.chain_length = self._scaled(chain_length, minimum=4)
-        self.arena_bytes = self._scaled(arena_kib, minimum=8) * 1024
+        super().__init__(seed)
+        self.num_chains = num_chains
+        self.chain_length = chain_length
+        self.arena_bytes = arena_kib * 1024
         self.churn_chance = churn_chance
 
     def _build_chains(self, heap: HeapModel, rng) -> List[List[int]]:

@@ -30,15 +30,14 @@ class GhostscriptWorkload(WorkloadGenerator):
     def __init__(
         self,
         seed: int = 1,
-        scale: float = 1.0,
         raster_kib: int = 96,
         num_display_lists: int = 8,
         objects_per_list: int = 96,
     ) -> None:
-        super().__init__(seed, scale)
-        self.raster_bytes = self._scaled(raster_kib, minimum=8) * 1024
-        self.num_display_lists = self._scaled(num_display_lists, minimum=1)
-        self.objects_per_list = self._scaled(objects_per_list, minimum=4)
+        super().__init__(seed)
+        self.raster_bytes = raster_kib * 1024
+        self.num_display_lists = num_display_lists
+        self.objects_per_list = objects_per_list
         self.raster_base = 0x5000_0000
 
     def _build_display_lists(self, heap: HeapModel, rng) -> List[List[int]]:

@@ -37,14 +37,13 @@ class HealthWorkload(WorkloadGenerator):
     def __init__(
         self,
         seed: int = 1,
-        scale: float = 1.0,
         num_lists: int = 20,
         nodes_per_list: int = 64,
         relink_chance: float = 0.01,
     ) -> None:
-        super().__init__(seed, scale)
-        self.num_lists = self._scaled(num_lists, minimum=2)
-        self.nodes_per_list = self._scaled(nodes_per_list, minimum=4)
+        super().__init__(seed)
+        self.num_lists = num_lists
+        self.nodes_per_list = nodes_per_list
         self.relink_chance = relink_chance
 
     def _build_lists(self, heap: HeapModel, rng) -> List[List[int]]:

@@ -52,7 +52,6 @@ class ManyStreamsWorkload(WorkloadGenerator):
     def __init__(
         self,
         seed: int = 1,
-        scale: float = 1.0,
         hot_streams: int = 2,
         cold_streams: int = 14,
         hot_burst: int = 12,
@@ -60,10 +59,10 @@ class ManyStreamsWorkload(WorkloadGenerator):
         cold_per_round: int = 14,
         stride: int = 32,
     ) -> None:
-        super().__init__(seed, scale)
-        self.hot_streams = self._scaled(hot_streams, minimum=1)
-        self.cold_streams = self._scaled(cold_streams, minimum=2)
-        self.hot_burst = self._scaled(hot_burst, minimum=4)
+        super().__init__(seed)
+        self.hot_streams = hot_streams
+        self.cold_streams = cold_streams
+        self.hot_burst = hot_burst
         self.cold_burst = cold_burst
         self.cold_per_round = min(cold_per_round, self.cold_streams)
         self.stride = stride

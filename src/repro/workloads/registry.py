@@ -41,7 +41,7 @@ def workload_names() -> List[str]:
 
 
 def get_workload_generator(
-    name: str, seed: int = 1, scale: float = 1.0, **kwargs
+    name: str, seed: int = 1, **kwargs
 ) -> WorkloadGenerator:
     """Instantiate a workload generator by benchmark name."""
     try:
@@ -49,11 +49,9 @@ def get_workload_generator(
     except KeyError:
         known = ", ".join(WORKLOADS)
         raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-    return factory(seed=seed, scale=scale, **kwargs)
+    return factory(seed=seed, **kwargs)
 
 
-def get_workload(
-    name: str, seed: int = 1, scale: float = 1.0, **kwargs
-) -> Iterator[TraceRecord]:
+def get_workload(name: str, seed: int = 1, **kwargs) -> Iterator[TraceRecord]:
     """An unbounded trace for ``name`` (convenience over the generator)."""
-    return get_workload_generator(name, seed=seed, scale=scale, **kwargs).generate()
+    return get_workload_generator(name, seed=seed, **kwargs).generate()

@@ -42,16 +42,15 @@ class SisWorkload(WorkloadGenerator):
     def __init__(
         self,
         seed: int = 1,
-        scale: float = 1.0,
         num_tables: int = 12,
         table_kib: int = 8,
         num_gates: int = 2400,
         fanin: int = 4,
     ) -> None:
-        super().__init__(seed, scale)
-        self.num_tables = self._scaled(num_tables, minimum=2)
-        self.table_bytes = self._scaled(table_kib, minimum=1) * 1024
-        self.num_gates = self._scaled(num_gates, minimum=8)
+        super().__init__(seed)
+        self.num_tables = num_tables
+        self.table_bytes = table_kib * 1024
+        self.num_gates = num_gates
         self.fanin = fanin
         self.table_base = 0x6000_0000
 

@@ -179,9 +179,8 @@ class SyntheticWorkload(WorkloadGenerator):
         self,
         phases: Sequence = (),
         seed: int = 1,
-        scale: float = 1.0,
     ) -> None:
-        super().__init__(seed, scale)
+        super().__init__(seed)
         if not phases:
             raise ValueError("a synthetic workload needs at least one phase")
         self.phases = list(phases)

@@ -31,15 +31,14 @@ class Turb3dWorkload(WorkloadGenerator):
     def __init__(
         self,
         seed: int = 1,
-        scale: float = 1.0,
         nx: int = 32,
         ny: int = 32,
         nz: int = 16,
     ) -> None:
-        super().__init__(seed, scale)
-        self.nx = self._scaled(nx, minimum=4)
-        self.ny = self._scaled(ny, minimum=4)
-        self.nz = self._scaled(nz, minimum=2)
+        super().__init__(seed)
+        self.nx = nx
+        self.ny = ny
+        self.nz = nz
         self.grid_base = 0x2000_0000
         self.out_base = 0x3000_0000
 

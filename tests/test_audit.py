@@ -115,6 +115,16 @@ class TestCheckpointRules:
         report = audit_campaign(str(camp))
         assert "checkpoint.line.crc" in _codes(report)
 
+    def test_line_without_crc_is_a_warning(self, camp):
+        with open(camp / CHECKPOINT_NAME, "a") as handle:
+            handle.write(json.dumps(
+                {"run_id": "unstamped", "status": "ok", "fingerprint": "f"}
+            ) + "\n")
+        report = audit_campaign(str(camp))
+        assert report.ok
+        assert _codes(report) == ["checkpoint.line.crc"]
+        assert "CRC32 missing or mismatched" in report.issues[0].message
+
     def test_duplicate_entry_same_fingerprint_is_flagged(self, camp):
         original = json.loads(
             (camp / CHECKPOINT_NAME).read_text().splitlines()[0]

@@ -95,9 +95,12 @@ class TestBaseline:
         report = _small_report()
         baseline = json.loads(json.dumps(report))
         baseline["results"]["health"]["speedup"] *= 10
-        failures = check_against_baseline(report, baseline, tolerance=0.25)
-        assert len(failures) == 1
-        assert "below baseline" in failures[0]
+        failures = check_against_baseline(report, baseline)
+        assert failures == [
+            f"health: speedup {report['results']['health']['speedup']:.2f}x"
+            f" is 90% below baseline "
+            f"{baseline['results']['health']['speedup']:.2f}x (tolerance 25%)"
+        ]
 
     def test_rejects_mismatched_run_shape(self):
         report = _small_report()
@@ -110,11 +113,6 @@ class TestBaseline:
     def test_ignores_unshared_workloads(self):
         report = _small_report()
         assert check_against_baseline(report, {"results": {}}) == []
-
-    def test_rejects_bad_tolerance(self):
-        report = _small_report()
-        with pytest.raises(BenchmarkError, match="tolerance"):
-            check_against_baseline(report, report, tolerance=1.5)
 
     def test_load_baseline_errors(self, tmp_path):
         with pytest.raises(BenchmarkError, match="cannot read"):
@@ -169,7 +167,7 @@ class TestSamplingGate:
     """``check_sampling_baseline`` on synthetic reports, no simulation."""
 
     def test_checked_in_baseline_passes_against_itself(self):
-        baseline = load_baseline(SAMPLING_BASELINE)
+        baseline = load_baseline(SAMPLING_BASELINE, suite="sampling")
         assert check_sampling_baseline(baseline, baseline) == []
 
     @pytest.mark.parametrize(
@@ -213,9 +211,9 @@ class TestSamplingGate:
         report = _sampling_report()
         baseline = copy.deepcopy(report)
         report["results"]["health"]["speedup"] = 7.6
-        assert check_sampling_baseline(report, baseline, tolerance=0.25) == []
+        assert check_sampling_baseline(report, baseline) == []
         report["results"]["health"]["speedup"] = 7.4
-        assert check_sampling_baseline(report, baseline, tolerance=0.25) == [
+        assert check_sampling_baseline(report, baseline) == [
             "health: effective speedup 7.40x is below the stated floor "
             "10.0x (tolerance 25% -> gate 7.50x)"
         ]
@@ -237,12 +235,6 @@ class TestSamplingGate:
         failures = check_sampling_baseline(report, baseline)
         assert len(failures) == 1
         assert "not a sampling-suite report" in failures[0]
-
-    @pytest.mark.parametrize("tolerance", [-0.1, 1.0])
-    def test_rejects_a_tolerance_outside_zero_to_one(self, tolerance):
-        report = _sampling_report()
-        with pytest.raises(BenchmarkError, match="tolerance"):
-            check_sampling_baseline(report, report, tolerance=tolerance)
 
     def test_refuses_a_baseline_without_its_tuned_leg(self):
         report = _sampling_report()
@@ -358,7 +350,7 @@ class TestFixedShapes:
         recorded = _record_runs(monkeypatch)
         report = run_sampling_bench(["health"])
         runs = dict(recorded)
-        baseline = load_baseline(SAMPLING_BASELINE)
+        baseline = load_baseline(SAMPLING_BASELINE, suite="sampling")
         keys = _SAMPLING_SHAPE + (
             "ipc_error_bound", "paired_error_bound", "speedup_floor"
         )
@@ -527,6 +519,8 @@ class TestBenchFlags:
             ["--error-bound", "0.2"],
             ["--paired-bound", "0.1"],
             ["--speedup-floor", "5"],
+            # Both gates allow repro.perf.bench.TOLERANCE.
+            ["--tolerance", "0.25"],
         ],
     )
     def test_sampling_shape_flags_are_not_registered(
@@ -537,6 +531,78 @@ class TestBenchFlags:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert bench_calls == {}
+
+
+class TestBaselineReadFirst:
+    """``--check`` reads its baseline before any suite runs, so a
+    baseline that cannot gate the run never costs one."""
+
+    @staticmethod
+    def _write(tmp_path, name, payload):
+        path = tmp_path / name
+        path.write_text(
+            payload if isinstance(payload, str) else json.dumps(payload)
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, baseline, message",
+        [
+            ([], None, "cannot read baseline"),
+            ([], "{not json", "is not valid JSON"),
+            ([], {"results": {}, "version": 99}, "has version 99"),
+            (
+                [], {"results": {}, "version": 1, "suite": "sampling"},
+                "is a sampling-suite report, not a core-suite one",
+            ),
+            (
+                ["--sampling"], {"results": {}, "version": 1},
+                "is a core-suite report, not a sampling-suite one",
+            ),
+        ],
+        ids=["missing", "unreadable", "wrong-version", "sampling-for-core",
+             "core-for-sampling"],
+    )
+    def test_refused_before_the_suite_runs(
+        self, bench_calls, capsys, tmp_path, argv, baseline, message
+    ):
+        path = (
+            str(tmp_path / "missing.json") if baseline is None
+            else self._write(tmp_path, "baseline.json", baseline)
+        )
+        assert main(["bench", *argv, "--check", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sim: error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert bench_calls == {}  # no suite ran, no report written
+
+    @pytest.mark.parametrize(
+        "argv, suite, baseline",
+        [
+            ([], "core", {"results": {}, "version": 1}),
+            (["--sampling"], "sampling",
+             {"results": {}, "version": 1, "suite": "sampling"}),
+        ],
+    )
+    def test_a_baseline_of_the_suite_is_accepted(
+        self, bench_calls, capsys, tmp_path, monkeypatch, argv, suite,
+        baseline,
+    ):
+        import repro.perf.bench as perf
+
+        checked = []
+        monkeypatch.setattr(perf, "check_against_baseline",
+                            lambda report, base: checked.append(base) or [])
+        monkeypatch.setattr(perf, "check_sampling_baseline",
+                            lambda report, base: checked.append(base) or [])
+        path = self._write(tmp_path, "baseline.json", baseline)
+        assert main(["bench", *argv, "--check", path]) == 0
+        assert suite in bench_calls
+        assert checked == [baseline]
+        assert capsys.readouterr().out.endswith(
+            f"no regressions vs {path} (tolerance 25%)\n"
+        )
 
 
 class TestTraceCompileCommand:
@@ -554,7 +620,7 @@ class TestTraceCompileCommand:
 
     def test_compile_text_trace(self, tmp_path):
         from repro.trace import load_binary_trace_list
-        from repro.trace.io import load_trace_list
+        from repro.trace.io import load_trace
 
         text = str(tmp_path / "t.trace")
         assert main(
@@ -562,7 +628,7 @@ class TestTraceCompileCommand:
         ) == 0
         out = str(tmp_path / "t.rtb")
         assert main(["trace", "compile", text, "--out", out]) == 0
-        assert load_binary_trace_list(out) == load_trace_list(text)
+        assert load_binary_trace_list(out) == list(load_trace(text))
 
     def test_compile_needs_source(self, tmp_path, capsys):
         out = str(tmp_path / "x.rtb")

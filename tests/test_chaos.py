@@ -204,11 +204,20 @@ class TestCheckpointFaults:
         ]
         assert problems == ["crc"]
 
-    def test_legacy_lines_without_crc_still_replay(self, tmp_path):
+    def test_lines_without_crc_are_refused(self, tmp_path):
+        # Every writer stamps a CRC, so a line without one is damage.
         store = CheckpointStore(str(tmp_path))
-        with open(store.checkpoint_path, "w") as handle:
-            handle.write(json.dumps(_entry("old")) + "\n")
-        assert set(store.load()) == {"old"}
+        store.append(_entry("clean"))
+        with open(store.checkpoint_path, "a") as handle:
+            handle.write(json.dumps(_entry("unstamped")) + "\n")
+        assert set(store.load()) == {"clean"}
+        problems = [
+            problem
+            for _, _, _, problem in iter_checkpoint_lines(
+                store.checkpoint_path
+            )
+        ]
+        assert problems == [None, "crc"]
 
 
 # ----------------------------------------------------------------------

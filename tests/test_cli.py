@@ -7,7 +7,7 @@ import pytest
 
 import repro.cli as cli
 from repro.cli import MACHINES, main
-from repro.trace.io import load_trace_list
+from repro.trace.io import load_trace
 from repro.workloads import WORKLOADS
 
 
@@ -107,7 +107,7 @@ class TestTraceCommand:
             ["trace", "burg", "--out", path, "--instructions", "500"]
         )
         assert code == 0
-        records = load_trace_list(path)
+        records = list(load_trace(path))
         assert len(records) == 500
         assert "wrote 500 records" in capsys.readouterr().out
 

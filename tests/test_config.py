@@ -117,7 +117,6 @@ class TestSimConfigHelpers:
         markov = PrefetchConfig().markov
         assert markov.entries == 2048
         assert markov.delta_bits == 16
-        assert markov.differential
 
 
 class TestConstructionValidation:

@@ -11,7 +11,7 @@ from repro.runner.faults import (
     corrupt_trace_file,
     inject_faults,
 )
-from repro.trace.io import load_trace_list, save_trace
+from repro.trace.io import load_trace, save_trace
 from repro.workloads import get_workload
 
 
@@ -83,7 +83,7 @@ class TestCorruptTraceFile:
         original = corrupt_trace_file(path, line_number=5)
         assert original  # the displaced record text is returned
         with pytest.raises(TraceFormatError) as excinfo:
-            load_trace_list(path)
+            list(load_trace(path))
         assert excinfo.value.line_number == 5
         assert "corrupt" in excinfo.value.line
 
@@ -92,7 +92,7 @@ class TestCorruptTraceFile:
         save_trace(path, iter(_records(20)))
         corrupt_trace_file(path, line_number=5)
         errors = []
-        records = load_trace_list(path, strict=False, errors=errors)
+        records = list(load_trace(path, strict=False, errors=errors))
         assert len(records) == 19
         assert len(errors) == 1
 

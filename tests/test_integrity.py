@@ -425,6 +425,43 @@ class TestIntegrityCli:
         assert exit_code == 0
         assert "golden check [OK]" in capsys.readouterr().out
 
+    def test_check_command_fails_when_the_golden_model_diverges(
+        self, capsys, monkeypatch
+    ):
+        import repro.integrity as integrity
+
+        replay = integrity.run_golden
+
+        def diverged(config, records, max_instructions=None):
+            # One load more than the timed run saw, and every access a
+            # miss: an exact law and the miss-rate bound both break.
+            stats = replay(config, records, max_instructions=max_instructions)
+            return dataclasses.replace(
+                stats, loads=stats.loads + 1, l1_misses=stats.accesses
+            )
+
+        monkeypatch.setattr(integrity, "run_golden", diverged)
+        exit_code = cli_main(
+            ["check", "health", "--machine", "psb", "--instructions", "3000"]
+        )
+        assert exit_code == 1
+        captured = capsys.readouterr()
+        assert "golden check [FAILED (2)]" in captured.out
+        assert "(tolerance 0.050)" in captured.out
+        violations = captured.err.splitlines()
+        assert len(violations) == 2
+        assert violations[0].startswith("  violated: loads: timed ")
+        assert violations[1].startswith(
+            "  violated: miss rate diverged: timed primary "
+        )
+
+    def test_check_takes_no_tolerance(self, capsys):
+        # The 5-point miss-rate bound is MISS_RATE_TOLERANCE, a constant.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["check", "health", "--tolerance", "0.05"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_check_command_rejects_warmup(self, capsys):
         exit_code = cli_main(
             ["check", "health", "--instructions", "3000", "--warmup", "500"]

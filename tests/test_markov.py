@@ -1,26 +1,36 @@
-"""Unit tests for the Markov prediction tables."""
+"""Unit tests for the differential Markov prediction table."""
+
+import pytest
 
 from repro.config import MarkovPredictorConfig
-from repro.predictors.markov import DifferentialMarkovTable, MarkovTable
+from repro.predictors.markov import DifferentialMarkovTable
+
+
+def _table(entries=64, associativity=4):
+    return DifferentialMarkovTable(
+        MarkovPredictorConfig(entries=entries, associativity=associativity)
+    )
 
 
 class TestMarkovTable:
+    """The table's organisation: hashed sets, LRU ways, hit accounting."""
+
     def test_lookup_unknown(self):
-        assert MarkovTable(64).lookup(0x1000) is None
+        assert _table().lookup(0x1000) is None
 
     def test_train_then_lookup(self):
-        table = MarkovTable(64)
+        table = _table()
         table.train(0x1000, 0x2000)
         assert table.lookup(0x1000) == 0x2000
 
     def test_retrain_overwrites(self):
-        table = MarkovTable(64)
+        table = _table()
         table.train(0x1000, 0x2000)
         table.train(0x1000, 0x3000)
         assert table.lookup(0x1000) == 0x3000
 
     def test_hit_rate(self):
-        table = MarkovTable(64)
+        table = _table()
         table.train(0x1000, 0x2000)
         table.lookup(0x1000)
         table.lookup(0x9999)
@@ -28,11 +38,25 @@ class TestMarkovTable:
 
     def test_associativity_keeps_colliding_entries(self):
         # A 4-way table holds at least 4 entries per set, whatever the hash.
-        table = MarkovTable(16, associativity=16)  # one fully-assoc set
+        table = _table(16, associativity=16)  # one fully-assoc set
         addresses = [0x1000 + i * 64 for i in range(16)]
         for address in addresses:
             table.train(address, address + 64)
         assert all(table.lookup(a) == a + 64 for a in addresses)
+
+    def test_lru_way_is_evicted(self):
+        table = _table(2, associativity=2)  # one two-way set
+        table.train(0x1000, 0x1040)
+        table.train(0x2000, 0x2040)
+        table.lookup(0x1000)  # 0x2000 is now least recently used
+        table.train(0x3000, 0x3040)
+        assert table.lookup(0x2000) is None
+        assert table.lookup(0x1000) == 0x1040
+        assert table.lookup(0x3000) == 0x3040
+
+    def test_rejects_ways_that_do_not_divide_the_entries(self):
+        with pytest.raises(ValueError, match="divide evenly"):
+            _table(10, associativity=4)
 
 
 class TestDifferentialMarkovTable:

@@ -129,10 +129,9 @@ def _tables(sfm):
         for table_set in sfm.stride_table._sets
     ]
     markov = sfm.markov_table
-    transitions = [list(table_set.items()) for table_set in markov._store._sets]
+    transitions = [list(table_set.items()) for table_set in markov._sets]
     counters = (sfm.trains, sfm.correct_trains, markov.trains,
-                markov.lookups, markov.hits,
-                getattr(markov, "trains_out_of_range", None))
+                markov.lookups, markov.hits, markov.trains_out_of_range)
     return strides, transitions, counters
 
 
@@ -162,13 +161,12 @@ def _miss_stream(seed, length=4_000):
     return misses[:length]
 
 
-def _small_sfm(differential):
+def _small_sfm():
     """An SFM small enough that the miss streams below evict from both
     tables."""
     return StrideFilteredMarkovPredictor(
         StridePredictorConfig(entries=16, associativity=2),
-        MarkovPredictorConfig(entries=64, associativity=4,
-                              differential=differential),
+        MarkovPredictorConfig(entries=64, associativity=4),
     )
 
 
@@ -200,12 +198,11 @@ def _fast_forward_stretches(workload, counts):
 
 
 class TestTrainAll:
-    @pytest.mark.parametrize("differential", [True, False])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_matches_one_train_per_miss(self, differential, seed):
+    def test_matches_one_train_per_miss(self, seed):
         misses = _miss_stream(seed)
         align = ~31
-        bulk, single = _small_sfm(differential), _small_sfm(differential)
+        bulk, single = _small_sfm(), _small_sfm()
         # One call per stretch, as fast-forward makes them.
         for first in range(0, len(misses), 500):
             stretch = misses[first:first + 500]
@@ -223,18 +220,14 @@ class TestTrainAll:
         ]
         assert any(entry.consecutive_correct > 0 for entry in entries)
         assert any(int(entry.confidence) > 0 for entry in entries)
-        if differential:
-            assert markov.trains_out_of_range > 0
+        assert markov.trains_out_of_range > 0
 
-    @pytest.mark.parametrize("differential", [True, False])
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("start", [0, 1], ids=["even", "odd"])
-    def test_detuned_matches_alternating_warm_calls(
-        self, differential, seed, start
-    ):
+    def test_detuned_matches_alternating_warm_calls(self, seed, start):
         misses = _miss_stream(seed)
         align = ~31
-        bulk, single = _small_sfm(differential), _small_sfm(differential)
+        bulk, single = _small_sfm(), _small_sfm()
         calls = start
         # Odd-length stretches, so each starts at the other parity.
         for first in range(0, len(misses), 499):
@@ -253,9 +246,8 @@ class TestTrainAll:
             for table_set in single.stride_table._sets
             for entry in table_set.values()
         )
-        if differential:
-            assert markov.trains_out_of_range > 0
-        full = _small_sfm(differential)
+        assert markov.trains_out_of_range > 0
+        full = _small_sfm()
         full.train_all(misses, align)
         assert _tables(full) != _tables(single)
 

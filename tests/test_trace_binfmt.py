@@ -19,7 +19,7 @@ from repro.trace.binfmt import (
     _pack_record,
     binary_trace_count,
 )
-from repro.trace.io import load_trace_list, save_trace
+from repro.trace.io import load_trace, save_trace
 from repro.trace.record import InstrKind, TraceRecord
 from repro.workloads import (
     cache as cache_module,
@@ -53,7 +53,7 @@ class TestRoundTrip:
         text = str(tmp_path / "gs.trace")
         compile_trace(binary, iter(records))
         save_trace(text, iter(records))
-        assert load_binary_trace_list(binary) == load_trace_list(text)
+        assert load_binary_trace_list(binary) == list(load_trace(text))
 
     def test_limit_truncates(self, tmp_path):
         path = str(tmp_path / "t.rtb")
@@ -79,7 +79,7 @@ class TestRoundTrip:
         path = str(tmp_path / "anything.dat")
         compile_trace(path, iter(RECORDS))
         assert sniff_binary(path)
-        assert load_trace_list(path) == RECORDS
+        assert list(load_trace(path)) == RECORDS
 
     def test_text_trace_is_not_sniffed_as_binary(self, tmp_path):
         path = str(tmp_path / "t.trace")
@@ -89,8 +89,6 @@ class TestRoundTrip:
     def test_compiling_a_lenient_text_load_keeps_skip_counts(self, tmp_path):
         # A damaged text trace loaded with strict=False skips bad lines;
         # compiling that stream preserves exactly the surviving records.
-        from repro.trace.io import load_trace
-
         text = str(tmp_path / "damaged.trace")
         save_trace(text, iter(RECORDS))
         with open(text) as handle:

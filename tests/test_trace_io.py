@@ -8,7 +8,6 @@ import pytest
 from repro.trace.io import (
     TraceFormatError,
     load_trace,
-    load_trace_list,
     save_trace,
 )
 from repro.trace.record import InstrKind, TraceRecord
@@ -37,25 +36,25 @@ class TestRoundTrip:
         written = save_trace(buffer, _sample_records())
         assert written == len(_sample_records())
         buffer.seek(0)
-        assert load_trace_list(buffer) == _sample_records()
+        assert list(load_trace(buffer)) == _sample_records()
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.txt")
         save_trace(path, _sample_records())
-        assert load_trace_list(path) == _sample_records()
+        assert list(load_trace(path)) == _sample_records()
 
     def test_limit(self):
         buffer = io.StringIO()
         written = save_trace(buffer, _sample_records(), limit=3)
         assert written == 3
         buffer.seek(0)
-        assert len(load_trace_list(buffer)) == 3
+        assert len(list(load_trace(buffer))) == 3
 
     def test_workload_round_trip(self, tmp_path):
         path = str(tmp_path / "health.trace")
         original = list(itertools.islice(get_workload("health"), 2000))
         save_trace(path, iter(original))
-        assert load_trace_list(path) == original
+        assert list(load_trace(path)) == original
 
 
 class TestErrors:
@@ -79,7 +78,7 @@ class TestErrors:
         buffer = io.StringIO(
             "# repro-trace v1\n\n# comment\nA 1000 0 0\n"
         )
-        records = load_trace_list(buffer)
+        records = list(load_trace(buffer))
         assert len(records) == 1
         assert records[0].kind == InstrKind.IALU
 
@@ -116,25 +115,26 @@ class TestNonStrictMode:
 
     def test_skips_and_counts_bad_records(self):
         errors = []
-        records = load_trace_list(
+        records = list(load_trace(
             io.StringIO(self._TEXT), strict=False, errors=errors
-        )
+        ))
         assert len(records) == 3
         assert len(errors) == 2
         assert [e.line_number for e in errors] == [3, 7]
         assert errors[0].line == "Z broken one"
 
     def test_skipping_without_collecting_errors(self):
-        records = load_trace_list(io.StringIO(self._TEXT), strict=False)
+        records = list(load_trace(io.StringIO(self._TEXT), strict=False))
         assert len(records) == 3
 
     def test_strict_default_still_raises(self):
         with pytest.raises(TraceFormatError):
-            load_trace_list(io.StringIO(self._TEXT))
+            list(load_trace(io.StringIO(self._TEXT)))
 
     def test_bad_header_raises_even_when_lenient(self):
         with pytest.raises(TraceFormatError):
-            load_trace_list(io.StringIO("garbage\nA 1000 0 0\n"), strict=False)
+            list(load_trace(io.StringIO("garbage\nA 1000 0 0\n"),
+                            strict=False))
 
 
 class TestSimulationOnLoadedTrace:

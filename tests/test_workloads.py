@@ -117,17 +117,6 @@ class TestEveryWorkload:
             if record.is_memory:
                 assert record.addr > 0
 
-    def test_scale_shrinks_structures(self, name):
-        generator = get_workload_generator(name, scale=0.25)
-        assert generator.scale == 0.25
-        # The scaled stream must still produce records.
-        records = list(itertools.islice(generator.generate(), 500))
-        assert len(records) == 500
-
-    def test_rejects_bad_scale(self, name):
-        with pytest.raises(ValueError):
-            get_workload_generator(name, scale=0)
-
 
 class TestWorkloadCharacter:
     """Each stand-in must show the access pattern the paper attributes

@@ -1,10 +1,11 @@
 """Shared machinery for the benchmark harness.
 
-Figures 5-9 and Table 2 all report on the same 36 simulations (six
-workloads x six machine configurations), so results are computed once
-per pytest session and cached here.  Every benchmark prints the rows or
-series of the table/figure it reproduces, alongside the paper's
-qualitative expectation, so the comparison lives in the output.
+Figures 5-9 and Table 2 all report on the same 42 simulations (the
+seven registered workloads x six machine configurations), so results
+are computed once per pytest session and cached here.  Every benchmark
+prints the rows or series of the table/figure it reproduces, alongside
+the paper's qualitative expectation, so the comparison lives in the
+output.
 
 Run lengths are scaled for the Python substrate (the paper simulated
 tens of millions of Alpha instructions per benchmark); EXPERIMENTS.md
@@ -21,7 +22,8 @@ from repro.runner import CampaignRunner, RunSpec, WorkloadSpec
 from repro.sim import SimulationResult, baseline_config, paper_configs
 from repro.workloads import workload_names
 
-#: Instructions simulated per run (after warm-up) and warm-up length.
+#: Trace records per run, warm-up included, and the warm-up length: a
+#: run measures ``MAX_INSTRUCTIONS - WARMUP_INSTRUCTIONS`` instructions.
 MAX_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", 60_000))
 WARMUP_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_WARMUP", 25_000))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", 1))
@@ -35,9 +37,6 @@ _runner = CampaignRunner(
     isolation="process" if WORKERS > 1 else "inline",
     workers=WORKERS, on_error="fail",
 )
-
-#: Pointer-intensive benchmarks (the paper's averages exclude turb3d).
-POINTER_PROGRAMS = ("health", "burg", "deltablue", "gs", "sis")
 
 #: Configuration labels in figure order, Base first.
 CONFIG_LABELS = ("Base", "Stride", "2Miss-RR", "2Miss-Priority",
@@ -58,7 +57,8 @@ def run(workload: str, label: str) -> SimulationResult:
 
 
 def run_matrix() -> Dict[Tuple[str, str], SimulationResult]:
-    """All 36 runs of the main evaluation (Figures 5-9, Table 2).
+    """All 42 runs of the main evaluation (Figures 5-9, Table 2):
+    every registered workload under each of ``CONFIG_LABELS``.
 
     With ``REPRO_BENCH_WORKERS > 1`` the not-yet-cached cells run as
     one parallel campaign instead of one single-point campaign at a

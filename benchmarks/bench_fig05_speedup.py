@@ -9,10 +9,10 @@ pointer programs; on the FORTRAN program the two are comparable;
 confidence allocation is what rescues burg and sis.
 """
 
-from _shared import CONFIG_LABELS, POINTER_PROGRAMS, run, speedup
+from _shared import CONFIG_LABELS, speedup
 
 from repro.analysis.report import ascii_table
-from repro.workloads import workload_names
+from repro.workloads import POINTER_WORKLOADS, workload_names
 
 _PREFETCHERS = [label for label in CONFIG_LABELS if label != "Base"]
 
@@ -30,8 +30,8 @@ def test_fig05_speedup_over_base(benchmark):
         for name in workload_names()
     ]
     averages = {
-        label: sum(speedups[name][label] for name in POINTER_PROGRAMS)
-        / len(POINTER_PROGRAMS)
+        label: sum(speedups[name][label] for name in POINTER_WORKLOADS)
+        / len(POINTER_WORKLOADS)
         for label in _PREFETCHERS
     }
     rows.append(
@@ -51,7 +51,7 @@ def test_fig05_speedup_over_base(benchmark):
     )
 
     # PSB (best variant) beats Stride on every pointer program.
-    for name in POINTER_PROGRAMS:
+    for name in POINTER_WORKLOADS:
         best_psb = max(
             speedups[name][label]
             for label in _PREFETCHERS

@@ -148,23 +148,13 @@ python -m repro sweep many_streams --machines psb,psb-harmonic \
 python -m repro report --campaign "$sharing_dir/camp" \
     --out "$sharing_dir/sharing.md"
 grep -q 'psb-harmonic' "$sharing_dir/sharing.md"
-python -m repro run many_streams --machine psb --buffer-sharing harmonic \
+python -m repro run many_streams --machine psb-harmonic \
     --instructions 4000 --warmup 1000 \
     --metrics --metrics-out "$sharing_dir/metrics.json"
 python -m repro report --metrics "$sharing_dir/metrics.json" \
     --out "$sharing_dir/pool.md"
 grep -q '## Buffer sharing (entry pool)' "$sharing_dir/pool.md"
 grep -q 'free credit' "$sharing_dir/pool.md"
-python -m repro run many_streams --machine psb --buffer-sharing harmonic \
-    --pool-entries 24 --instructions 4000 --warmup 1000 \
-    --metrics --metrics-out "$sharing_dir/metrics24.json"
-python - "$sharing_dir/metrics24.json" <<'EOF'
-import json, sys
-final = json.load(open(sys.argv[1]))["final"]
-assert final["pool.allocated"] == 24.0, final["pool.allocated"]
-print("smoke: --pool-entries preset point ran with",
-      int(final["pool.allocated"]), "pooled entries")
-EOF
 echo "smoke: buffer-sharing sweep + pool report render"
 rm -rf "$sharing_dir"
 

@@ -29,7 +29,7 @@ import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.report import ascii_table
-from repro.config import BufferSharing, InvariantLevel, SimConfig
+from repro.config import InvariantLevel, SimConfig
 from repro.errors import ConfigError, ReproError
 from repro.sim import baseline_config, paper_configs, simulate
 from repro.sim.presets import (
@@ -58,7 +58,7 @@ MACHINES: Dict[str, Callable[[], SimConfig]] = {
     "psb": lambda: paper_configs()["ConfAlloc-Priority"],
     # PSB with the stream-buffer entries shared as one online-allocated
     # pool instead of the paper's fixed 8 x 4 partition (see
-    # docs/buffer_sharing.md); equivalently `--buffer-sharing` on run.
+    # docs/buffer_sharing.md).
     "psb-harmonic": lambda: sharing_configs()["harmonic"],
     "psb-credence": lambda: sharing_configs()["credence"],
     "jouppi": sequential_config,
@@ -129,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "default: all)",
     )
     _add_sample_argument(run)
-    _add_sharing_arguments(run)
 
     compare = commands.add_parser(
         "compare",
@@ -314,13 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "attempt resumes mid-run instead of restarting "
              "(requires --campaign-dir)",
     )
-    sweep.add_argument(
-        "--golden", action="store_true",
-        help="diff every completed point against the golden functional "
-             "model (requires --warmup 0)",
-    )
     _add_sample_argument(sweep)
-    _add_sharing_arguments(sweep)
     sweep.add_argument(
         "--chaos-seed", type=int, default=None, metavar="SEED",
         help="inject a deterministic, seeded schedule of environment "
@@ -430,38 +423,6 @@ def _machines_of(args: argparse.Namespace) -> List[str]:
             field=f"{args.command}.machines",
         )
     return machines
-
-
-def _add_sharing_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--buffer-sharing", choices=("fixed", "harmonic", "credence"),
-        default="fixed", metavar="POLICY",
-        help="stream-buffer entry ownership: 'fixed' is the paper's "
-             "static 8x4 partition (default, bit-identical to older "
-             "releases); 'harmonic' and 'credence' share the entries as "
-             "one online-allocated pool (see docs/buffer_sharing.md)",
-    )
-    parser.add_argument(
-        "--pool-entries", type=int, default=None, metavar="N",
-        help="shared-pool capacity for the pooled sharing policies "
-             "(default: num_buffers x entries_per_buffer = 32; ignored "
-             "under 'fixed')",
-    )
-
-
-def _apply_sharing(args: argparse.Namespace, config: SimConfig) -> SimConfig:
-    """Fold the ``--buffer-sharing`` flags into a machine config."""
-    sharing = getattr(args, "buffer_sharing", "fixed")
-    pool_entries = getattr(args, "pool_entries", None)
-    if sharing == "fixed" and pool_entries is None:
-        return config
-    if pool_entries is not None and sharing == "fixed":
-        raise ConfigError(
-            "--pool-entries only applies to the pooled sharing policies; "
-            "pick --buffer-sharing harmonic or credence",
-            field="buffer_sharing",
-        )
-    return config.with_sharing(BufferSharing(sharing), pool_entries)
 
 
 def _add_sample_argument(parser: argparse.ArgumentParser) -> None:
@@ -606,9 +567,7 @@ def _command_run(args: argparse.Namespace) -> int:
             f"got {args.metrics_interval}",
             field="run.metrics_interval",
         )
-    config = _apply_sample(
-        args, _apply_sharing(args, _config_of(args, args.machine))
-    )
+    config = _apply_sample(args, _config_of(args, args.machine))
     # A sampled run writes its result without a metrics timeline.
     metrics_interval = None
     if args.metrics and config.sampling is None:
@@ -982,18 +941,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     from repro.runner import CampaignRunner, RunSpec, WorkloadSpec
 
     _check_instructions(args)
-    if args.golden and _warmup_of(args) != 0:
-        raise ConfigError(
-            "sweep: --golden requires --warmup 0 (a warm-up reset "
-            "discards events the golden model counts)",
-            field="sweep.golden",
-        )
-    if args.golden and args.sample is not None:
-        raise ConfigError(
-            "sweep: --golden and --sample are incompatible (the golden "
-            "model counts every record; sampling only measures windows)",
-            field="sweep.golden",
-        )
     machines = _machines_of(args)
     chaos = None
     if args.chaos_seed is not None:
@@ -1011,13 +958,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
     specs = [
         RunSpec(
             run_id=f"{args.workload}/{name}",
-            config=_apply_sample(
-                args, _apply_sharing(args, _config_of(args, name))
-            ),
+            config=_apply_sample(args, _config_of(args, name)),
             trace=WorkloadSpec(args.workload, seed=args.seed),
             max_instructions=args.instructions,
             warmup_instructions=_warmup_of(args),
-            golden_check=args.golden,
         )
         for name in machines
     ]

@@ -520,19 +520,9 @@ class SimConfig:
         """Return a copy of this config using ``prefetch``."""
         return replace(self, prefetch=prefetch)
 
-    def with_sharing(
-        self, sharing: BufferSharing, pool_entries: Optional[int] = None
-    ) -> "SimConfig":
-        """Return a copy using ``sharing`` for stream-buffer entries.
-
-        ``pool_entries`` overrides the shared-pool capacity; ``None``
-        keeps the default (``num_buffers * entries_per_buffer``).
-        """
-        buffers = replace(
-            self.prefetch.stream_buffers,
-            sharing=sharing,
-            pool_entries=pool_entries,
-        )
+    def with_sharing(self, sharing: BufferSharing) -> "SimConfig":
+        """Return a copy using ``sharing`` for stream-buffer entries."""
+        buffers = replace(self.prefetch.stream_buffers, sharing=sharing)
         return replace(
             self, prefetch=replace(self.prefetch, stream_buffers=buffers)
         )

@@ -33,6 +33,7 @@ regenerated baseline, never a command-line flag.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import subprocess
 import time
@@ -96,10 +97,12 @@ class BenchmarkError(ReproError):
 
 
 def _git_rev() -> str:
+    """The short revision of the checkout these sources ran from."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
     except OSError:
         return "unknown"

@@ -109,7 +109,6 @@ from repro.errors import (
     WorkerPoisonedError,
     error_kind,
 )
-from repro.integrity.golden import golden_check, run_golden
 from repro.integrity.snapshot import SimSnapshot, resume_run, run_mode
 from repro.runner.chaos import ChaosEngine, ChaosSpec
 from repro.runner.checkpoint import (
@@ -172,10 +171,6 @@ class RunSpec:
     warmup_instructions: int = 0
     #: Deterministic fault schedule (testing/chaos engineering only).
     faults: Optional[FaultSpec] = None
-    #: Replay the trace through the golden functional model after the
-    #: run and raise :class:`~repro.errors.IntegrityError` on
-    #: divergence.  Requires ``warmup_instructions == 0``.
-    golden_check: bool = False
 
     def fingerprint(self) -> str:
         """Stable identity of this spec's *inputs*, for resume matching.
@@ -184,15 +179,10 @@ class RunSpec:
         and this fingerprint match, so editing a spec invalidates its
         old results.
         """
-        parts = [
+        return spec_fingerprint(
             self.config, self.trace, self.max_instructions,
             self.warmup_instructions, self.faults,
-        ]
-        if self.golden_check:
-            # Appended conditionally so fingerprints of plain specs
-            # stay compatible with pre-existing checkpoints.
-            parts.append("golden_check")
-        return spec_fingerprint(*parts)
+        )
 
 
 @dataclass
@@ -388,35 +378,7 @@ def execute_spec(
         )
     if snapshot_quarantined:
         result.extra["snapshot_quarantined"] = 1.0
-    if spec.golden_check:
-        _golden_validate(spec, result)
     return result
-
-
-def _golden_validate(spec: RunSpec, result: SimulationResult) -> None:
-    """Replay the spec's trace through the golden model and verify."""
-    if spec.warmup_instructions:
-        raise ConfigError(
-            "RunSpec.golden_check requires warmup_instructions == 0 "
-            "(a warm-up reset discards events the golden model counts)",
-            field="RunSpec.golden_check",
-        )
-    if spec.config.sampling is not None:
-        raise ConfigError(
-            "RunSpec.golden_check is incompatible with sampling: the "
-            "conservation laws count every instruction, but a sampled "
-            "run only measures its detailed windows",
-            field="RunSpec.golden_check",
-        )
-    reference = _resolve_trace(
-        spec.trace, None, 0, max_instructions=spec.max_instructions
-    )
-    golden = run_golden(
-        spec.config, reference, max_instructions=spec.max_instructions
-    )
-    report = golden_check(result, golden)
-    result.extra["golden_miss_rate"] = report.golden_miss_rate
-    report.verify()
 
 
 def _is_picklable(spec: RunSpec) -> bool:

@@ -11,7 +11,7 @@ Section 6 compares six configurations on every benchmark:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.config import (
     AllocationPolicy,
@@ -106,22 +106,20 @@ def demand_markov_config() -> SimConfig:
     return SimConfig(prefetch=PrefetchConfig(kind=PrefetcherKind.DEMAND_MARKOV))
 
 
-def sharing_configs(
-    pool_entries: Optional[int] = None,
-) -> Dict[str, SimConfig]:
+def sharing_configs() -> Dict[str, SimConfig]:
     """The buffer-sharing comparison: one PSB machine per policy.
 
     All three run the paper's best machine (ConfAlloc-Priority); only
     the entry-ownership policy differs.  ``fixed`` is bit-identical to
-    :func:`psb_config`, the pooled policies share ``pool_entries``
-    entries (default: the same 8 x 4 = 32 the fixed partition owns).
-    See :mod:`repro.streambuf.sharing` and ``docs/buffer_sharing.md``.
+    :func:`psb_config`, the pooled policies share the same 8 x 4 = 32
+    entries the fixed partition owns.  See :mod:`repro.streambuf.sharing`
+    and ``docs/buffer_sharing.md``.
     """
     base = psb_config()
     return {
-        "fixed": base.with_sharing(BufferSharing.FIXED, pool_entries),
-        "harmonic": base.with_sharing(BufferSharing.HARMONIC, pool_entries),
-        "credence": base.with_sharing(BufferSharing.CREDENCE, pool_entries),
+        "fixed": base.with_sharing(BufferSharing.FIXED),
+        "harmonic": base.with_sharing(BufferSharing.HARMONIC),
+        "credence": base.with_sharing(BufferSharing.CREDENCE),
     }
 
 

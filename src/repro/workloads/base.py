@@ -85,7 +85,9 @@ class WorkloadGenerator(ABC):
     """Base class for the six benchmark stand-ins.
 
     Subclasses define :meth:`generate`, an infinite record stream; the
-    simulator caps it with ``max_instructions``.
+    simulator caps it with ``max_instructions``.  A registered
+    generator's only input is its ``seed``: its shape (list counts,
+    region sizes, churn rates) is class-level constants.
     """
 
     #: Short name used by the registry and benchmark harnesses.

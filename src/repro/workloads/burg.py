@@ -28,19 +28,14 @@ class BurgWorkload(WorkloadGenerator):
         "grammar-tree walks with recurring paths and table emission."
     )
 
-    def __init__(
-        self,
-        seed: int = 1,
-        tree_nodes: int = 6000,
-        num_rules: int = 300,
-        walk_depth: int = 12,
-    ) -> None:
-        super().__init__(seed)
-        self.tree_nodes = tree_nodes
-        self.num_rules = num_rules
-        self.walk_depth = walk_depth
-        self.table_base = 0x4000_0000
-        self.table_entries = 512
+    #: Nodes in the grammar tree.
+    tree_nodes = 6000
+    #: Recurring root-to-leaf rules the matcher walks.
+    num_rules = 300
+    #: Longest rule path, in tree levels.
+    walk_depth = 12
+    table_base = 0x4000_0000
+    table_entries = 512
 
     def _build_tree(self, heap: HeapModel) -> List[int]:
         """Heap addresses for a binary tree, allocated in DFS order.

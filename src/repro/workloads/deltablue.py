@@ -29,19 +29,14 @@ class DeltaBlueWorkload(WorkloadGenerator):
         "constraint chains and an abundance of short-lived heap objects."
     )
 
-    def __init__(
-        self,
-        seed: int = 1,
-        num_chains: int = 16,
-        chain_length: int = 80,
-        arena_kib: int = 160,
-        churn_chance: float = 0.03,
-    ) -> None:
-        super().__init__(seed)
-        self.num_chains = num_chains
-        self.chain_length = chain_length
-        self.arena_bytes = arena_kib * 1024
-        self.churn_chance = churn_chance
+    #: Constraint chains in the graph.
+    num_chains = 16
+    #: Constraints per chain.
+    chain_length = 80
+    #: The recycling arena replacement constraints come from.
+    arena_bytes = 160 * 1024
+    #: Per-constraint chance that an edit replaces it.
+    churn_chance = 0.03
 
     def _build_chains(self, heap: HeapModel, rng) -> List[List[int]]:
         """Constraint chains whose nodes were allocated consecutively but

@@ -27,18 +27,13 @@ class GhostscriptWorkload(WorkloadGenerator):
         "plus rasterization (unit-stride scan-line processing)."
     )
 
-    def __init__(
-        self,
-        seed: int = 1,
-        raster_kib: int = 96,
-        num_display_lists: int = 8,
-        objects_per_list: int = 96,
-    ) -> None:
-        super().__init__(seed)
-        self.raster_bytes = raster_kib * 1024
-        self.num_display_lists = num_display_lists
-        self.objects_per_list = objects_per_list
-        self.raster_base = 0x5000_0000
+    #: The scan-line buffers rasterization sweeps.
+    raster_bytes = 96 * 1024
+    #: Display lists the interpreter chases.
+    num_display_lists = 8
+    #: Graphics objects per display list.
+    objects_per_list = 96
+    raster_base = 0x5000_0000
 
     def _build_display_lists(self, heap: HeapModel, rng) -> List[List[int]]:
         lists: List[List[int]] = []

@@ -34,17 +34,12 @@ class HealthWorkload(WorkloadGenerator):
         "repeated traversal of per-village patient linked lists."
     )
 
-    def __init__(
-        self,
-        seed: int = 1,
-        num_lists: int = 20,
-        nodes_per_list: int = 64,
-        relink_chance: float = 0.01,
-    ) -> None:
-        super().__init__(seed)
-        self.num_lists = num_lists
-        self.nodes_per_list = nodes_per_list
-        self.relink_chance = relink_chance
+    #: Villages, one patient list each.
+    num_lists = 20
+    #: Patients per list.
+    nodes_per_list = 64
+    #: Base per-visit chance that a patient moves in its list.
+    relink_chance = 0.01
 
     def _build_lists(self, heap: HeapModel, rng) -> List[List[int]]:
         """Allocate each list's nodes in one segment, traversal shuffled.

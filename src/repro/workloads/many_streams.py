@@ -49,23 +49,17 @@ class ManyStreamsWorkload(WorkloadGenerator):
         "streams with heavily skewed lookahead demand (2 hot, 14 cold)."
     )
 
-    def __init__(
-        self,
-        seed: int = 1,
-        hot_streams: int = 2,
-        cold_streams: int = 14,
-        hot_burst: int = 12,
-        cold_burst: int = 3,
-        cold_per_round: int = 14,
-        stride: int = 32,
-    ) -> None:
-        super().__init__(seed)
-        self.hot_streams = hot_streams
-        self.cold_streams = cold_streams
-        self.hot_burst = hot_burst
-        self.cold_burst = cold_burst
-        self.cold_per_round = min(cold_per_round, self.cold_streams)
-        self.stride = stride
+    #: Streams of long dependent bursts, and streams of scattered noise.
+    hot_streams = 2
+    cold_streams = 14
+    #: Loads per hot stream per round.
+    hot_burst = 12
+    #: Scattered loads per cold-stream visit.
+    cold_burst = 3
+    #: Cold-stream visits per round.
+    cold_per_round = 14
+    #: Bytes between consecutive loads of a hot stream.
+    stride = 32
 
     def generate(self) -> Iterator[TraceRecord]:
         rng = self._rng()

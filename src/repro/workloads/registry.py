@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Type
 
+from repro.errors import ConfigError
 from repro.trace.record import TraceRecord
 from repro.workloads.base import WorkloadGenerator
 from repro.workloads.burg import BurgWorkload
@@ -40,18 +41,21 @@ def workload_names() -> List[str]:
     return list(WORKLOADS)
 
 
-def get_workload_generator(
-    name: str, seed: int = 1, **kwargs
-) -> WorkloadGenerator:
-    """Instantiate a workload generator by benchmark name."""
+def get_workload_generator(name: str, seed: int = 1) -> WorkloadGenerator:
+    """Instantiate a workload generator by benchmark name.
+
+    Raises :class:`~repro.errors.ConfigError` for an unknown name.
+    """
     try:
         factory = WORKLOADS[name]
     except KeyError:
         known = ", ".join(WORKLOADS)
-        raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-    return factory(seed=seed, **kwargs)
+        raise ConfigError(
+            f"unknown workload {name!r}; known: {known}", field="workload"
+        ) from None
+    return factory(seed=seed)
 
 
-def get_workload(name: str, seed: int = 1, **kwargs) -> Iterator[TraceRecord]:
+def get_workload(name: str, seed: int = 1) -> Iterator[TraceRecord]:
     """An unbounded trace for ``name`` (convenience over the generator)."""
-    return get_workload_generator(name, seed=seed, **kwargs).generate()
+    return get_workload_generator(name, seed=seed).generate()

@@ -39,20 +39,15 @@ class SisWorkload(WorkloadGenerator):
         "minimization over a large gate network; many concurrent streams."
     )
 
-    def __init__(
-        self,
-        seed: int = 1,
-        num_tables: int = 12,
-        table_kib: int = 8,
-        num_gates: int = 2400,
-        fanin: int = 4,
-    ) -> None:
-        super().__init__(seed)
-        self.num_tables = num_tables
-        self.table_bytes = table_kib * 1024
-        self.num_gates = num_gates
-        self.fanin = fanin
-        self.table_base = 0x6000_0000
+    #: Cube tables the pipelined phase scans in rotation.
+    num_tables = 12
+    #: Bytes per cube table.
+    table_bytes = 8 * 1024
+    #: Gates in the network.
+    num_gates = 2400
+    #: Fanin pointers per gate.
+    fanin = 4
+    table_base = 0x6000_0000
 
     def _build_network(self, heap: HeapModel, rng) -> List[List[int]]:
         """Gates with small fanin lists pointing at other gates."""

@@ -28,19 +28,12 @@ class Turb3dWorkload(WorkloadGenerator):
         "stride-dominated FORTRAN loops over a 3-D grid."
     )
 
-    def __init__(
-        self,
-        seed: int = 1,
-        nx: int = 32,
-        ny: int = 32,
-        nz: int = 16,
-    ) -> None:
-        super().__init__(seed)
-        self.nx = nx
-        self.ny = ny
-        self.nz = nz
-        self.grid_base = 0x2000_0000
-        self.out_base = 0x3000_0000
+    #: Grid extent along each axis, in elements.
+    nx = 32
+    ny = 32
+    nz = 16
+    grid_base = 0x2000_0000
+    out_base = 0x3000_0000
 
     def _address(self, x: int, y: int, z: int) -> int:
         index = (z * self.ny + y) * self.nx + x

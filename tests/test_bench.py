@@ -3,9 +3,11 @@
 import copy
 import json
 import os
+import subprocess
 
 import pytest
 
+import repro.perf.bench as perf_bench
 from repro.cli import MACHINES, main
 from repro.config import SamplingConfig
 from repro.perf.bench import (
@@ -81,6 +83,21 @@ class TestRunBench:
         assert [label for label, _ in runs] == (
             ["health:stepped", "health:event"] * 3
         )
+
+    def test_git_rev_reads_the_checkout_that_ran(self, tmp_path, monkeypatch):
+        # The stamped revision is the sources', wherever the caller stands.
+        source_dir = os.path.dirname(os.path.abspath(perf_bench.__file__))
+        try:
+            expected = subprocess.run(
+                ["git", "-C", source_dir, "rev-parse", "--short", "HEAD"],
+                capture_output=True, text=True, timeout=10,
+            )
+        except OSError:
+            pytest.skip("git is not installed")
+        if expected.returncode != 0:
+            pytest.skip("the sources are not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert perf_bench._git_rev() == expected.stdout.strip()
 
 
 class TestBaseline:

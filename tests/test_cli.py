@@ -271,12 +271,19 @@ class TestExitCodes:
                          id="report-instructions"),
             pytest.param(["trace", "health", "--out", "x", "--binary"],
                          id="trace-binary"),
+            pytest.param(["run", "many_streams", "--buffer-sharing",
+                          "harmonic"], id="run-buffer-sharing"),
+            pytest.param(["run", "many_streams", "--pool-entries", "24"],
+                         id="run-pool-entries"),
+            pytest.param(["sweep", "health", "--golden"], id="sweep-golden"),
         ],
     )
     def test_retired_comparison_flags_are_usage_errors(self, argv, capsys):
         # `compare` is the one command that compares machines inline:
-        # `sweep` only runs campaigns and `report` only renders.  And
-        # `trace compile WORKLOAD --out X` is the one way to compile.
+        # `sweep` only runs campaigns and `report` only renders.
+        # `trace compile WORKLOAD --out X` is the one way to compile, a
+        # pooled sharing policy is a machine (`--machine psb-harmonic`),
+        # and `check` is the one golden-model driver.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

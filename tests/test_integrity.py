@@ -179,17 +179,6 @@ class TestGoldenModel:
             golden_check(result, golden, warmup_instructions=1_000)
         assert excinfo.value.invariant == "golden.precondition"
 
-    def test_campaign_golden_check_passes(self, tmp_path):
-        spec = RunSpec(
-            run_id="golden/psb",
-            config=psb_config(),
-            trace=WorkloadSpec("health", seed=1),
-            max_instructions=INSTRUCTIONS,
-            golden_check=True,
-        )
-        result = execute_spec(spec)
-        assert "golden_miss_rate" in result.extra
-
 
 # ----------------------------------------------------------------------
 # Pillar 3: deterministic snapshot/replay

@@ -23,7 +23,7 @@ from repro.runner import (
     RunSpec,
     WorkloadSpec,
 )
-from repro.sim import baseline_config, simulate
+from repro.sim import baseline_config, psb_config, simulate
 from repro.workloads import get_workload
 
 INSTRUCTIONS = 1_500
@@ -316,6 +316,34 @@ class TestResume:
         campaign = _inline(campaign_dir=d, resume=True).run([spec])
         assert campaign.resumed == ["bad"]
         assert campaign.failures["bad"].error_kind == "TraceFormatError"
+
+    def test_plain_spec_fingerprint_is_pinned(self):
+        # Checkpoints written by earlier releases still resume.
+        spec = RunSpec(
+            "health/psb", psb_config(), WorkloadSpec("health", 1),
+            max_instructions=20_000, warmup_instructions=5_000,
+        )
+        assert spec.fingerprint() == "2e5c1c4ae2d5c846"
+
+
+class TestUnknownWorkload:
+    """An unknown workload name fails its own point, once, as a
+    :class:`~repro.errors.ConfigError`, whether or not the cache
+    pre-warms it, and the campaign's other points still run."""
+
+    @pytest.mark.parametrize("instructions", [2_000, None],
+                             ids=["cached", "generated"])
+    def test_fails_once_as_config_error(self, instructions):
+        campaign = _inline(retries=2).run([
+            _spec("health", instructions=2_000),
+            _spec("quake", trace=WorkloadSpec("quake", seed=1),
+                  instructions=instructions),
+        ])
+        assert campaign.outcomes["health"].ok
+        outcome = campaign.failures["quake"]
+        assert outcome.error_kind == "ConfigError"
+        assert outcome.attempts == 1
+        assert "unknown workload 'quake'" in outcome.error_message
 
 
 class TestSnapshotCleanup:

@@ -11,8 +11,8 @@ The sampled estimator's contract has three legs, each pinned here:
   ``bench --sampling``; here a fast subset plus the 1M acceptance
   workload keep the bound honest in the test suite).
 - **Isolation** — sampling must never perturb the detailed path, and
-  incompatible combinations (run-level warm-up, golden checking,
-  a snapshot whose mode tag disagrees with its machine) fail loudly.
+  incompatible combinations (run-level warm-up, a snapshot whose mode
+  tag disagrees with its machine) fail loudly.
 """
 
 import pytest
@@ -103,19 +103,6 @@ class TestGuards:
         with pytest.raises(SimulationError, match="warm"):
             simulator.run(records, max_instructions=100,
                           warmup_instructions=50)
-
-    def test_golden_check_rejected(self):
-        spec = RunSpec(
-            run_id="golden-sampled",
-            config=psb_config().with_sampling(period=2_000, window=200,
-                                              warmup=100),
-            trace=WorkloadSpec("health", seed=1),
-            max_instructions=4_000,
-            warmup_instructions=0,
-            golden_check=True,
-        )
-        with pytest.raises(ConfigError, match="sampl"):
-            execute_spec(spec)
 
 
 # ----------------------------------------------------------------------

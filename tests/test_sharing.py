@@ -356,7 +356,7 @@ class TestPoolInvariants:
 
 
 class TestFixedBitIdentity:
-    """`--buffer-sharing fixed` IS the pre-sharing simulator: explicit
+    """`BufferSharing.FIXED` IS the pre-sharing simulator: explicit
     fixed sharing must not perturb a single counter on any paper
     workload, in either drive mode."""
 

@@ -10,7 +10,7 @@ import struct
 import pytest
 
 from repro.cli import main
-from repro.errors import TraceFormatError
+from repro.errors import ConfigError, TraceFormatError
 from repro.trace import compile_trace, load_binary_trace_list, sniff_binary
 from repro.trace.binfmt import (
     HEADER_BYTES,
@@ -393,7 +393,7 @@ class TestWorkloadCache:
         assert calls == ["gs"]
 
     def test_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             cached_workload_trace("quake", instructions=10)
 
     def test_requires_positive_count(self):
@@ -434,7 +434,7 @@ class TestCollectorPause:
         assert gc.isenabled() is collector
 
     def test_raising_calls_keep_the_state(self, collector, monkeypatch):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             cached_workload_trace("quake", instructions=10)
         assert gc.isenabled() is collector
 

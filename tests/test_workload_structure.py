@@ -5,6 +5,7 @@ from collections import Counter
 
 from repro.trace.record import InstrKind
 from repro.workloads import get_workload
+from repro.workloads.base import HEAP_BASE
 from repro.workloads.burg import BurgWorkload
 from repro.workloads.deltablue import DeltaBlueWorkload
 from repro.workloads.health import HealthWorkload
@@ -89,17 +90,25 @@ class TestBurgStructure:
 
 class TestDeltaBlueStructure:
     def test_arena_recycles_addresses(self):
-        workload = DeltaBlueWorkload(seed=1, churn_chance=0.5)
-        initial = workload.num_chains * workload.chain_length * 48
+        """Stores revisit arena addresses that are still live.
+
+        At the fixed shape the 160 KiB arena first wraps near record
+        953,000, far past these 200,000 records, so every repeat here
+        is an execute-phase store into a constraint still on its chain.
+        ``tests/test_workloads.py::TestHeapModel::test_arena_wraps``
+        covers the wrap itself.
+        """
+        workload = DeltaBlueWorkload(seed=1)
+        arena = range(HEAP_BASE, HEAP_BASE + workload.arena_bytes)
         seen_before = set()
         reused = 0
         for record in itertools.islice(workload.generate(), 200_000):
             if not record.is_store:
                 continue
-            if record.addr in seen_before:
+            if record.addr in seen_before and record.addr in arena:
                 reused += 1
             seen_before.add(record.addr)
-        assert reused > 0  # the arena wrapped and reused memory
+        assert reused > 0
 
     def test_plan_then_execute_revisits_chain(self):
         workload = DeltaBlueWorkload(seed=1)

@@ -1,9 +1,11 @@
 """Tests for the benchmark stand-ins (paper's six plus extensions)."""
 
+import inspect
 import itertools
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.trace.record import InstrKind
 from repro.trace.stream import profile
 from repro.workloads import (
@@ -76,8 +78,20 @@ class TestRegistry:
         assert set(PAPER_WORKLOADS) < set(workload_names())
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError) as excinfo:
             get_workload_generator("quake")
+        assert excinfo.value.field == "workload"
+        assert not excinfo.value.retryable
+
+    def test_seed_is_the_only_constructor_parameter(self):
+        for name, cls in WORKLOADS.items():
+            assert list(inspect.signature(cls).parameters) == ["seed"], name
+
+    def test_size_keywords_are_refused(self):
+        # Sizes are class constants: no keyword reaches a generator, so
+        # none can ask for a shape (no lists at all) that never yields.
+        with pytest.raises(TypeError):
+            get_workload("health", seed=1, num_lists=0)
 
     def test_descriptions_present(self):
         for name, cls in WORKLOADS.items():

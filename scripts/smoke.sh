@@ -2,10 +2,10 @@
 # Smoke check through the real CLI entry points: invariant-checked
 # simulations, a golden-model differential check, trace compilation,
 # the bench gate, sampled and paired runs, observability reports, the
-# docs gates, a parallel and a chaos-injected sweep verified by the
-# offline auditor, and one tiny end-to-end fault-injected campaign
-# (crash + hang + checkpointed resume).  Exits non-zero on the first
-# problem.  The tier-1 test suite runs on its own:
+# docs gates, a parallel sweep and a chaos-injected one (at one and two
+# workers) verified by the offline auditor, and one tiny end-to-end
+# fault-injected campaign (crash + hang + checkpointed resume).  Exits
+# non-zero on the first problem.  The tier-1 test suite runs on its own:
 # PYTHONPATH=src python -m pytest -x -q -m "not slow"
 #
 # Usage: scripts/smoke.sh
@@ -194,26 +194,33 @@ EOF
 rm -rf "$parallel_dir"
 
 echo
-echo "== chaos-injected sweep (--chaos-seed 7, 1 poisoned point) =="
+echo "== chaos-injected sweep (--chaos-seed 7, 1 poisoned point) at 1 and 2 workers =="
 chaos_dir="$(mktemp -d)"
-python -m repro sweep health --machines base,stride,psb,jouppi \
-    --instructions 2000 --warmup 500 --workers 2 --progress \
-    --chaos-seed 7 --chaos-poison 1 --max-worker-kills 2 \
-    --campaign-dir "$chaos_dir"
-python -m repro audit "$chaos_dir"
-python - "$chaos_dir" <<'EOF'
+for workers in 1 2; do
+    python -m repro sweep health --machines base,stride,psb,jouppi \
+        --instructions 2000 --warmup 500 --workers "$workers" --progress \
+        --chaos-seed 7 --chaos-poison 1 --max-worker-kills 2 \
+        --campaign-dir "$chaos_dir/workers$workers"
+    python -m repro audit "$chaos_dir/workers$workers"
+done
+python - "$chaos_dir/workers1" "$chaos_dir/workers2" <<'EOF'
 import json, os, sys
-manifest = json.load(open(os.path.join(sys.argv[1], "manifest.json")))
-assert manifest["status"] == "complete", manifest
-assert manifest["ok"] == 3, manifest
-assert manifest["failed"] == 0, manifest
-assert manifest["poisoned"] == 1, manifest
-counters = manifest["chaos"]["counters"]
-assert counters["checkpoint_enospc"] == 1, counters
-assert counters["checkpoint_torn"] == 1, counters
-assert counters["worker_kills"] >= 1, counters
-assert counters["cache_corrupted"] >= 1, counters
-print("smoke: chaos sweep manifest + audit checks passed")
+counters = []
+for campaign_dir in sys.argv[1:]:
+    manifest = json.load(open(os.path.join(campaign_dir, "manifest.json")))
+    assert manifest["status"] == "complete", manifest
+    assert manifest["ok"] == 3, manifest
+    assert manifest["failed"] == 0, manifest
+    assert manifest["poisoned"] == 1, manifest
+    fired = manifest["chaos"]["counters"]
+    assert fired["checkpoint_enospc"] == 1, fired
+    assert fired["checkpoint_torn"] == 1, fired
+    assert fired["worker_kills"] >= 1, fired
+    assert fired["cache_corrupted"] >= 1, fired
+    counters.append(fired)
+# Every fault fires the same way at any worker count.
+assert counters[0] == counters[1], counters
+print("smoke: chaos sweep manifest + audit checks passed at 1 and 2 workers")
 EOF
 rm -rf "$chaos_dir"
 

@@ -138,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "speedup over the baseline machine ('base' when listed, else "
             "the first) and prefetch accuracy.  With --sample the "
             "machines run as a matched-pair comparison over one shared "
-            "window grid, so the fast-forward cold-start bias cancels "
-            "in the speedups."
+            "window grid, so most of the fast-forward cold-start bias "
+            "cancels in the speedups (not all: it differs by machine)."
         ),
     )
     _add_run_arguments(compare)
@@ -733,8 +733,9 @@ def _command_compare(args: argparse.Namespace) -> int:
         return 0
     print(
         "speedups are paired estimates: every machine was sampled over "
-        "the same window grid, so fast-forward bias cancels in the "
-        "ratios"
+        "the same window grid, so most of the fast-forward bias cancels "
+        "in the ratios, but not all: it differs by machine (health over "
+        "1M records at seed 2: +9.1% on base, +15.9% on psb)"
     )
     if args.paired_out is not None:
         from repro.ioutil import atomic_write

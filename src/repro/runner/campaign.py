@@ -42,16 +42,13 @@ failure-handling machinery that a long unattended sweep needs:
   Fail-fast kills the outstanding workers, drains the scheduler, and
   writes the failed manifest before re-raising.
 - **Worker watchdog** — a worker that dies *without raising* (kill -9,
-  OOM, segfault) is respawned and its point relaunched with bounded
-  backoff, on a kill budget separate from the retry budget; after
-  ``max_worker_kills`` deaths the point is finalised as **poisoned**
-  (a distinct terminal state in the checkpoint, manifest, and
-  progress) and the campaign continues.  If the workers of
-  ``inline_fallback_after`` different points die with no completion in
-  between, the scheduler falls back to inline execution — slower, but
-  the campaign finishes.  A point whose worker died on its own (not
-  killed by the chaos engine) never runs inline: it keeps a slot until
-  it is poisoned, so it cannot take the driver down.
+  OOM, segfault, a chaos kill) is respawned and its point relaunched
+  with bounded backoff, on a kill budget separate from the retry
+  budget; after ``max_worker_kills`` deaths the point is finalised as
+  **poisoned** (a distinct terminal state in the checkpoint, manifest,
+  and progress) and the campaign continues.  Under process isolation
+  no attempt ever runs in the driver, so a point that kills its
+  process cannot take the campaign down.
 - **Chaos** — an optional :class:`~repro.runner.chaos.ChaosSpec`
   injects deterministic environment faults (failing checkpoint
   appends, worker kills, cache/snapshot corruption, torn manifest
@@ -61,12 +58,11 @@ failure-handling machinery that a long unattended sweep needs:
   ``begin``/``point_started``/``point_finished``/``finish`` hooks, for
   points done/in-flight/failed tallies, per-point elapsed, and an ETA.
 
-Because specs cross a process boundary, a spec's trace is *declarative*:
-a :class:`WorkloadSpec` (regenerate from the registry), a
+Because specs cross a process boundary and resume matches them by
+fingerprint, a spec's trace is *declarative*: a :class:`WorkloadSpec`
+(regenerate from the registry, bounded by ``max_instructions``) or a
 :class:`TraceFileSpec` (reload from disk; a malformed record fails the
-point), or a picklable zero-argument callable.  Unpicklable callables
-(lambdas/closures) automatically fall back to inline execution for that
-point.
+point).
 
 This module imports the simulator, the workload registry and the
 integrity layer; none of them imports the runner back.
@@ -77,7 +73,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-import pickle
 import signal
 import threading
 import time
@@ -93,7 +88,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -126,7 +120,6 @@ from repro.sim.results import SimulationResult
 from repro.sim.simulator import Simulator
 from repro.trace.io import load_trace
 from repro.trace.record import TraceRecord
-from repro.workloads import get_workload
 from repro.workloads.cache import (
     cache_path,
     cached_workload_trace,
@@ -157,12 +150,19 @@ class TraceFileSpec:
     path: str
 
 
-TraceSource = Union[WorkloadSpec, TraceFileSpec, Callable[[], Iterable[TraceRecord]]]
+TraceSource = Union[WorkloadSpec, TraceFileSpec]
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One point of a campaign: a config against a trace source."""
+    """One point of a campaign: a config against a trace source.
+
+    Raises :class:`~repro.errors.ConfigError` at construction for a
+    trace that is not a :class:`WorkloadSpec` or a
+    :class:`TraceFileSpec`, and for a ``max_instructions`` below 1.  A
+    workload point must set one: generators never run dry, so without
+    it the point could not end.
+    """
 
     run_id: str
     config: SimConfig
@@ -171,6 +171,23 @@ class RunSpec:
     warmup_instructions: int = 0
     #: Deterministic fault schedule (testing/chaos engineering only).
     faults: Optional[FaultSpec] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.trace, (WorkloadSpec, TraceFileSpec)):
+            raise ConfigError(
+                "RunSpec.trace: expected a WorkloadSpec or a TraceFileSpec, "
+                f"got {type(self.trace).__name__}",
+                field="RunSpec.trace",
+            )
+        bound = self.max_instructions
+        if (bound is None and isinstance(self.trace, WorkloadSpec)) or (
+            bound is not None and bound < 1
+        ):
+            raise ConfigError(
+                "RunSpec.max_instructions: must be >= 1, and a workload "
+                f"point must set it (generators never end); got {bound}",
+                field="RunSpec.max_instructions",
+            )
 
     def fingerprint(self) -> str:
         """Stable identity of this spec's *inputs*, for resume matching.
@@ -240,51 +257,27 @@ class CampaignResult:
         ]
 
 
-def _cacheable(trace: TraceSource, max_instructions: Optional[int]) -> bool:
-    """True when the point's trace can come from the compiled cache.
-
-    The cache is keyed ``(name, seed, count)``, so it only applies to
-    workload specs with a bounded run length.
-    """
-    return (
-        isinstance(trace, WorkloadSpec)
-        and max_instructions is not None
-        and max_instructions > 0
-    )
-
-
 def _resolve_trace(
-    trace: TraceSource,
-    faults: Optional[FaultSpec],
+    spec: RunSpec,
     attempt: int,
-    on_corrupt_state: Optional[Callable[[str], None]] = None,
-    max_instructions: Optional[int] = None,
+    on_corrupt_state: Callable[[str], None],
 ) -> Iterable[TraceRecord]:
+    trace = spec.trace
     if isinstance(trace, WorkloadSpec):
-        if _cacheable(trace, max_instructions):
-            # The core consumes at most ``max_instructions`` records, so
-            # the cached prefix is exactly the generator's output as far
-            # as the run can see — results are bit-identical, the load
-            # is an mmap instead of a generator re-run, and a parallel
-            # campaign's pre-warmed entry is shared by every worker.
-            records: Iterable[TraceRecord] = cached_workload_trace(
-                trace.name, seed=trace.seed, instructions=max_instructions
-            )
-        else:
-            records = get_workload(trace.name, seed=trace.seed)
-    elif isinstance(trace, TraceFileSpec):
-        records = load_trace(trace.path)
-    elif callable(trace):
-        records = trace()
-    else:
-        raise ConfigError(
-            f"RunSpec.trace: cannot interpret {type(trace).__name__} "
-            "as a trace source",
-            field="RunSpec.trace",
+        # The core consumes at most ``max_instructions`` records, so the
+        # cached prefix is exactly the generator's output as far as the
+        # run can see — results are bit-identical, the load is an mmap
+        # instead of a generator re-run, and a parallel campaign's
+        # pre-warmed entry is shared by every worker.
+        records: Iterable[TraceRecord] = cached_workload_trace(
+            trace.name, seed=trace.seed, instructions=spec.max_instructions
         )
-    if faults is not None and not faults.is_noop:
+    else:
+        records = load_trace(trace.path)
+    if spec.faults is not None and not spec.faults.is_noop:
         records = inject_faults(
-            records, faults, attempt=attempt, on_corrupt_state=on_corrupt_state
+            records, spec.faults, attempt=attempt,
+            on_corrupt_state=on_corrupt_state,
         )
     return records
 
@@ -316,13 +309,7 @@ def execute_spec(
     def on_corrupt_state(target: str) -> None:
         corrupt_simulator_state(machines[-1], target)
 
-    records = _resolve_trace(
-        spec.trace,
-        spec.faults,
-        attempt,
-        on_corrupt_state=on_corrupt_state,
-        max_instructions=spec.max_instructions,
-    )
+    records = _resolve_trace(spec, attempt, on_corrupt_state)
 
     snapshot_sink = None
     if snapshot_path is not None and snapshot_every is not None:
@@ -381,14 +368,6 @@ def execute_spec(
     return result
 
 
-def _is_picklable(spec: RunSpec) -> bool:
-    try:
-        pickle.dumps(spec)
-        return True
-    except Exception:
-        return False
-
-
 class CampaignRunner:
     """Runs specs with isolation, retries, and checkpointing.
 
@@ -412,7 +391,6 @@ class CampaignRunner:
         progress: Optional[Any] = None,
         chaos: Optional[ChaosSpec] = None,
         max_worker_kills: int = 3,
-        inline_fallback_after: Optional[int] = None,
         handle_signals: bool = False,
     ) -> None:
         if workers < 1:
@@ -476,11 +454,6 @@ class CampaignRunner:
                 "CampaignRunner.max_worker_kills: must be >= 1",
                 field="CampaignRunner.max_worker_kills",
             )
-        if inline_fallback_after is not None and inline_fallback_after < 1:
-            raise ConfigError(
-                "CampaignRunner.inline_fallback_after: must be >= 1",
-                field="CampaignRunner.inline_fallback_after",
-            )
         if (
             chaos is not None
             and (chaos.kill_points or chaos.poison_points)
@@ -503,14 +476,6 @@ class CampaignRunner:
         self.resume = resume
         self.chaos = chaos
         self.max_worker_kills = max_worker_kills
-        #: How many different points' workers must die with no
-        #: completion in between before the scheduler stops trusting the
-        #: pool and runs the rest inline.
-        self.inline_fallback_after = (
-            inline_fallback_after
-            if inline_fallback_after is not None
-            else 2 * workers + 2
-        )
         #: Install SIGTERM/SIGINT handlers around :meth:`run` (main
         #: thread only) that request a graceful stop instead of letting
         #: the default disposition kill the process mid-append.
@@ -716,7 +681,7 @@ class CampaignRunner:
         paths: List[str] = []
         for spec in specs:
             trace = spec.trace
-            if not _cacheable(trace, spec.max_instructions):
+            if not isinstance(trace, WorkloadSpec):
                 continue
             key = (trace.name, trace.seed, spec.max_instructions)
             if key in warmed:
@@ -887,15 +852,10 @@ class _PointState:
     #: Monotonic time of the first launch (None until then).
     start: Optional[float] = None
     #: How many times this point's worker died without an exception
-    #: crossing back (kill -9, segfault).  Budgeted separately from
-    #: ``attempt``: worker deaths do not consume the retry policy.
+    #: crossing back (kill -9, segfault, a chaos kill).  Budgeted
+    #: separately from ``attempt``: worker deaths do not consume the
+    #: retry policy.
     worker_kills: int = 0
-    #: Whether the chaos engine killed the in-flight attempt's worker.
-    chaos_killed: bool = False
-    #: Set once the point's worker died without the scheduler killing
-    #: it (exit, signal, OOM).  Such a point may take any process that
-    #: runs it down with it, so it never runs inline in the scheduler.
-    kills_its_worker: bool = False
 
 
 class _Scheduler:
@@ -922,12 +882,11 @@ class _Scheduler:
       (checkpoint, record, progress), then stops scheduling; the
       ``finally`` teardown kills the outstanding workers and drains
       their executors before the failed manifest is written.
-    - **Inline points** — every point under ``isolation="inline"``,
-      unpicklable specs (legacy lambda traces), and, after the
-      watchdog's inline fallback, every point whose worker never died
-      on its own — run one attempt at a time, synchronously in the
-      scheduler.  A failed inline attempt backs off on the same heap as
-      a worker's, so other points run while it waits.
+    - **Inline isolation** (``isolation="inline"``) runs every attempt
+      one at a time, synchronously in the scheduler; it is the only way
+      an attempt runs in the driver.  A failed inline attempt backs off
+      on the same heap as a worker's, so other points run while it
+      waits.
 
     Checkpoint entries are appended in completion order; resume is
     keyed by ``run_id``, so the out-of-order file replays identically.
@@ -950,13 +909,6 @@ class _Scheduler:
         self._seq = itertools.count()
         self.status = "complete"
         self.pending_error: Optional[ReproError] = None
-        #: Indices of the points whose workers died since a worker last
-        #: delivered a value or an exception.  One hostile point dying
-        #: again and again says nothing about the pool; at
-        #: ``runner.inline_fallback_after`` *different* points the pool
-        #: is declared unsalvageable (``pool_dead``).
-        self.dying_points: Set[int] = set()
-        self.pool_dead = False
         self.inline = runner.isolation == "inline"
 
     def add(self, index: int, spec: RunSpec, fingerprint: str) -> None:
@@ -994,10 +946,9 @@ class _Scheduler:
                 while self.waiting and self.waiting[0][0] <= now:
                     self.ready.append(heapq.heappop(self.waiting)[2])
                 while self.ready and not runner._stop_requested:
-                    inline = self._runs_inline(self.ready[0])
-                    if not (inline or idle):
+                    if not (self.inline or idle):
                         break
-                    if self._launch(self.ready.pop(0), inline, idle, running):
+                    if self._launch(self.ready.pop(0), idle, running):
                         return self.status, self.pending_error
                 if not running:
                     if not (self.ready or self.waiting):
@@ -1043,24 +994,9 @@ class _Scheduler:
 
     # -- scheduling steps ----------------------------------------------
 
-    def _runs_inline(self, point: _PointState) -> bool:
-        """Whether the point's next launch runs inside the scheduler.
-
-        Inline isolation was asked for, the spec cannot cross the
-        process boundary, or the pool has proven it cannot stay alive.
-        Inline fallback trades parallelism (and timeouts) for forward
-        progress — slower beats stuck — but never for a point whose
-        worker died on its own: it stays on a slot until its kill
-        budget is spent, so it cannot take the scheduler down.
-        """
-        if self.inline or not _is_picklable(point.spec):
-            return True
-        return self.pool_dead and not point.kills_its_worker
-
     def _launch(
         self,
         point: _PointState,
-        inline: bool,
         idle: List[_WorkerSlot],
         running: Dict[Any, Tuple[_PointState, _WorkerSlot, Optional[float]]],
     ) -> bool:
@@ -1074,7 +1010,7 @@ class _Scheduler:
             point.spec, point.attempt, runner.snapshot_every,
             point.snapshot_path,
         )
-        if inline:
+        if self.inline:
             return self._absorb(point, lambda: execute_spec(*args))
         slot = idle.pop()
         deadline = (
@@ -1083,13 +1019,10 @@ class _Scheduler:
         )
         future = slot.submit(execute_spec, *args)
         running[future] = (point, slot, deadline)
-        point.chaos_killed = (
-            runner._chaos_engine is not None
-            and runner._chaos_engine.kill_attempt(
-                point.index, point.worker_kills
-            )
-        )
-        if point.chaos_killed:
+        chaos = runner._chaos_engine
+        if chaos is not None and chaos.kill_attempt(
+            point.index, point.worker_kills
+        ):
             slot.kill_process()
         return False
 
@@ -1115,8 +1048,9 @@ class _Scheduler:
         except ReproError as raised:
             error: Optional[ReproError] = raised
         except Exception as raised:
-            # The trace source itself can raise before the simulator
-            # classifies anything: treat it as a simulation failure.
+            # Loading the trace or a snapshot can raise before the
+            # simulator classifies anything: treat it as a simulation
+            # failure.
             error = SimulationError(
                 f"run {point.spec.run_id!r} raised "
                 f"{type(raised).__name__}: {raised}"
@@ -1124,10 +1058,6 @@ class _Scheduler:
         else:
             error = None
         now = time.monotonic()
-        if slot is not None:
-            # The worker is demonstrably alive (it delivered a value or
-            # a real exception), so the pool-health streak resets.
-            self.dying_points.clear()
         if error is not None:
             return self._attempt_failed(point, error, now)
         return self._finish(point, now, "ok", point.attempt + 1, result=result)
@@ -1143,16 +1073,11 @@ class _Scheduler:
         backoff as a retry; past ``max_worker_kills`` it is finalised
         as **poisoned** — a distinct terminal state, so one hostile
         point degrades to a single failure record instead of hanging
-        or sinking the campaign.  The point also joins the set of dying
-        points whose size triggers inline fallback.
+        or sinking the campaign.  Every death counts the same, whatever
+        caused it.
         """
         runner = self.runner
         point.worker_kills += 1
-        if not point.chaos_killed:
-            point.kills_its_worker = True
-        self.dying_points.add(point.index)
-        if len(self.dying_points) >= runner.inline_fallback_after:
-            self.pool_dead = True
         if point.worker_kills < runner.max_worker_kills:
             self._back_off(point, point.worker_kills - 1, now)
             return False

@@ -131,9 +131,7 @@ class ChaosSpec:
         ``(seed, points, intensity, poison)`` always yields the same
         spec, so expected ok/failed/poisoned tallies are exact at any
         worker count: everything except the ``poison`` points must end
-        ``ok``.  The one exception is a schedule whose kills trip the
-        runner's inline fallback (``inline_fallback_after`` different
-        points dying in a row), which runs the rest out of their reach.
+        ``ok``, and the ``poison`` points ``poisoned``.
         """
         if points <= 0:
             raise ValueError("ChaosSpec.scheduled: points must be > 0")

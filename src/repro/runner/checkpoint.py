@@ -75,21 +75,12 @@ def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
 def spec_fingerprint(*parts: Any) -> str:
     """Stable digest of a run's defining inputs.
 
-    Frozen dataclasses (configs, workload/trace specs) have
-    deterministic ``repr``; callables contribute only their qualified
-    name so the digest does not depend on object identity.
+    Every part is a frozen dataclass (config, workload/trace spec, fault
+    schedule), a number or ``None``, each with a deterministic
+    ``repr``, so the digest covers every input a run reads.
     """
-    canonical: List[str] = []
-    for part in parts:
-        if callable(part) and not isinstance(part, type):
-            canonical.append(
-                f"{getattr(part, '__module__', '?')}."
-                f"{getattr(part, '__qualname__', repr(type(part)))}"
-            )
-        else:
-            canonical.append(repr(part))
-    digest = hashlib.sha256("|".join(canonical).encode()).hexdigest()
-    return digest[:16]
+    canonical = "|".join(repr(part) for part in parts)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def encode_entry(entry: Dict[str, Any]) -> str:

@@ -72,10 +72,7 @@ class DeltaBlueWorkload(WorkloadGenerator):
         pc_varw = pcs.site()  # variable-table update store
         pc_var_alu = pcs.site()
         pc_varbr = pcs.site()
-        # Four constraints are resolved concurrently, each plan walk a
-        # separate static call site (its own chase PC).
-        batch = 1
-        pc_plan_lane = pcs.sites(batch)
+        pc_plan = pcs.site()  # plan-walk chase load
         em = Emitter()
 
         def exec_walk(chain: List[int]) -> Iterator[TraceRecord]:
@@ -99,41 +96,27 @@ class DeltaBlueWorkload(WorkloadGenerator):
         var_bytes = 64 * 1024
         var_cursor = 0
         while True:
-            # Plan phase: walk a batch of chains concurrently.  The first
-            # chain of each batch is the heavily edited one (high churn),
-            # whose stream mispredicts far more than the other lanes —
-            # the productivity contrast priority scheduling exploits.
-            lanes = [
-                chains[(chain_cursor + lane) % len(chains)] for lane in range(batch)
-            ]
-            previous = {lane: -1 for lane in range(batch)}
-            length = max(len(chain) for chain in lanes)
-            for position in range(length):
-                for lane, chain in enumerate(lanes):
-                    if position >= len(chain):
-                        continue
-                    node = chain[position]
-                    chase = em.index
-                    yield em.rec(
-                        InstrKind.LOAD,
-                        pc_plan_lane[lane],
-                        node,
-                        after=previous[lane],
-                    )
-                    previous[lane] = chase
-                    yield em.rec(InstrKind.LOAD, pc_strength, node + 8, after=chase)
-                    yield em.rec(InstrKind.IALU, pc_cmp, after=chase)
-                    yield em.rec(InstrKind.IALU, pc_work1, after=chase)
-                    yield em.rec(InstrKind.IALU, pc_work2)
-                    yield em.rec(InstrKind.IALU, pc_work3)
-                    yield em.rec(
-                        InstrKind.BRANCH,
-                        pc_planbr,
-                        taken=position != len(chain) - 1,
-                        after=chase,
-                    )
-            # Execute the plan for the batch's lead chain.
-            yield from exec_walk(lanes[0])
+            # Plan phase: walk one chain by pointer, one constraint at a
+            # time.
+            chain = chains[chain_cursor]
+            previous = -1
+            for position, node in enumerate(chain):
+                chase = em.index
+                yield em.rec(InstrKind.LOAD, pc_plan, node, after=previous)
+                previous = chase
+                yield em.rec(InstrKind.LOAD, pc_strength, node + 8, after=chase)
+                yield em.rec(InstrKind.IALU, pc_cmp, after=chase)
+                yield em.rec(InstrKind.IALU, pc_work1, after=chase)
+                yield em.rec(InstrKind.IALU, pc_work2)
+                yield em.rec(InstrKind.IALU, pc_work3)
+                yield em.rec(
+                    InstrKind.BRANCH,
+                    pc_planbr,
+                    taken=position != len(chain) - 1,
+                    after=chase,
+                )
+            # Execute the plan: walk the same chain again.
+            yield from exec_walk(chain)
             # Refresh a slice of the variable table (unit-stride scan, the
             # part of deltablue a stride prefetcher can help with).
             for i in range(40):
@@ -144,16 +127,14 @@ class DeltaBlueWorkload(WorkloadGenerator):
                 yield em.rec(InstrKind.IALU, pc_var_alu, after=load)
                 yield em.rec(InstrKind.STORE, pc_varw, address, after=load)
                 yield em.rec(InstrKind.BRANCH, pc_varbr, taken=i != 39)
-            # Graph edit: retire constraints, construct replacements from
-            # the recycling arena (bursts of initializing stores).  The
-            # batch's lead chain is edited an order of magnitude harder.
-            for lane, chain in enumerate(lanes):
-                churn = self.churn_chance
-                for position in range(len(chain)):
-                    if rng.random() < churn:
-                        fresh = heap.alloc(_CONSTRAINT_BYTES)
-                        for k, pc_store in enumerate(pc_alloc):
-                            yield em.rec(InstrKind.STORE, pc_store, fresh + k * 8)
-                        yield em.rec(InstrKind.IALU, pc_link)
-                        chain[position] = fresh
-            chain_cursor = (chain_cursor + batch) % len(chains)
+            # Graph edit: retire constraints of the walked chain and
+            # construct replacements from the recycling arena (bursts of
+            # initializing stores).
+            for position in range(len(chain)):
+                if rng.random() < self.churn_chance:
+                    fresh = heap.alloc(_CONSTRAINT_BYTES)
+                    for k, pc_store in enumerate(pc_alloc):
+                        yield em.rec(InstrKind.STORE, pc_store, fresh + k * 8)
+                    yield em.rec(InstrKind.IALU, pc_link)
+                    chain[position] = fresh
+            chain_cursor = (chain_cursor + 1) % len(chains)

@@ -38,8 +38,8 @@ class HealthWorkload(WorkloadGenerator):
     num_lists = 20
     #: Patients per list.
     nodes_per_list = 64
-    #: Base per-visit chance that a patient moves in its list.
-    relink_chance = 0.01
+    #: Per-visit chance that a patient moves in its list.
+    relink_chance = 0.06
 
     def _build_lists(self, heap: HeapModel, rng) -> List[List[int]]:
         """Allocate each list's nodes in one segment, traversal shuffled.
@@ -60,86 +60,59 @@ class HealthWorkload(WorkloadGenerator):
         lists = self._build_lists(heap, rng)
         pcs = PcAllocator()
         pc_head = pcs.site()  # load list head from village struct
-        pc_chase = pcs.site()  # load patient->next
-        pc_data = pcs.site()  # load patient->days
+        pcs.sites(2)  # never emitted; allocated so later PCs keep their values
         pc_check = pcs.site()  # compare days
         pc_update = pcs.site()  # store patient->days
         pc_loop = pcs.site()  # list-walk back edge
         pc_village = pcs.site()  # village loop back edge
         pc_work = pcs.sites(10)  # per-patient bookkeeping arithmetic
         village_bases = [0x0100_0000 + i * 256 for i in range(self.num_lists)]
-
-        # Each of the four concurrent traversals gets its own static load
-        # site (its own chase PC), as the four inlined call sites of the
-        # real program's level walk would.
-        pc_chase_lane = pcs.sites(4)
-        pc_data_lane = pcs.sites(4)
+        # The chase and field loads each take the first site of a
+        # four-site block; the other three are never emitted.
+        pc_chase = pcs.sites(4)[0]  # load patient->next
+        pc_data = pcs.sites(4)[0]  # load patient->days
 
         em = Emitter()
-        group = 1  # villages processed one at a time (serial chase)
         while True:
-            for base_index in range(0, len(lists), group):
-                lanes = [
-                    (lane, lists[base_index + lane])
-                    for lane in range(min(group, len(lists) - base_index))
-                ]
-                previous = {}
-                for lane, __ in lanes:
-                    head = em.index
+            # Villages are processed one at a time: one serial chase.
+            for village, nodes in enumerate(lists):
+                previous = em.index
+                yield em.rec(InstrKind.LOAD, pc_head, village_bases[village])
+                for position in range(len(nodes)):
+                    node = nodes[position]
+                    chase = em.index
+                    yield em.rec(InstrKind.LOAD, pc_chase, node, after=previous)
+                    previous = chase
+                    # Same-block field read depends on the chase load.
+                    data = em.index
+                    yield em.rec(InstrKind.LOAD, pc_data, node + 8, after=chase)
+                    yield em.rec(InstrKind.IALU, pc_check, after=data)
+                    # Per-patient bookkeeping the out-of-order core can
+                    # overlap with the chase.
+                    work = em.index
+                    yield em.rec(InstrKind.IALU, pc_work[0], after=data)
+                    yield em.rec(InstrKind.IALU, pc_work[1])
+                    yield em.rec(InstrKind.IALU, pc_work[2], after=work)
+                    yield em.rec(InstrKind.IMUL, pc_work[3])
+                    yield em.rec(InstrKind.IALU, pc_work[4])
+                    yield em.rec(InstrKind.IALU, pc_work[5])
+                    if rng.random() < 0.25:
+                        yield em.rec(
+                            InstrKind.STORE, pc_update, node + 16, after=data
+                        )
                     yield em.rec(
-                        InstrKind.LOAD, pc_head, village_bases[base_index + lane]
+                        InstrKind.BRANCH,
+                        pc_loop,
+                        taken=position != len(nodes) - 1,
+                        after=data,
                     )
-                    previous[lane] = head
-                length = max(len(nodes) for __, nodes in lanes)
-                for position in range(length):
-                    for lane, nodes in lanes:
-                        if position >= len(nodes):
-                            continue
-                        node = nodes[position]
-                        chase = em.index
-                        yield em.rec(
-                            InstrKind.LOAD,
-                            pc_chase_lane[lane],
-                            node,
-                            after=previous[lane],
-                        )
-                        previous[lane] = chase
-                        # Same-block field read depends on the chase load.
-                        data = em.index
-                        yield em.rec(
-                            InstrKind.LOAD, pc_data_lane[lane], node + 8, after=chase
-                        )
-                        yield em.rec(InstrKind.IALU, pc_check, after=data)
-                        # Per-patient bookkeeping the out-of-order core can
-                        # overlap with the chase.
-                        work = em.index
-                        yield em.rec(InstrKind.IALU, pc_work[0], after=data)
-                        yield em.rec(InstrKind.IALU, pc_work[1])
-                        yield em.rec(InstrKind.IALU, pc_work[2], after=work)
-                        yield em.rec(InstrKind.IMUL, pc_work[3])
-                        yield em.rec(InstrKind.IALU, pc_work[4])
-                        yield em.rec(InstrKind.IALU, pc_work[5])
-                        if rng.random() < 0.25:
-                            yield em.rec(
-                                InstrKind.STORE, pc_update, node + 16, after=data
-                            )
-                        yield em.rec(
-                            InstrKind.BRANCH,
-                            pc_loop,
-                            taken=position != len(nodes) - 1,
-                            after=data,
-                        )
-                        # Every fourth village is a high-admission ward whose
-                        # list churns much faster: its stream mispredicts
-                        # often, so priority scheduling can divert bandwidth
-                        # to the three predictable lanes beside it.
-                        churn = self.relink_chance * (
-                            6.0 if (base_index + lane) % group == 0 else 0.5
-                        )
-                        if position < len(nodes) - 1 and rng.random() < churn:
-                            # A patient moves: swap two nodes in traversal
-                            # order, perturbing the Markov transitions.
-                            other = rng.randrange(len(nodes))
-                            me = position + 1
-                            nodes[me], nodes[other] = nodes[other], nodes[me]
+                    if (
+                        position < len(nodes) - 1
+                        and rng.random() < self.relink_chance
+                    ):
+                        # A patient moves: swap two nodes in traversal
+                        # order, perturbing the Markov transitions.
+                        other = rng.randrange(len(nodes))
+                        me = position + 1
+                        nodes[me], nodes[other] = nodes[other], nodes[me]
                 yield em.rec(InstrKind.BRANCH, pc_village, taken=True)

@@ -31,6 +31,7 @@ from repro.runner import (
     corrupt_binary_file,
     execute_spec,
 )
+from repro.runner import campaign as campaign_module
 from repro.runner.checkpoint import iter_checkpoint_lines
 from repro.sim import baseline_config, psb_config
 from repro.sim.simulator import Simulator
@@ -57,15 +58,14 @@ def _spec(run_id, config=None, seed=1):
     )
 
 
-def _dying_trace():
-    """A picklable trace source whose worker process dies on load.
+def _execute_in_a_worker_only(spec, *args):
+    """``execute_spec`` that fails any attempt run in the driver process.
 
-    Run inline in the test process instead, it raises: a campaign that
-    wrongly runs it there fails the test rather than killing it.
+    Module-level, so a worker slot can unpickle it by name.
     """
     if multiprocessing.parent_process() is None:
-        raise RuntimeError("a self-killing point ran in the driver")
-    os._exit(9)
+        raise RuntimeError(f"point {spec.run_id!r} ran in the driver")
+    return execute_spec(spec, *args)
 
 
 def _entry(run_id, status="ok", fingerprint="f00d"):
@@ -485,40 +485,39 @@ class TestWorkerWatchdog:
         assert report.ok, report.summary()
         assert report.stats["entries_poisoned"] == 1
 
-    def test_unkillable_pool_falls_back_to_inline(self, tmp_path):
-        # Every launch of every point is killed; long before the kill
-        # budget runs out, the consecutive-death streak declares the
-        # pool dead and the campaign finishes inline — all points ok.
-        specs = [_spec("p0"), _spec("p1", seed=2)]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unkillable_pool_poisons_every_point(self, tmp_path, workers):
+        # Every launch of every point is killed: each point spends
+        # exactly its kill budget and ends poisoned, and none of them
+        # runs, let alone completes, in the driver.
+        kills = 3
+        specs = [_spec("p0"), _spec("p1", seed=2), _spec("p2", seed=3)]
         campaign = CampaignRunner(
-            str(tmp_path), workers=2, isolation="process",
-            backoff_base=0.0, max_worker_kills=10,
-            inline_fallback_after=2,
-            chaos=ChaosSpec(poison_points=(0, 1)),
+            str(tmp_path), workers=workers, isolation="process",
+            backoff_base=0.0, max_worker_kills=kills,
+            chaos=ChaosSpec(poison_points=(0, 1, 2)),
         ).run(specs)
-        assert campaign.outcomes["p0"].ok
-        assert campaign.outcomes["p1"].ok
+        for spec in specs:
+            outcome = campaign.failures[spec.run_id]
+            assert outcome.status == "poisoned"
+            assert outcome.attempts == kills
+            assert f"worker died {kills} times" in outcome.error_message
         manifest = campaign.manifest
-        assert manifest["ok"] == 2
-        assert manifest["poisoned"] == 0
-        # At least the first two launches were killed before fallback
-        # (a relaunch may slip in while the second death is in flight,
-        # so the exact count depends on completion timing).
-        assert manifest["chaos"]["counters"]["worker_kills"] >= 2
+        assert manifest["ok"] == 0
+        assert manifest["poisoned"] == len(specs)
+        assert manifest["chaos"]["counters"]["worker_kills"] == (
+            len(specs) * kills
+        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dying_worker_poisons_at_any_worker_count(self, tmp_path, workers):
-        # A worker that exits without raising is the watchdog's case at
-        # every worker count: two deaths spend the kill budget (below
-        # the default inline-fallback streak) and poison the point.
-        spec = RunSpec(
-            run_id="dies", config=baseline_config(), trace=_dying_trace,
-            max_instructions=INSTRUCTIONS,
-        )
+        # A worker that dies without raising is the watchdog's case at
+        # every worker count: two deaths spend the kill budget and
+        # poison the point.
         campaign = CampaignRunner(
             str(tmp_path), workers=workers, backoff_base=0.0,
-            max_worker_kills=2,
-        ).run([spec])
+            max_worker_kills=2, chaos=ChaosSpec(poison_points=(0,)),
+        ).run([_spec("dies")])
         outcome = campaign.failures["dies"]
         assert outcome.status == "poisoned"
         assert outcome.error_kind == "WorkerPoisonedError"
@@ -526,35 +525,30 @@ class TestWorkerWatchdog:
         assert "worker died 2 times" in outcome.error_message
 
     def test_two_dying_points_poison_at_one_worker(self, tmp_path):
-        # Alternating deaths of two points are not a dead pool: both
-        # spend the default kill budget on the slot and end poisoned.
-        specs = [
-            RunSpec(
-                run_id=f"dies{i}", config=baseline_config(),
-                trace=_dying_trace, max_instructions=INSTRUCTIONS,
-            )
-            for i in range(2)
-        ]
-        campaign = CampaignRunner(str(tmp_path), backoff_base=0.0).run(specs)
+        # Alternating deaths of two points share one slot: both spend
+        # the default kill budget on it and end poisoned.
+        specs = [_spec("dies0"), _spec("dies1", seed=2)]
+        campaign = CampaignRunner(
+            str(tmp_path), backoff_base=0.0,
+            chaos=ChaosSpec(poison_points=(0, 1)),
+        ).run(specs)
         for run_id in ("dies0", "dies1"):
             outcome = campaign.failures[run_id]
             assert outcome.status == "poisoned"
             assert outcome.attempts == 3
         assert campaign.manifest["poisoned"] == 2
 
-    def test_fallback_never_runs_a_self_killing_point_inline(self, tmp_path):
-        # Two dying points trip the fallback; the healthy point then
-        # runs inline, but the dying ones keep their slot until poisoned.
-        specs = [
-            RunSpec(
-                run_id=f"dies{i}", config=baseline_config(),
-                trace=_dying_trace, max_instructions=INSTRUCTIONS,
-            )
-            for i in range(2)
-        ] + [_spec("fine")]
+    def test_no_attempt_runs_in_the_driver(self, tmp_path, monkeypatch):
+        # Two points whose every worker dies, beside a healthy one: the
+        # dying points spend their kill budget on the one slot and end
+        # poisoned, and the healthy one still completes on a worker.
+        monkeypatch.setattr(
+            campaign_module, "execute_spec", _execute_in_a_worker_only
+        )
+        specs = [_spec("dies0"), _spec("dies1", seed=2), _spec("fine", seed=3)]
         campaign = CampaignRunner(
             str(tmp_path), backoff_base=0.0, max_worker_kills=2,
-            inline_fallback_after=2,
+            chaos=ChaosSpec(poison_points=(0, 1)),
         ).run(specs)
         assert campaign.outcomes["fine"].ok
         for run_id in ("dies0", "dies1"):
@@ -613,7 +607,7 @@ class TestSeededChaosCampaign:
         counters = manifest["chaos"]["counters"]
         assert counters["checkpoint_enospc"] == 1
         assert counters["checkpoint_torn"] == 1
-        assert counters["worker_kills"] >= 2
+        assert counters["worker_kills"] == 3
         assert counters["cache_corrupted"] == len(specs)
         # ...and none of it is visible in the surviving results.
         for run_id in ("p0", "p1", "p2"):
@@ -631,4 +625,31 @@ class TestSeededChaosCampaign:
         assert report.stats["checkpoint_entries"] == 4
         assert {issue.code for issue in report.warnings} <= {
             "checkpoint.line.json"
+        }
+
+    def test_tallies_match_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        # Every fault of a seeded schedule fires the same way at any
+        # worker count, so the tallies and chaos counters are exact.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
+        specs = [_spec(f"p{i}", seed=i + 1) for i in range(4)]
+        chaos = ChaosSpec.scheduled(7, points=len(specs), poison=1)
+        tallies = {}
+        for workers in (1, 2):
+            manifest = CampaignRunner(
+                str(tmp_path / f"workers{workers}"), workers=workers,
+                backoff_base=0.0, max_worker_kills=2, chaos=chaos,
+            ).run(specs).manifest
+            tallies[workers] = (
+                manifest["ok"], manifest["failed"], manifest["poisoned"],
+                manifest["chaos"]["counters"],
+            )
+        assert tallies[1] == tallies[2]
+        assert tallies[1][:3] == (3, 0, 1)
+        assert tallies[1][3] == {
+            "checkpoint_enospc": 1,
+            "checkpoint_torn": 1,
+            "worker_kills": 3,
+            "cache_corrupted": len(specs),
+            "snapshots_corrupted": 0,
+            "manifest_torn": 0,
         }

@@ -4,7 +4,6 @@ Process-isolation and the end-to-end acceptance campaign live in
 ``test_runner_campaign.py``.
 """
 
-import itertools
 import json
 import os
 
@@ -21,8 +20,11 @@ from repro.runner import (
     CampaignRunner,
     FaultSpec,
     RunSpec,
+    TraceFileSpec,
     WorkloadSpec,
+    execute_spec,
 )
+from repro.runner import campaign as campaign_module
 from repro.sim import baseline_config, psb_config, simulate
 from repro.workloads import get_workload
 
@@ -250,30 +252,27 @@ class TestCheckpointing:
         assert [entry["run_id"] for entry in entries] == ["b"]
 
 
+@pytest.fixture
+def executed(monkeypatch):
+    """Count the inline attempts of each point, keyed by ``run_id``."""
+    counter = {}
+
+    def counting(spec, *args):
+        counter[spec.run_id] = counter.get(spec.run_id, 0) + 1
+        return execute_spec(spec, *args)
+
+    monkeypatch.setattr(campaign_module, "execute_spec", counting)
+    return counter
+
+
 class TestResume:
-    def _counting_specs(self, counter):
-        """Specs whose trace factories count invocations (inline only)."""
-
-        def factory_for(run_id):
-            def factory():
-                counter[run_id] = counter.get(run_id, 0) + 1
-                return itertools.islice(
-                    get_workload("health", seed=1), INSTRUCTIONS + 5_000
-                )
-
-            return factory
-
-        return [_spec(run_id, trace=factory_for(run_id)) for run_id in "abc"]
-
     def test_interrupt_then_resume_skips_completed(
-        self, tmp_path, finish_hook
+        self, tmp_path, finish_hook, executed
     ):
         d = str(tmp_path / "camp")
-        executed = {}
-        baseline_counter = {}
-        uninterrupted = _inline(campaign_dir=str(tmp_path / "ref")).run(
-            self._counting_specs(baseline_counter)
-        )
+        specs = [_spec(run_id) for run_id in "abc"]
+        uninterrupted = _inline(campaign_dir=str(tmp_path / "ref")).run(specs)
+        executed.clear()
 
         def interrupt_after_first(outcome):
             raise KeyboardInterrupt
@@ -281,15 +280,13 @@ class TestResume:
         with pytest.raises(KeyboardInterrupt):
             _inline(
                 campaign_dir=d, progress=finish_hook(interrupt_after_first)
-            ).run(self._counting_specs(executed))
+            ).run(specs)
         assert executed == {"a": 1}
 
         manifest = json.load(open(os.path.join(d, MANIFEST_NAME)))
         assert manifest["status"] == "interrupted"
 
-        resumed = _inline(campaign_dir=d, resume=True).run(
-            self._counting_specs(executed)
-        )
+        resumed = _inline(campaign_dir=d, resume=True).run(specs)
         assert executed == {"a": 1, "b": 1, "c": 1}  # a was NOT re-run
         assert resumed.resumed == ["a"]
         assert {
@@ -325,19 +322,68 @@ class TestResume:
         )
         assert spec.fingerprint() == "2e5c1c4ae2d5c846"
 
+    def test_trace_file_spec_fingerprint_is_pinned(self):
+        # A trace-file point's checkpoints written by earlier releases
+        # still resume too.
+        spec = RunSpec(
+            "trace/base", baseline_config(), TraceFileSpec("traces/health.rtb"),
+            max_instructions=20_000, warmup_instructions=5_000,
+        )
+        assert spec.fingerprint() == "027b8e5555a481ad"
+
+
+class TestDeclarativeTrace:
+    """A point names its trace as data, so it crosses the process
+    boundary and its fingerprint covers everything the run reads."""
+
+    def test_callable_trace_is_refused(self):
+        with pytest.raises(ConfigError, match="got function") as raised:
+            _spec("factory", trace=lambda: get_workload("health", seed=1))
+        assert raised.value.field == "RunSpec.trace"
+
+    @pytest.mark.parametrize("instructions", [None, 0, -5])
+    def test_unbounded_workload_point_is_refused(self, instructions):
+        # A generator never runs dry, so such a point could never end.
+        with pytest.raises(ConfigError) as raised:
+            _spec("unbounded", instructions=instructions)
+        assert raised.value.field == "RunSpec.max_instructions"
+
+    def test_trace_file_point_takes_no_bound(self):
+        # A trace file ends on its own.
+        spec = RunSpec("file", baseline_config(), TraceFileSpec("t.rtb"))
+        assert spec.max_instructions is None
+
+    @pytest.mark.parametrize("instructions", [0, -5])
+    def test_trace_file_bound_below_one_is_refused(self, instructions):
+        # Such a point would run no instruction and report a result.
+        with pytest.raises(ConfigError) as raised:
+            RunSpec(
+                "file", baseline_config(), TraceFileSpec("t.rtb"),
+                max_instructions=instructions,
+            )
+        assert raised.value.field == "RunSpec.max_instructions"
+
 
 class TestUnknownWorkload:
     """An unknown workload name fails its own point, once, as a
-    :class:`~repro.errors.ConfigError`, whether or not the cache
-    pre-warms it, and the campaign's other points still run."""
+    :class:`~repro.errors.ConfigError`, whether or not the trace cache
+    can be written, and the campaign's other points still run."""
 
-    @pytest.mark.parametrize("instructions", [2_000, None],
+    @pytest.mark.parametrize("cache_writable", [True, False],
                              ids=["cached", "generated"])
-    def test_fails_once_as_config_error(self, instructions):
+    def test_fails_once_as_config_error(
+        self, tmp_path, monkeypatch, cache_writable
+    ):
+        if not cache_writable:
+            # A cache directory under a regular file cannot be created,
+            # so every attempt takes its records from the generator.
+            blocker = tmp_path / "file"
+            blocker.write_text("")
+            monkeypatch.setenv("REPRO_TRACE_CACHE", str(blocker / "cache"))
         campaign = _inline(retries=2).run([
             _spec("health", instructions=2_000),
             _spec("quake", trace=WorkloadSpec("quake", seed=1),
-                  instructions=instructions),
+                  instructions=2_000),
         ])
         assert campaign.outcomes["health"].ok
         outcome = campaign.failures["quake"]
@@ -372,30 +418,28 @@ class TestSnapshotCleanup:
         assert os.listdir(snapdir) == []
 
 
-class TestProcessFallback:
-    def test_unpicklable_trace_runs_inline(self):
-        generator = get_workload("health", seed=1)
-        spec = _spec("lambda-point", trace=lambda: generator)
-        runner = CampaignRunner(isolation="process")  # cannot pickle a lambda
-        result = runner.run([spec]).results["lambda-point"]
-        assert result.instructions > 0
-
-
-def _broken_trace():
-    raise RuntimeError("boom")
-
-
 class TestPlainTraceError:
-    """A trace source that raises a plain exception, not a taxonomy error."""
+    """An attempt that raises a plain exception, not a taxonomy error."""
+
+    @pytest.fixture(autouse=True)
+    def _broken_point(self, monkeypatch):
+        """The point named ``broken`` raises ``RuntimeError`` inline."""
+
+        def execute(spec, *args):
+            if spec.run_id == "broken":
+                raise RuntimeError("boom")
+            return execute_spec(spec, *args)
+
+        monkeypatch.setattr(campaign_module, "execute_spec", execute)
 
     def test_fail_fast_raises_simulation_error(self):
-        with pytest.raises(SimulationError):
-            _inline(on_error="fail").run([_spec("broken", trace=_broken_trace)])
+        with pytest.raises(SimulationError, match="RuntimeError: boom"):
+            _inline(on_error="fail").run([_spec("broken")])
 
     def test_skip_keeps_the_other_point(self, tmp_path):
         d = str(tmp_path / "camp")
         campaign = _inline(campaign_dir=d, on_error="skip").run(
-            [_spec("broken", trace=_broken_trace), _spec("fine")]
+            [_spec("broken"), _spec("fine")]
         )
         assert set(campaign.results) == {"fine"}
         assert campaign.failures["broken"].error_kind == "SimulationError"
